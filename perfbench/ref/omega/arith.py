@@ -1,0 +1,360 @@
+"""Integer arithmetic: factoring, part-extraction, primitive prime divisors."""
+
+import math
+from dataclasses import dataclass, field
+
+try:
+    from gmpy2 import mpz  # optional speed path, plain ints work too
+except ImportError:
+    mpz = int
+
+_SIEVE_BOUND = 10_000
+
+
+def _sieve(bound):
+    flags = bytearray([1]) * (bound + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, int(bound**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return [i for i in range(bound + 1) if flags[i]]
+
+
+SMALL_PRIMES = _sieve(_SIEVE_BOUND)
+_SMALL_SET = set(SMALL_PRIMES)
+
+# Miller-Rabin with these bases is a proof of primality below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _mr_witness(n, a):
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return False
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return False
+    return True
+
+
+def _jacobi(a, n):
+    assert n > 0 and n % 2 == 1
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n):
+    # Selfridge parameter choice: first D in 5, -7, 9, -11, ... with (D|n) = -1.
+    D = 5
+    while True:
+        j = _jacobi(D % n, n)
+        if j == 0:
+            return abs(D) == n
+        if j == -1:
+            break
+        D = -(D + 2) if D > 0 else -(D - 2)
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # Compute U_d, V_d by the binary double-and-add chain.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, V + D * U
+            if U % 2:
+                U += n
+            if V % 2:
+                V += n
+            U, V = U // 2 % n, V // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def is_prime(n):
+    """Deterministic below ~3.3e24, Baillie-PSW above (no known failures)."""
+    if n < 2:
+        return False
+    if n <= _SIEVE_BOUND:
+        return n in _SMALL_SET
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return False
+    if n < _MR_PROOF_BOUND:
+        return not any(_mr_witness(n, a) for a in _MR_BASES)
+    if _mr_witness(n, 2):
+        return False
+    r = math.isqrt(n)
+    if r * r == n:
+        return False
+    return _strong_lucas(n)
+
+
+_PM1_PRIMES = _sieve(100_000)
+
+
+def _pminus1(n, bound):
+    # Pollard p-1 first stage; cheap and effective when some p-1 is smooth.
+    a = mpz(2)
+    n = mpz(n)
+    for p in _PM1_PRIMES:
+        if p > bound:
+            break
+        a = pow(a, p ** int(math.log(bound, p)), n)
+        if a == 1:
+            return None
+    g = math.gcd(int(a) - 1, int(n))
+    return g if 1 < g < n else None
+
+
+def _brent(n):
+    # Pollard rho, Brent's cycle finding. n must be odd composite, not a prime power
+    # issue either way: returns some nontrivial factor. Deterministic parameter walk.
+    if n % 2 == 0:
+        return 2
+    n = mpz(n)
+    c = 1
+    while True:
+        y, m, g, r, q = mpz(2), 128, 1, 1, mpz(1)
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(int(q), int(n))
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(int(x - ys), int(n))
+        if g != n:
+            return int(g)
+        c += 1
+
+
+def _factor(n):
+    """Unbounded engine: prime -> exponent dict, smallest primes first."""
+    assert n >= 1
+    out = {}
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n == 1:
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        r = math.isqrt(m)
+        if r * r == m:
+            stack += [r, r]
+            continue
+        d = _pminus1(m, 10_000) or _pminus1(m, 100_000) or _brent(m)
+        assert 1 < d < m
+        stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+@dataclass(frozen=True)
+class Factored:
+    """An integer together with its prime factorization."""
+
+    n: int
+    factors: dict = field(compare=False)
+
+    def __post_init__(self):
+        prod = 1
+        for p, e in self.factors.items():
+            assert e >= 1
+            prod *= p**e
+        assert prod == self.n, "factorization does not multiply back"
+
+    def primes(self):
+        return tuple(sorted(self.factors))
+
+    def __str__(self):
+        if self.n == 1:
+            return "1"
+        parts = []
+        for p in sorted(self.factors):
+            e = self.factors[p]
+            parts.append(f"{p}^{e}" if e > 1 else f"{p}")
+        return " * ".join(parts)
+
+
+_FACTORIZE_MAX = 2**63 - 1
+
+
+def factorize(n):
+    """Factor n for 1 <= n <= 2^63 - 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"factorize wants an int, got {n!r}")
+    if not 1 <= n <= _FACTORIZE_MAX:
+        raise ValueError(f"factorize domain is 1..2^63-1, got {n}")
+    return Factored(n, _factor(n))
+
+
+def r_part(n, r):
+    """Split n = a*b where a collects the primes of r, b the rest: returns (a, b)."""
+    if not isinstance(n, int) or not isinstance(r, int) or n < 1 or r < 2:
+        raise ValueError(f"r_part wants n >= 1 and r >= 2, got {n}, {r}")
+    if not (n <= _FACTORIZE_MAX and r <= _FACTORIZE_MAX):
+        raise ValueError("r_part domain is bounded by 2^63-1")
+    a = 1
+    for p in _factor(r):
+        while n % p == 0:
+            a *= p
+            n //= p
+    return a, n
+
+
+def mobius(n):
+    assert n >= 1
+    mu = 1
+    for _, e in _factor(n).items():
+        if e >= 2:
+            return 0
+        mu = -mu
+    return mu
+
+
+def divisors(n):
+    """Sorted list of positive divisors."""
+    assert n >= 1
+    out = [1]
+    for p, e in _factor(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def cyclotomic_value(n, q):
+    """Value of the n-th cyclotomic polynomial at q, by Moebius inversion."""
+    assert n >= 1 and q >= 2
+    num = den = 1
+    for d in divisors(n):
+        mu = mobius(n // d)
+        if mu == 1:
+            num *= q**d - 1
+        elif mu == -1:
+            den *= q**d - 1
+    assert num % den == 0
+    return num // den
+
+
+def smallest_prime_factor(n):
+    assert n >= 2
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return p
+        if p * p > n:
+            return n
+    if is_prime(n):
+        return n
+    return min(_factor(n))
+
+
+def zsigmondy(q, n):
+    """Smallest prime dividing q^n - 1 but no q^i - 1 with i < n.
+
+    Wants q >= 2 and n >= 3; the only such pair with no primitive prime
+    divisor is (2, 6), reported as None.
+    """
+    if not isinstance(q, int) or not isinstance(n, int) or q < 2 or n < 3:
+        raise ValueError(f"zsigmondy domain is q >= 2, n >= 3, got q={q}, n={n}")
+    phi = cyclotomic_value(n, q)
+    # A prime factor of phi is primitive unless it divides n.
+    for p in _factor(n):
+        while phi % p == 0:
+            phi //= p
+    if phi == 1:
+        assert (q, n) == (2, 6), "primitive divisor missing outside the known gap"
+        return None
+    r = smallest_prime_factor(phi)
+    assert r % n == 1, "primitive prime divisor must be 1 mod n"
+    return r
+
+
+def is_prime_power(q):
+    """Return the prime p with q = p^k, or None."""
+    if q < 2:
+        return None
+    f = _factor(q)
+    if len(f) == 1:
+        return next(iter(f))
+    return None
+
+
+# Catalogued gcd identities. Each row is checked pointwise; the suite is the
+# evidence trail for the simplifications used in the order descriptors.
+
+
+def _e6_rows(q):
+    lhs = math.gcd((q**5 - 1) * (q + 1), q * q - q + 1)
+    rhs = math.gcd(q + 1, 3)
+    yield {"id": "e6-gcd", "q": q, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
+
+
+def _sp_rows(q):
+    p = is_prime_power(q)
+    if p is None or p == 2:
+        return
+    k = 0
+    m = q
+    while m > 1:
+        m //= p
+        k += 1
+    for n in range(2, 13):
+        eps = 1 if (k * (n - 1)) % 2 == 1 else -1
+        lhs = math.gcd(q ** (n - 1) - eps, p + 1)
+        yield {"id": "sp-gcd", "q": q, "n": n, "lhs": lhs, "rhs": 2, "ok": lhs == 2}
+
+
+def gcd_identity_suite(q_range):
+    """Evaluate every catalogued gcd identity at each applicable q; list of rows."""
+    rows = []
+    for q in q_range:
+        if q < 2:
+            raise ValueError(f"gcd identities want q >= 2, got {q}")
+        rows.extend(_e6_rows(q))
+        rows.extend(_sp_rows(q))
+    return rows

@@ -1,0 +1,131 @@
+"""Optional on-disk cache for enumerated tables: binary keys + JSON sidecar."""
+
+import json
+import struct
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from ..groups import parse_group_spec
+from .field import build_field
+from .matgroup import (
+    DEFAULT_CAP,
+    ElementTable,
+    _TABLE_MEMO,
+    _make_codec,
+    classical_generators,
+    spectrum_table,
+)
+
+MAGIC = b"OMEGA1"
+
+
+def _stem(spec_str, cap):
+    safe = "".join(ch if ch.isalnum() else "_" for ch in spec_str)
+    return f"{safe}.cap{cap}"
+
+
+def cache_paths(cache_dir, spec_str, cap):
+    stem = _stem(spec_str, cap)
+    return Path(cache_dir) / (stem + ".tbl"), Path(cache_dir) / (stem + ".json")
+
+
+def save_table(table, cache_dir, spec_str, cap):
+    pl = table.payload
+    assert pl.get("quotient_by") is None, "only directly enumerated tables cached"
+    fld = pl["field"]
+    stack = pl["stack"]
+    item = np.dtype(fld.code_dtype).itemsize
+    spec_b = spec_str.encode()
+    head = [
+        MAGIC,
+        struct.pack("<I", len(spec_b)),
+        spec_b,
+        struct.pack("<III", fld.p, fld.k, len(fld.modulus)),
+        struct.pack(f"<{len(fld.modulus)}I", *fld.modulus),
+        struct.pack("<IQB", pl["dim"], table.size, item),
+    ]
+    tbl_path, json_path = cache_paths(cache_dir, spec_str, cap)
+    tbl_path.parent.mkdir(parents=True, exist_ok=True)
+    tbl_path.write_bytes(b"".join(head) + stack.tobytes())
+    sidecar = {
+        "spec": spec_str,
+        "cap": cap,
+        "size": table.size,
+        "order_histogram": {str(k): v for k, v in sorted(table.order_histogram.items())},
+        "spectrum": list(table.spectrum),
+    }
+    json_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    return tbl_path
+
+
+def load_table(cache_dir, spec_str, cap, fld, dim):
+    """Rebuild a table from cache; None when absent, ValueError when malformed."""
+    tbl_path, json_path = cache_paths(cache_dir, spec_str, cap)
+    if not tbl_path.exists() or not json_path.exists():
+        return None
+    raw = tbl_path.read_bytes()
+    if raw[:6] != MAGIC:
+        raise ValueError(f"{tbl_path}: bad magic")
+    off = 6
+    (slen,) = struct.unpack_from("<I", raw, off)
+    off += 4
+    got_spec = raw[off:off + slen].decode()
+    off += slen
+    if got_spec != spec_str:
+        raise ValueError(f"{tbl_path}: stores {got_spec!r}, wanted {spec_str!r}")
+    p, k, modlen = struct.unpack_from("<III", raw, off)
+    off += 12
+    mod = struct.unpack_from(f"<{modlen}I", raw, off)
+    off += 4 * modlen
+    if (p, k, mod) != (fld.p, fld.k, fld.modulus):
+        raise ValueError(f"{tbl_path}: field mismatch")
+    got_dim, count, item = struct.unpack_from("<IQB", raw, off)
+    off += 13
+    if got_dim != dim:
+        raise ValueError(f"{tbl_path}: dimension mismatch")
+    if item != np.dtype(fld.code_dtype).itemsize:
+        raise ValueError(f"{tbl_path}: code width mismatch")
+    body = raw[off:]
+    if len(body) != count * dim * dim * item:
+        raise ValueError(f"{tbl_path}: truncated body")
+    stack = np.frombuffer(body, dtype=fld.code_dtype).reshape(count, dim, dim).copy()
+    if int(stack.max(initial=0)) >= fld.q:
+        raise ValueError(f"{tbl_path}: entry out of field range")
+    codec = _make_codec(fld, dim)
+    keys = codec.keys(stack)
+    if count > 1 and not (keys[1:] > keys[:-1]).all():
+        raise ValueError(f"{tbl_path}: keys not strictly sorted")
+    side = json.loads(json_path.read_text())
+    hist = {int(m): int(c) for m, c in side["order_histogram"].items()}
+    if side.get("size") != count:
+        raise ValueError(f"{json_path}: size disagrees with binary table")
+    return ElementTable(
+        size=int(count),
+        order_histogram=hist,
+        spectrum=tuple(sorted(hist)),
+        payload={"field": fld, "dim": dim, "stack": stack, "keys": keys,
+                 "codec": codec},
+    )
+
+
+def cached_spectrum_table(spec, cap=DEFAULT_CAP, cache_dir=None):
+    """spectrum_table with a read-through cache of the universal enumeration."""
+    if isinstance(spec, str):
+        spec = parse_group_spec(spec)
+    if cache_dir is None:
+        return spectrum_table(spec, cap)
+    uni = replace(spec, version="universal")
+    group = classical_generators(uni)
+    key = group.key()
+    if key not in _TABLE_MEMO:
+        loaded = load_table(cache_dir, str(uni), cap, group.field, group.dim)
+        if loaded is not None:
+            assert loaded.size <= cap, "cached table exceeds the requested cap"
+            _TABLE_MEMO[key] = loaded
+    out = spectrum_table(spec, cap)
+    # a memo warmed by a cache-less call still owes the directory its files
+    if not cache_paths(cache_dir, str(uni), cap)[0].exists():
+        save_table(_TABLE_MEMO[key], cache_dir, str(uni), cap)
+    return out

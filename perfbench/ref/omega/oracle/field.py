@@ -1,0 +1,251 @@
+"""Exact arithmetic in GF(p^k) for p^k <= 2^16, table-driven for small fields."""
+
+import numpy as np
+
+from ..arith import _factor, is_prime
+
+_TABLE_LIMIT = 2048
+
+# Polynomials over GF(p) as coefficient lists, low degree first.
+
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim(out)
+
+
+def _pmod(a, f, p):
+    a = list(a)
+    inv_lead = pow(f[-1], p - 2, p)
+    while len(a) >= len(f):
+        c = a[-1] * inv_lead % p
+        if c:
+            shift = len(a) - len(f)
+            for i, x in enumerate(f):
+                a[shift + i] = (a[shift + i] - c * x) % p
+        a.pop()
+    return _ptrim(a)
+
+
+def _pgcd(a, b, p):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _pmod(a, b, p)
+    return a
+
+
+def _ppowmod(a, e, f, p):
+    out = [1]
+    a = _pmod(a, f, p)
+    while e:
+        if e & 1:
+            out = _pmod(_pmul(out, a, p), f, p)
+        a = _pmod(_pmul(a, a, p), f, p)
+        e >>= 1
+    return out
+
+
+def _irreducible(f, p):
+    k = len(f) - 1
+    # x^(p^k) = x mod f, and x^(p^(k/t)) - x coprime to f for prime t | k.
+    g = [0, 1]
+    powers = {}
+    for i in range(1, k + 1):
+        g = _ppowmod(g, p, f, p)
+        powers[i] = g
+    if powers[k] != [0, 1]:
+        return False
+    for t in _factor(k):
+        h = list(powers[k // t])
+        while len(h) < 2:
+            h.append(0)
+        h[1] = (h[1] - 1) % p
+        d = _pgcd(f, _ptrim(h), p)
+        if len(d) != 1:
+            return False
+    return True
+
+
+def _code_to_poly(m, p):
+    out = []
+    while m:
+        out.append(m % p)
+        m //= p
+    return out
+
+
+def _poly_to_code(a, p):
+    out = 0
+    for c in reversed(a):
+        out = out * p + c
+    return out
+
+
+class Field:
+    """GF(p^k); elements are integer codes in [0, p^k), base-p digit encoding."""
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.q = p, k, p**k
+        self.modulus = tuple(modulus)
+        assert len(modulus) == k + 1 and modulus[-1] == 1
+        q = self.q
+        # Discrete log tables from a multiplicative generator.
+        g = self._find_generator()
+        self.generator = g
+        exp = np.zeros(max(q - 1, 1), dtype=np.uint32)
+        c = 1
+        for i in range(q - 1):
+            exp[i] = c
+            c = self._mul_slow(c, g)
+        assert c == 1, "generator order wrong"
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        assert sorted(exp) == list(range(1, q)), "exp table must hit every nonzero code"
+        self.exp_table = exp
+        self.log_table = log
+        digits = np.zeros((q, k), dtype=np.int64)
+        m = np.arange(q)
+        for i in range(k):
+            digits[:, i] = m % p
+            m = m // p
+        self._digits = digits
+        self._powers = p ** np.arange(k)
+        dtype = np.uint8 if q <= 256 else np.uint16
+        self.code_dtype = dtype
+        if q <= _TABLE_LIMIT:
+            a = np.arange(q)
+            self.mul_table = self.mul_many(a[:, None], a[None, :]).astype(dtype)
+            self.add_table = self.add_many(a[:, None], a[None, :]).astype(dtype)
+        else:
+            self.mul_table = None
+            self.add_table = None
+        inv = np.zeros(q, dtype=dtype)
+        if q > 1:
+            inv[self.exp_table] = self.exp_table[(-np.arange(q - 1)) % (q - 1)]
+        self.inv_table = inv
+        neg = self.mul_many(np.arange(q), np.full(q, self.code(p - 1)))
+        self.neg_table = neg.astype(dtype)
+
+    def _mul_slow(self, a, b):
+        prod = _pmul(_code_to_poly(a, self.p), _code_to_poly(b, self.p), self.p)
+        return _poly_to_code(_pmod(prod, list(self.modulus), self.p), self.p)
+
+    def _find_generator(self):
+        q = self.q
+        if q == 2:
+            return 1
+        rs = list(_factor(q - 1))
+        for c in range(2, q):
+            if all(self._pow_slow(c, (q - 1) // r) != 1 for r in rs):
+                return c
+        raise AssertionError("no generator found")
+
+    def _pow_slow(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_slow(out, a)
+            a = self._mul_slow(a, a)
+            e >>= 1
+        return out
+
+    def code(self, c):
+        """Code of the prime-field constant c."""
+        return c % self.p
+
+    # Vectorized arithmetic on arrays of codes (any shape, broadcastable).
+
+    def add_many(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        s = (self._digits[a] + self._digits[b]) % self.p
+        return s @ self._powers
+
+    def mul_many(self, a, b):
+        a = np.asarray(a)
+        b = np.asarray(b)
+        nz = (a != 0) & (b != 0)
+        e = (self.log_table[a] + self.log_table[b]) % max(self.q - 1, 1)
+        return np.where(nz, self.exp_table[e], 0)
+
+    # Scalar convenience wrappers.
+
+    def add(self, a, b):
+        return int(self.add_many(np.int64(a), np.int64(b)))
+
+    def sub(self, a, b):
+        return self.add(a, int(self.neg_table[b]))
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % (self.q - 1)])
+
+    def inv(self, a):
+        assert a != 0, "zero has no inverse"
+        return int(self.inv_table[a])
+
+    def neg(self, a):
+        return int(self.neg_table[a])
+
+    def pow(self, a, e):
+        if a == 0:
+            assert e > 0
+            return 0
+        return int(self.exp_table[int(self.log_table[a]) * e % (self.q - 1)])
+
+    def frob(self, a, i=1):
+        """a^(p^i)."""
+        return self.pow(a, self.p**i)
+
+    def basis(self):
+        """Codes of a GF(p)-basis: 1, x, x^2, ..., x^(k-1)."""
+        return [self.p**i for i in range(self.k)]
+
+    def __repr__(self):
+        return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Field)
+            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.k, self.modulus))
+
+
+_FIELD_MEMO = {}
+
+
+def build_field(p, k=1):
+    """GF(p^k) with the deterministic modulus: the lexicographically smallest
+    monic irreducible of degree k (smallest integer code)."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if k < 1 or p**k > 2**16:
+        raise ValueError(f"field size cap is 2^16, got {p}^{k}")
+    if (p, k) in _FIELD_MEMO:
+        return _FIELD_MEMO[(p, k)]
+    if k == 1:
+        f = Field(p, 1, [0, 1])
+    else:
+        for m in range(p**k, 2 * p**k):
+            cand = _code_to_poly(m, p)
+            if _irreducible(cand, p):
+                f = Field(p, k, cand)
+                break
+        else:
+            raise AssertionError("no irreducible polynomial found")
+    _FIELD_MEMO[(p, k)] = f
+    return f

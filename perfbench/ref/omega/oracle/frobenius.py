@@ -1,0 +1,288 @@
+"""Frobenius subgroup witnesses and an exhaustive pass/fail verifier."""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..arith import _factor, is_prime_power, r_part
+from .field import build_field
+from .matgroup import (
+    Matrix,
+    MatrixGroup,
+    _batch_mul_chunked,
+    _field_inverse,
+    classical_generators,
+    enumerate_group,
+)
+
+VERIFY_CAP = 1 << 20
+
+
+class WitnessSearchError(RuntimeError):
+    """No element with the required normalizing behaviour exists."""
+
+
+@dataclass(frozen=True)
+class FrobeniusWitness:
+    kind: str
+    params: tuple
+    kernel_gens: tuple
+    complement_gens: tuple
+    kernel_order: int
+    complement_order: int
+
+
+@dataclass(frozen=True)
+class FrobeniusVerdict:
+    ok: bool
+    kernel_order: int
+    complement_order: int
+    reason: str = ""
+    counterexample: tuple = None
+
+
+def _singer_block(q, k):
+    """Multiplication by a generator of GF(q^k)* as a k x k matrix over GF(q):
+    the companion matrix of a primitive polynomial, found by direct search."""
+    import itertools
+
+    p = is_prime_power(q)
+    assert p is not None, f"{q} is not a prime power"
+    kq = 1
+    while p**kq < q:
+        kq += 1
+    fld = build_field(p, kq)
+    total = q**k - 1
+    fac = sorted(_factor(total))
+    for coeffs in itertools.product(range(q), repeat=k):
+        if coeffs[0] == 0:
+            continue
+        comp = np.zeros((k, k), dtype=np.uint16)
+        for i in range(1, k):
+            comp[i, i - 1] = 1
+        for i in range(k):
+            comp[i, k - 1] = fld.neg(coeffs[i])
+        m = Matrix(fld, comp)
+        if not (m**total).is_identity():
+            continue
+        if all(not (m ** (total // r)).is_identity() for r in fac):
+            return m, fld
+    raise WitnessSearchError(f"no primitive degree-{k} polynomial over GF({q})")
+
+
+def _sl_hyperplane_witness(n, q):
+    """Inside SL_n(q): translations of a hyperplane, normalized by a power of a
+    Singer cycle of the complementary block, adjusted to determinant one.  The
+    determinant adjustment twists the action on the translations, so only the
+    part of q^(n-1)-1 coprime to gcd(n, q-1) survives as a free complement;
+    the right Singer power is found by searching."""
+    assert n >= 2
+    singer, fld = _singer_block(q, n - 1)
+    kgens = []
+    for j in range(1, n):
+        for b in fld.basis():
+            m = np.eye(n, dtype=np.uint16)
+            m[0, j] = b
+            kgens.append(Matrix(fld, m))
+    big_order = q ** (n - 1) - 1
+    d = math.gcd(n, q - 1)
+    e = big_order if d == 1 else r_part(big_order, d)[1]
+    if e == 1:
+        raise WitnessSearchError(f"free complement degenerates for (n, q) = ({n}, {q})")
+    c = None
+    for u in range(1, big_order):
+        if math.gcd(big_order, u) != big_order // e:
+            continue
+        t = singer**u
+        det = _block_det(fld, t.a)
+        big = np.eye(n, dtype=np.uint16)
+        big[0, 0] = fld.inv(det)
+        big[1:, 1:] = t.a
+        cand = Matrix(fld, big)
+        # conjugation sends the translation row w to det^-1 * w * t^-1; the
+        # complement is free exactly when no proper power of that map fixes
+        # a nonzero vector
+        act_a = fld.mul_many(t.inverse().a.T, np.uint16(big[0, 0])).astype(np.uint16)
+        act = Matrix(fld, act_a)
+        eye = np.eye(n - 1, dtype=np.uint16)
+        power = act
+        free = True
+        for _ in range(1, e):
+            shifted = fld.add_many(power.a, fld.neg_table[eye]).astype(np.uint16)
+            if _field_inverse(fld, shifted) is None:
+                free = False
+                break
+            power = power @ act
+        if free and power.is_identity():
+            c = cand
+            break
+    if c is None:
+        raise WitnessSearchError(f"no free Singer power for (n, q) = ({n}, {q})")
+    return FrobeniusWitness(
+        kind="sl-hyperplane",
+        params=(n, q),
+        kernel_gens=tuple(kgens),
+        complement_gens=(c,),
+        kernel_order=q ** (n - 1),
+        complement_order=e,
+    )
+
+
+def _block_det(fld, a):
+    d = len(a)
+    rows = [[int(x) for x in r] for r in a]
+    det = 1
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col]), None)
+        assert piv is not None
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = fld.neg(det)
+        det = fld.mul(det, rows[col][col])
+        inv = fld.inv(rows[col][col])
+        for r in range(col + 1, d):
+            c = fld.mul(rows[r][col], inv)
+            if c:
+                s = fld.neg(c)
+                rows[r] = [fld.add(x, fld.mul(s, y)) for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def _gl_affine_witness(q, k):
+    """Inside GL_(k+1)(q): the affine group of the line GF(q^k), kernel the
+    translations, complement a Singer cycle."""
+    singer, fld = _singer_block(q, k)
+    kgens = []
+    for j in range(1, k + 1):
+        for b in fld.basis():
+            m = np.eye(k + 1, dtype=np.uint16)
+            m[0, j] = b
+            kgens.append(Matrix(fld, m))
+    big = np.eye(k + 1, dtype=np.uint16)
+    big[1:, 1:] = singer.a
+    return FrobeniusWitness(
+        kind="gl-affine",
+        params=(q, k),
+        kernel_gens=tuple(kgens),
+        complement_gens=(Matrix(fld, big),),
+        kernel_order=q**k,
+        complement_order=q**k - 1,
+    )
+
+
+def _mult_order(j, n):
+    m, x = 1, j % n
+    while x != 1:
+        x = (x * j) % n
+        m += 1
+        assert m <= n
+    return m
+
+
+def _sp_torus_witness(n, q):
+    """Inside Sp_2n(q), q even, n a power of two: a cyclic kernel of order
+    q^n + 1 with a cyclic complement of order 2n found by search."""
+    assert q % 2 == 0 and n & (n - 1) == 0, "needs even q and a 2-power n"
+    group = classical_generators(f"C({n},{q})u")
+    table = enumerate_group(group)
+    fld = group.field
+    orders = table.orders()
+    target = q**n + 1
+    s_candidates = np.flatnonzero(orders == target)
+    if not len(s_candidates):
+        raise WitnessSearchError(f"no element of order {target} in Sp_{2 * n}({q})")
+    s = table.element(int(s_candidates[0]))
+    good_j = sorted(j for j in range(2, target) if _mult_order(j, target) == 2 * n)
+    sj_blocks = {j: (s**j).a.astype(fld.code_dtype) for j in good_j}
+    stack = table.payload["stack"]
+    cand = np.flatnonzero(orders == 2 * n)
+    sa = s.a.astype(fld.code_dtype)
+    for lo in range(0, len(cand), 1 << 14):
+        sel = cand[lo:lo + (1 << 14)]
+        cs = _batch_mul_chunked(fld, stack[sel], sa)
+        for j in good_j:
+            sjc = _batch_mul_chunked(fld, sj_blocks[j], stack[sel])
+            hit = (cs == sjc).reshape(len(sel), -1).all(axis=1)
+            if hit.any():
+                c = table.element(int(sel[np.flatnonzero(hit)[0]]))
+                return FrobeniusWitness(
+                    kind="sp-torus",
+                    params=(n, q),
+                    kernel_gens=(s,),
+                    complement_gens=(c,),
+                    kernel_order=target,
+                    complement_order=2 * n,
+                )
+    raise WitnessSearchError(
+        f"no order-{2 * n} element conjugates the torus by a full-order power")
+
+
+_KINDS = {
+    "sl-hyperplane": lambda params: _sl_hyperplane_witness(*params),
+    "gl-affine": lambda params: _gl_affine_witness(*params),
+    "sp-torus": lambda params: _sp_torus_witness(*params),
+}
+
+
+def frobenius_witness(kind, params):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown witness kind {kind!r}; have {sorted(_KINDS)}")
+    return _KINDS[kind](tuple(params))
+
+
+def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
+    """Exhaustive Frobenius check: trivial intersection, normalization, and a
+    fixed-point-free complement action. Returns a verdict with counterexample."""
+    fld = kernel_gens[0].field
+    dim = kernel_gens[0].dim
+    kg = MatrixGroup(fld, dim, tuple(kernel_gens))
+    cg = MatrixGroup(fld, dim, tuple(complement_gens))
+    kt = enumerate_group(kg, cap)
+    ct = enumerate_group(cg, cap)
+    k_keys = kt.payload["keys"]
+    c_stack = ct.payload["stack"]
+    k_stack = kt.payload["stack"]
+    codec = kt.payload["codec"]
+    c_keys = codec.keys(c_stack)
+    pos = np.minimum(np.searchsorted(k_keys, c_keys), len(k_keys) - 1)
+    both = k_keys[pos] == c_keys
+    if int(both.sum()) != 1:
+        shared = next(
+            Matrix(fld, c_stack[int(i)].astype(np.uint16))
+            for i in np.flatnonzero(both)
+            if not Matrix(fld, c_stack[int(i)].astype(np.uint16)).is_identity())
+        return FrobeniusVerdict(
+            ok=False, kernel_order=kt.size, complement_order=ct.size,
+            reason="kernel and complement intersect beyond the identity",
+            counterexample=(shared, shared),
+        )
+    for i in range(ct.size):
+        c = ct.element(i)
+        if c.is_identity():
+            continue
+        cinv = c.inverse()
+        conj = _batch_mul_chunked(
+            fld, _batch_mul_chunked(fld, c.a.astype(fld.code_dtype), k_stack),
+            cinv.a.astype(fld.code_dtype))
+        conj_keys = codec.keys(conj)
+        pos = np.minimum(np.searchsorted(k_keys, conj_keys), len(k_keys) - 1)
+        if not (k_keys[pos] == conj_keys).all():
+            bad = int(np.flatnonzero(k_keys[pos] != conj_keys)[0])
+            return FrobeniusVerdict(
+                ok=False, kernel_order=kt.size, complement_order=ct.size,
+                reason="complement element does not normalize the kernel",
+                counterexample=(c, Matrix(fld, k_stack[bad].astype(np.uint16))),
+            )
+        fixed = conj_keys == k_keys
+        fixed_count = int(fixed.sum())
+        if fixed_count > 1:
+            bad = next(
+                int(j) for j in np.flatnonzero(fixed)
+                if not Matrix(fld, k_stack[j].astype(np.uint16)).is_identity())
+            return FrobeniusVerdict(
+                ok=False, kernel_order=kt.size, complement_order=ct.size,
+                reason="complement element fixes a nontrivial kernel element",
+                counterexample=(c, Matrix(fld, k_stack[bad].astype(np.uint16))),
+            )
+    return FrobeniusVerdict(ok=True, kernel_order=kt.size, complement_order=ct.size)

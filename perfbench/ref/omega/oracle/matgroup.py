@@ -1,0 +1,579 @@
+"""Matrix groups over small fields: exhaustive enumeration, exact spectra, centers."""
+
+from dataclasses import dataclass, field as dfield
+
+import numpy as np
+
+from ..arith import _factor
+from ..groups import GroupSpec, group_order
+from .field import Field, build_field
+
+DEFAULT_CAP = 1 << 24
+_CHUNK = 1 << 17
+
+
+class CapExceeded(RuntimeError):
+    """BFS closure passed the cap; .found elements were already known."""
+
+    def __init__(self, found, cap):
+        super().__init__(f"enumeration exceeded cap {cap}: at least {found} elements found")
+        self.found = found
+        self.cap = cap
+
+
+def _field_inverse(field, a):
+    """Inverse of a code matrix by Gaussian elimination; None if singular."""
+    d = len(a)
+    aug = [[int(a[i][j]) for j in range(d)] + [1 if j == i else 0 for j in range(d)]
+           for i in range(d)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        s = field.inv(aug[col][col])
+        aug[col] = [field.mul(s, x) for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                c = field.neg(aug[r][col])
+                aug[r] = [field.add(x, field.mul(c, y)) for x, y in zip(aug[r], aug[col])]
+    return np.array([row[d:] for row in aug], dtype=np.uint16)
+
+
+class Matrix:
+    """A dim x dim matrix of field codes.  Classical models stay at dim <= 12;
+    permutation modules can push the cap to 64."""
+
+    __slots__ = ("field", "a")
+
+    def __init__(self, fld, entries):
+        self.field = fld
+        a = np.asarray(entries, dtype=np.uint16)
+        assert a.ndim == 2 and a.shape[0] == a.shape[1], "square matrices only"
+        assert a.shape[0] <= 64, "dimension cap is 64"
+        assert int(a.max(initial=0)) < fld.q, "entry is not a field code"
+        self.a = a
+
+    @property
+    def dim(self):
+        return self.a.shape[0]
+
+    @classmethod
+    def identity(cls, fld, dim):
+        return cls(fld, np.eye(dim, dtype=np.uint16))
+
+    def __matmul__(self, other):
+        assert self.field == other.field and self.dim == other.dim
+        return Matrix(self.field, _matmul_codes(self.field, self.a, other.a))
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = Matrix.identity(self.field, self.dim)
+        base = self
+        while e:
+            if e & 1:
+                out = out @ base
+            base = base @ base
+            e >>= 1
+        return out
+
+    def inverse(self):
+        inv = _field_inverse(self.field, self.a)
+        assert inv is not None, "matrix is singular"
+        return Matrix(self.field, inv)
+
+    def is_identity(self):
+        return bool((self.a == np.eye(self.dim, dtype=np.uint16)).all())
+
+    def conj_entries(self, i=1):
+        """Entrywise p^i-power (field automorphism)."""
+        f = self.field
+        flat = [f.frob(int(x), i) for x in self.a.ravel()]
+        return Matrix(f, np.array(flat, dtype=np.uint16).reshape(self.a.shape))
+
+    def transpose(self):
+        return Matrix(self.field, self.a.T.copy())
+
+    def order(self):
+        m, g = 1, self
+        while not g.is_identity():
+            g = g @ self
+            m += 1
+            assert m <= 1 << 20, "order runaway"
+        return m
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and self.field == other.field
+            and self.a.shape == other.a.shape
+            and bool((self.a == other.a).all())
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.a.tobytes()))
+
+    def __repr__(self):
+        return f"Matrix({self.field!r}, {self.a.tolist()})"
+
+
+def _mul_broadcast(fld, A, B):
+    if fld.mul_table is not None:
+        return fld.mul_table[A, B]
+    return fld.mul_many(A, B)
+
+
+def _add_reduce(fld, T, axis):
+    if fld.p == 2:
+        return np.bitwise_xor.reduce(T, axis=axis)
+    acc = np.take(T, 0, axis=axis)
+    for i in range(1, T.shape[axis]):
+        nxt = np.take(T, i, axis=axis)
+        if fld.add_table is not None:
+            acc = fld.add_table[acc, nxt]
+        else:
+            acc = fld.add_many(acc, nxt)
+    return acc
+
+
+def _matmul_codes(fld, A, B):
+    """Single matrix product of 2-D code arrays."""
+    if fld.k == 1:
+        return ((A.astype(np.int64) @ B.astype(np.int64)) % fld.p).astype(np.uint16)
+    T = _mul_broadcast(fld, A[:, :, None], B[None, :, :])
+    return _add_reduce(fld, T, 1).astype(np.uint16)
+
+
+def _batch_mul(fld, A, B):
+    """Row-wise products: A (n,d,d) @ B (n,d,d) or with one side a single (d,d)."""
+    if fld.k == 1:
+        C = np.matmul(A.astype(np.int64), B.astype(np.int64)) % fld.p
+        return C.astype(fld.code_dtype)
+    if A.ndim == 2:
+        T = _mul_broadcast(fld, A[None, :, :, None], B[:, None, :, :])
+    elif B.ndim == 2:
+        T = _mul_broadcast(fld, A[:, :, :, None], B[None, None, :, :])
+    else:
+        T = _mul_broadcast(fld, A[:, :, :, None], B[:, None, :, :])
+    return _add_reduce(fld, T, 2).astype(fld.code_dtype)
+
+
+def _batch_mul_chunked(fld, A, B):
+    n = A.shape[0] if A.ndim == 3 else B.shape[0]
+    if n <= _CHUNK:
+        return _batch_mul(fld, A, B)
+    out = np.empty((n,) + (B.shape[-2], B.shape[-1]), dtype=fld.code_dtype)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        a = A if A.ndim == 2 else A[lo:hi]
+        b = B if B.ndim == 2 else B[lo:hi]
+        out[lo:hi] = _batch_mul(fld, a, b)
+    return out
+
+
+class _U64Codec:
+    """Pack dim^2 codes into one uint64, entry 0 most significant."""
+
+    def __init__(self, bits, count):
+        assert bits * count <= 64
+        self.shifts = (bits * np.arange(count - 1, -1, -1)).astype(np.uint64)
+
+    def keys(self, stack):
+        flat = stack.reshape(stack.shape[0], -1).astype(np.uint64)
+        return np.bitwise_or.reduce(flat << self.shifts[None, :], axis=1)
+
+
+class _VoidCodec:
+    """Raw big-endian byte keys for wide matrices."""
+
+    def __init__(self, itemsize, count):
+        self.dtype = f"V{itemsize * count}"
+        self.be = ">u2" if itemsize == 2 else "u1"
+
+    def keys(self, stack):
+        flat = np.ascontiguousarray(stack.reshape(stack.shape[0], -1).astype(self.be))
+        return flat.view(self.dtype).ravel()
+
+
+def _make_codec(fld, dim):
+    bits = max((fld.q - 1).bit_length(), 1)
+    if bits * dim * dim <= 64:
+        return _U64Codec(bits, dim * dim)
+    return _VoidCodec(2 if fld.code_dtype == np.uint16 else 1, dim * dim)
+
+
+@dataclass(frozen=True)
+class MatrixGroup:
+    field: Field
+    dim: int
+    generators: tuple
+    name: GroupSpec = None
+
+    def __post_init__(self):
+        assert 1 <= self.dim <= 64
+        for g in self.generators:
+            assert g.field == self.field and g.dim == self.dim
+            assert _field_inverse(self.field, g.a) is not None, "generator not invertible"
+
+    def key(self):
+        gens = tuple(sorted(g.a.tobytes() for g in self.generators))
+        return (self.field.p, self.field.k, self.field.modulus, self.dim, gens)
+
+
+@dataclass
+class ElementTable:
+    """Exhaustive element data: size, order histogram, spectrum of orders."""
+
+    size: int
+    order_histogram: dict
+    spectrum: tuple
+    payload: dict = dfield(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        assert sum(self.order_histogram.values()) == self.size
+        assert self.spectrum and self.spectrum[0] >= 1
+        assert 1 in self.spectrum
+        assert list(self.spectrum) == sorted(set(self.order_histogram))
+        members = set(self.spectrum)
+        for m in members:
+            for p in _factor(m):
+                assert m // p in members, f"spectrum not divisor-closed at {m}"
+
+    def element(self, i):
+        pl = self.payload
+        return Matrix(pl["field"], pl["stack"][i].astype(np.uint16))
+
+    def orders(self):
+        pl = self.payload
+        if "orders" not in pl:
+            pl["orders"], _ = _order_vector(
+                pl["field"], pl["stack"], pl["keys"], pl["codec"])
+        return pl["orders"]
+
+    def index_of_key(self, key):
+        keys = self.payload["keys"]
+        pos = int(np.searchsorted(keys, key))
+        assert pos < len(keys) and keys[pos] == key, "element not in table"
+        return pos
+
+
+def _closure(group, cap):
+    fld, d = group.field, group.dim
+    codec = _make_codec(fld, d)
+    gens = np.stack([g.a.astype(fld.code_dtype) for g in group.generators])
+    eye = np.eye(d, dtype=fld.code_dtype)
+    stack = np.concatenate([eye[None], gens])
+    keys = codec.keys(stack)
+    keys, first = np.unique(keys, return_index=True)
+    stack = stack[first]
+    frontier = stack
+    while len(frontier):
+        batches = []
+        for g in gens:
+            batches.append(_batch_mul_chunked(fld, g, frontier))
+        prods = np.concatenate(batches)
+        pk = codec.keys(prods)
+        pk, first = np.unique(pk, return_index=True)
+        pos = np.searchsorted(keys, pk)
+        pos_c = np.minimum(pos, len(keys) - 1)
+        fresh = keys[pos_c] != pk
+        if not fresh.any():
+            break
+        new_keys = pk[fresh]
+        new_stack = prods[first[fresh]]
+        keys = np.concatenate([keys, new_keys])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        stack = np.concatenate([stack, new_stack])[order]
+        frontier = new_stack
+        if len(keys) > cap:
+            raise CapExceeded(len(keys), cap)
+    return stack, keys, codec
+
+
+def _power_map(fld, stack, keys, codec, e):
+    """Index array P with P[i] = index of stack[i]^e."""
+    out = None
+    base = stack
+    while e:
+        if e & 1:
+            out = base if out is None else _batch_mul_chunked(fld, out, base)
+        e >>= 1
+        if e:
+            base = _batch_mul_chunked(fld, base, base)
+    pk = codec.keys(out)
+    pos = np.searchsorted(keys, pk)
+    assert (pos < len(keys)).all() and (keys[pos] == pk).all(), "power left the set"
+    return pos
+
+
+def _order_vector(fld, stack, keys, codec, target_idx=None):
+    """Per-element orders; with target_idx, orders in the quotient by that
+    central subgroup (least m with g^m in the subgroup)."""
+    n = len(keys)
+    fac = _factor(n)
+    primes = sorted(fac)
+    pmaps = {p: _power_map(fld, stack, keys, codec, p) for p in primes}
+    eye = np.eye(stack.shape[1], dtype=fld.code_dtype)
+    id_idx = int(np.searchsorted(keys, codec.keys(eye[None])[0]))
+
+    def done(idx):
+        if target_idx is None:
+            return idx == id_idx
+        return np.isin(idx, target_idx)
+
+    orders = np.ones(n, dtype=np.int64)
+    for p in primes:
+        u = np.arange(n)
+        for r in primes:
+            if r != p:
+                for _ in range(fac[r]):
+                    u = pmaps[r][u]
+        e = np.zeros(n, dtype=np.int64)
+        for _ in range(fac[p]):
+            alive = ~done(u)
+            if not alive.any():
+                break
+            e[alive] += 1
+            u[alive] = pmaps[p][u[alive]]
+        assert done(u).all(), "element order does not divide group order"
+        orders *= p**e
+    return orders, id_idx
+
+
+_TABLE_MEMO = {}
+
+
+def enumerate_group(group, cap=DEFAULT_CAP):
+    """Exhaustive BFS closure of the generators with exact orders."""
+    memo_key = group.key()
+    table = _TABLE_MEMO.get(memo_key)
+    if table is None:
+        stack, keys, codec = _closure(group, cap)
+        orders, _ = _order_vector(group.field, stack, keys, codec)
+        vals, counts = np.unique(orders, return_counts=True)
+        hist = {int(v): int(c) for v, c in zip(vals, counts)}
+        table = ElementTable(
+            size=len(keys),
+            order_histogram=hist,
+            spectrum=tuple(int(v) for v in vals),
+            payload={
+                "field": group.field,
+                "dim": group.dim,
+                "stack": stack,
+                "keys": keys,
+                "codec": codec,
+                "orders": orders,
+                "group": group,
+            },
+        )
+        if group.name is not None:
+            want = group_order(group.name).n
+            assert table.size == want, (
+                f"enumerated {table.size} elements, {group.name} has order {want}")
+        _TABLE_MEMO[memo_key] = table
+    if table.size > cap:
+        raise CapExceeded(table.size, cap)
+    return table
+
+
+def center_of(group, cap=DEFAULT_CAP):
+    """Elements commuting with every generator, from the enumerated table."""
+    table = enumerate_group(group, cap)
+    pl = table.payload
+    fld, stack = pl["field"], pl["stack"]
+    mask = np.ones(table.size, dtype=bool)
+    for g in group.generators:
+        ga = g.a.astype(fld.code_dtype)
+        left = _batch_mul_chunked(fld, ga, stack)
+        right = _batch_mul_chunked(fld, stack, ga)
+        mask &= (left == right).reshape(table.size, -1).all(axis=1)
+    return [table.element(i) for i in np.flatnonzero(mask)]
+
+
+def quotient_spectrum(group, center, cap=DEFAULT_CAP):
+    """Orders in G/Z for a central subgroup Z given as a list of matrices."""
+    table = enumerate_group(group, cap)
+    pl = table.payload
+    fld, codec, keys = pl["field"], pl["codec"], pl["keys"]
+    zs = list(center)
+    assert zs, "center must contain at least the identity"
+    for z in zs:
+        for g in group.generators:
+            assert z @ g == g @ z, "center element does not commute with a generator"
+    zset = {m.a.tobytes() for m in zs}
+    for z in zs:
+        for w in zs:
+            assert (z @ w).a.tobytes() in zset, "center list is not a subgroup"
+    z_stack = np.stack([z.a.astype(fld.code_dtype) for z in zs])
+    zk = np.sort(codec.keys(z_stack))
+    z_idx = np.searchsorted(keys, zk)
+    assert (z_idx < len(keys)).all() and (keys[z_idx] == zk).all(), "center not in group"
+    qorders, _ = _order_vector(fld, pl["stack"], keys, codec, target_idx=z_idx)
+    vals, counts = np.unique(qorders, return_counts=True)
+    zn = len(zs)
+    assert table.size % zn == 0
+    hist = {}
+    for v, c in zip(vals, counts):
+        assert int(c) % zn == 0, "coset order count not divisible by |Z|"
+        hist[int(v)] = int(c) // zn
+    return ElementTable(
+        size=table.size // zn,
+        order_histogram=hist,
+        spectrum=tuple(int(v) for v in vals),
+        payload={
+            "field": fld,
+            "dim": pl["dim"],
+            "stack": pl["stack"],
+            "keys": keys,
+            "codec": codec,
+            "orders": qorders,
+            "group": group,
+            "quotient_by": zn,
+        },
+    )
+
+
+def _sl_generators(fld, dim):
+    gens = []
+    for i in range(dim - 1):
+        for b in fld.basis():
+            for r, c in ((i, i + 1), (i + 1, i)):
+                m = np.eye(dim, dtype=np.uint16)
+                m[r, c] = b
+                gens.append(Matrix(fld, m))
+    return gens
+
+
+def _sp_form(fld, n):
+    omega = np.zeros((2 * n, 2 * n), dtype=np.uint16)
+    for i in range(n):
+        omega[i, n + i] = 1
+        omega[n + i, i] = fld.neg(1)
+    return Matrix(fld, omega)
+
+
+def _sp_generators(fld, n):
+    dim = 2 * n
+    gens = []
+    for i in range(n - 1):
+        j = i + 1
+        for b in fld.basis():
+            nb = fld.neg(b)
+            m = np.eye(dim, dtype=np.uint16)
+            m[i, j] = b
+            m[n + j, n + i] = nb
+            gens.append(Matrix(fld, m))
+            m = np.eye(dim, dtype=np.uint16)
+            m[j, i] = b
+            m[n + i, n + j] = nb
+            gens.append(Matrix(fld, m))
+    for b in fld.basis():
+        m = np.eye(dim, dtype=np.uint16)
+        m[n - 1, dim - 1] = b
+        gens.append(Matrix(fld, m))
+        m = np.eye(dim, dtype=np.uint16)
+        m[dim - 1, n - 1] = b
+        gens.append(Matrix(fld, m))
+    omega = _sp_form(fld, n)
+    for g in gens:
+        assert g.transpose() @ omega @ g == omega, "generator breaks the symplectic form"
+    return gens
+
+
+def _su_generators(fld2, dim, k_base):
+    """Unitary transvections for the antidiagonal Hermitian form over GF(q^2)."""
+    import itertools
+
+    q2 = fld2.q
+    conj = lambda x: fld2.frob(x, k_base)
+    form = np.zeros((dim, dim), dtype=np.uint16)
+    for i in range(dim):
+        form[i, dim - 1 - i] = 1
+    form_m = Matrix(fld2, form)
+
+    def hermitian_norm(v):
+        acc = 0
+        for i in range(dim):
+            acc = fld2.add(acc, fld2.mul(v[i], conj(v[dim - 1 - i])))
+        return acc
+
+    def is_unitary(t):
+        return t.transpose() @ form_m @ t.conj_entries(k_base) == form_m
+
+    gens = []
+    if dim == 3:
+        # transvections alone fall short here (SU3(2) is the classical
+        # exception), so take every unitary unipotent triangle instead
+        for a, b, c in itertools.product(range(q2), repeat=3):
+            if not (a or b or c):
+                continue
+            up = np.eye(3, dtype=np.uint16)
+            up[0, 1], up[0, 2], up[1, 2] = a, b, c
+            lo = np.eye(3, dtype=np.uint16)
+            lo[1, 0], lo[2, 0], lo[2, 1] = a, b, c
+            for m in (Matrix(fld2, up), Matrix(fld2, lo)):
+                if is_unitary(m):
+                    gens.append(m)
+        assert gens
+        return gens
+    lams = [c for c in range(1, q2) if fld2.add(c, conj(c)) == 0]
+    assert lams, "no trace-zero scalars"
+    for v in itertools.product(range(q2), repeat=dim):
+        nz = next((i for i, x in enumerate(v) if x), None)
+        if nz is None or v[nz] != 1:
+            continue
+        if hermitian_norm(v) != 0:
+            continue
+        w = [conj(v[dim - 1 - j]) for j in range(dim)]
+        for lam in lams:
+            m = np.eye(dim, dtype=np.uint16)
+            for i in range(dim):
+                if not v[i]:
+                    continue
+                lv = fld2.mul(lam, v[i])
+                for j in range(dim):
+                    if w[j]:
+                        m[i, j] = fld2.add(m[i, j], fld2.mul(lv, w[j]))
+            t = Matrix(fld2, m)
+            assert is_unitary(t), "transvection breaks the hermitian form"
+            gens.append(t)
+    assert gens, "no isotropic points found"
+    return gens
+
+
+def classical_generators(spec):
+    """Matrix generators realizing the universal version: SL, SU, or Sp."""
+    from dataclasses import replace
+
+    from ..groups import parse_group_spec
+
+    if isinstance(spec, str):
+        spec = parse_group_spec(spec)
+    uni = replace(spec, version="universal")
+    if spec.family == "A":
+        fld = build_field(spec.p, spec.k)
+        return MatrixGroup(fld, spec.rank + 1, tuple(_sl_generators(fld, spec.rank + 1)), uni)
+    if spec.family == "C":
+        fld = build_field(spec.p, spec.k)
+        return MatrixGroup(fld, 2 * spec.rank, tuple(_sp_generators(fld, spec.rank)), uni)
+    if spec.family == "2A":
+        fld2 = build_field(spec.p, 2 * spec.k)
+        dim = spec.rank + 1
+        return MatrixGroup(fld2, dim, tuple(_su_generators(fld2, dim, spec.k)), uni)
+    raise ValueError(f"no matrix model for family {spec.family}")
+
+
+def spectrum_table(spec, cap=DEFAULT_CAP):
+    """ElementTable for the named group; simple versions go through the
+    universal matrix group and its central quotient."""
+    from ..groups import parse_group_spec
+
+    if isinstance(spec, str):
+        spec = parse_group_spec(spec)
+    group = classical_generators(spec)
+    if spec.version == "universal":
+        return enumerate_group(group, cap)
+    z = center_of(group, cap)
+    return quotient_spectrum(group, z, cap)
