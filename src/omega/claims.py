@@ -27,6 +27,7 @@ from .oracle import (
     spectrum_table,
     verify_frobenius,
 )
+from .oracle.kernel import _Codes
 
 
 @dataclass(frozen=True)
@@ -89,20 +90,13 @@ def _budget(spec):
 # -- helpers shared by the oracle-backed cover claims ------------------------
 
 
-def _mat_vec(fld, g, v):
-    prod = fld.mul_many(g.a, np.asarray(v, dtype=np.uint16)[None, :])
-    acc = np.zeros(g.dim, dtype=np.uint16)
-    for col in range(g.dim):
-        acc = fld.add_many(acc, prod[:, col]).astype(np.uint16)
-    return acc
-
-
 def _pair_order(fld, s, v):
     """Order of (v, s) under the product (a, g)(b, h) = (a + g.b, g.h)."""
+    codes = _Codes(fld)
     base = np.asarray(v, dtype=np.uint16)
     cur_v, cur_g, k = base.copy(), s, 1
     while cur_v.any() or not cur_g.is_identity():
-        cur_v = fld.add_many(cur_v, _mat_vec(fld, cur_g, base)).astype(np.uint16)
+        cur_v = codes.add(cur_v, codes.left(cur_g.a, base[:, None])[:, 0])
         cur_g = cur_g @ s
         k += 1
         assert k <= 4096, "runaway pair order"

@@ -1,53 +1,17 @@
 """Module actions, fixed spaces, minimal polynomials, split-extension spectra."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..arith import is_prime_power
 from .field import build_field
-from .matgroup import (
-    DEFAULT_CAP,
-    ElementTable,
-    Matrix,
-    MatrixGroup,
-    _batch_mul_chunked,
-    _make_codec,
-    enumerate_group,
-)
-
-
-def _echelon_insert(fld, basis, row):
-    """Insert a vector into a back-reduced echelon basis. True if independent.
-
-    basis maps pivot position -> normalized row with zeros at all other pivots.
-    """
-    row = [int(x) for x in row]
-    for piv, brow in basis.items():
-        c = row[piv]
-        if c:
-            s = fld.neg(c)
-            row = [fld.add(x, fld.mul(s, y)) for x, y in zip(row, brow)]
-    piv = next((i for i, x in enumerate(row) if x), None)
-    if piv is None:
-        return False
-    s = fld.inv(row[piv])
-    row = [fld.mul(s, x) for x in row]
-    for opiv, brow in basis.items():
-        c = brow[piv]
-        if c:
-            s = fld.neg(c)
-            basis[opiv] = [fld.add(x, fld.mul(s, y)) for x, y in zip(brow, row)]
-    basis[piv] = row
-    return True
+from .kernel import _Codes, _eliminate, _kernel
+from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, enumerate_group
 
 
 def field_rank(fld, rows):
-    basis = {}
-    for row in rows:
-        _echelon_insert(fld, basis, row)
-    return len(basis)
+    return _eliminate(fld, rows).rank
 
 
 def fixed_space_dim(g, action=None):
@@ -55,10 +19,8 @@ def fixed_space_dim(g, action=None):
     fld = g.field
     if action is not None:
         assert g.dim == action.dim_V and fld == action.field, "dimension mismatch"
-    d = g.dim
-    gm1 = [[fld.sub(int(g.a[i][j]), 1 if i == j else 0) for j in range(d)]
-           for i in range(d)]
-    return d - field_rank(fld, gm1)
+    minus_one = fld.neg_table[np.eye(g.dim, dtype=np.uint16)]
+    return len(_eliminate(fld, _Codes(fld).add(g.a, minus_one)).nullspace)
 
 
 def min_poly_degree(g, action=None):
@@ -66,13 +28,8 @@ def min_poly_degree(g, action=None):
     fld = g.field
     if action is not None:
         assert g.dim == action.dim_V and fld == action.field, "dimension mismatch"
-    basis = {}
-    power = Matrix.identity(fld, g.dim)
-    deg = 0
-    while _echelon_insert(fld, basis, power.a.ravel()):
-        deg += 1
-        power = power @ g
-        assert deg <= g.dim**2
+    # once g^m lies in the span of lower powers, so do all higher ones
+    deg = field_rank(fld, [(g**i).a.ravel() for i in range(g.dim + 1)])
     assert deg <= g.dim, "minimal polynomial degree exceeds the dimension"
     return deg
 
@@ -145,41 +102,16 @@ def permutation_module(perm_gens, r):
     return ModuleAction(group, deg, source_perms=tuple(perms), label=f"perm{deg}")
 
 
-def _all_vectors(q, d):
-    grids = np.meshgrid(*([np.arange(q)] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _zero_counts(fld, mats, vecs):
+def _zero_counts(fld, mats):
     """For each matrix N in the stack, the number of vectors v with Nv = 0."""
-    n, d = mats.shape[0], mats.shape[1]
-    vc = vecs.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    chunk = max(1, (1 << 22) // (d * d * vc))
-    vt = vecs.T
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        m = mats[lo:hi]
-        if fld.k == 1:
-            r = np.matmul(m.astype(np.int64), vt.astype(np.int64)) % fld.p
-        else:
-            t = fld.mul_table[m[:, :, :, None], vt[None, None, :, :]]
-            if fld.p == 2:
-                r = np.bitwise_xor.reduce(t, axis=2)
-            else:
-                r = t[:, :, 0, :]
-                for i in range(1, d):
-                    r = fld.add_table[r, t[:, :, i, :]]
-        out[lo:hi] = (r == 0).all(axis=1).sum(axis=1)
+    d = mats.shape[1]
+    vecs = np.indices((fld.q,) * d).reshape(d, -1)
+    out = np.empty(len(mats), dtype=np.int64)
+    chunk = max(1, (1 << 22) // vecs.size)
+    for lo in range(0, len(mats), chunk):
+        r = _Codes(fld).right(mats[lo:lo + chunk], vecs)
+        out[lo:lo + chunk] = (r == 0).all(axis=1).sum(axis=1)
     return out
-
-
-def _batch_add(fld, A, B):
-    if fld.p == 2:
-        return A ^ B
-    if fld.k == 1:
-        return ((A.astype(np.int64) + B) % fld.p).astype(A.dtype)
-    return fld.add_table[A, B]
 
 
 _SEMI_MEMO = {}
@@ -196,7 +128,8 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
     d = action.dim_V
     p = fld.p
     orders = table.orders()
-    stack = table.payload["stack"]
+    kern = _kernel(fld, d)
+    X = kern.of_table(table.payload["stack"], table.payload["keys"])
     vcount = fld.q**d
     hist = {}
 
@@ -204,27 +137,24 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
         if c:
             hist[m] = hist.get(m, 0) + int(c)
 
-    brute = vcount <= 1 << 12 and (fld.k == 1 or fld.mul_table is not None)
-    vecs = _all_vectors(fld.q, d) if brute else None
-    codec = _make_codec(fld, d)
-    eye = np.eye(d, dtype=fld.code_dtype)
+    brute = vcount <= 1 << 12
+    eye = kern.pack(np.eye(d, dtype=fld.code_dtype)[None])
     for m in sorted(set(orders.tolist())):
         idx = np.flatnonzero(orders == m)
-        cls = stack[idx]
+        cls = X[idx]
+        # 1 + s + ... + s^(m-1), by Horner's rule
         nsum = np.broadcast_to(eye, cls.shape).copy()
-        cur = None
         for _ in range(m - 1):
-            cur = cls if cur is None else _batch_mul_chunked(fld, cur, cls)
-            nsum = _batch_add(fld, nsum, cur)
+            nsum = kern.add(kern.pair(nsum, cls), eye)
+        # rank is a conjugation invariant, so duplicate sums collapse
+        _, first, counts = np.unique(
+            kern.keys(nsum), return_index=True, return_counts=True)
+        sums = kern.unpack(nsum[first])
         if brute:
-            # rank is a conjugation invariant, so duplicate sums collapse
-            _, first, counts = np.unique(
-                codec.keys(nsum), return_index=True, return_counts=True)
-            kappa = _zero_counts(fld, nsum[first], vecs)
-            pure = int((kappa * counts).sum())
+            pure = int((_zero_counts(fld, sums) * counts).sum())
         else:
-            pure = sum(
-                fld.q ** (d - field_rank(fld, nsum[i])) for i in range(len(idx)))
+            pure = sum(int(c) * fld.q ** (d - field_rank(fld, s))
+                       for s, c in zip(sums, counts))
         bump(m, pure)
         bump(m * p, vcount * len(idx) - pure)
     size = vcount * table.size

@@ -8,15 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from ..groups import parse_group_spec
-from .field import build_field
-from .matgroup import (
-    DEFAULT_CAP,
-    ElementTable,
-    _TABLE_MEMO,
-    _make_codec,
-    classical_generators,
-    spectrum_table,
-)
+from .kernel import _make_codec
+from .matgroup import DEFAULT_CAP, ElementTable, _TABLE_MEMO, classical_generators, spectrum_table
 
 MAGIC = b"OMEGA1"
 
@@ -93,8 +86,7 @@ def load_table(cache_dir, spec_str, cap, fld, dim):
     stack = np.frombuffer(body, dtype=fld.code_dtype).reshape(count, dim, dim).copy()
     if int(stack.max(initial=0)) >= fld.q:
         raise ValueError(f"{tbl_path}: entry out of field range")
-    codec = _make_codec(fld, dim)
-    keys = codec.keys(stack)
+    keys = _make_codec(fld, dim).keys(stack)
     if count > 1 and not (keys[1:] > keys[:-1]).all():
         raise ValueError(f"{tbl_path}: keys not strictly sorted")
     side = json.loads(json_path.read_text())
@@ -105,8 +97,7 @@ def load_table(cache_dir, spec_str, cap, fld, dim):
         size=int(count),
         order_histogram=hist,
         spectrum=tuple(sorted(hist)),
-        payload={"field": fld, "dim": dim, "stack": stack, "keys": keys,
-                 "codec": codec},
+        payload={"field": fld, "dim": dim, "stack": stack, "keys": keys},
     )
 
 

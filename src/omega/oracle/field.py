@@ -122,19 +122,19 @@ class Field:
         self._powers = p ** np.arange(k)
         dtype = np.uint8 if q <= 256 else np.uint16
         self.code_dtype = dtype
-        if q <= _TABLE_LIMIT:
-            a = np.arange(q)
-            self.mul_table = self.mul_many(a[:, None], a[None, :]).astype(dtype)
-            self.add_table = self.add_many(a[:, None], a[None, :]).astype(dtype)
-        else:
-            self.mul_table = None
-            self.add_table = None
+        # a * b == mul_exp[mul_log[a] + mul_log[b]] for all codes: mul_log[0]
+        # lies past every sum of two logs, and mul_exp is zero from there on
+        n = max(q - 1, 1)
+        self.mul_log = np.where(np.arange(q) == 0, 2 * n, log).astype(np.int32)
+        self.mul_exp = np.concatenate([exp, exp, np.zeros(2 * n + 1, exp.dtype)]).astype(dtype)
+        a = np.arange(q)
+        self.add_table = (self.add_many(a[:, None], a[None, :]).astype(dtype)
+                          if q <= _TABLE_LIMIT else None)
         inv = np.zeros(q, dtype=dtype)
         if q > 1:
             inv[self.exp_table] = self.exp_table[(-np.arange(q - 1)) % (q - 1)]
         self.inv_table = inv
-        neg = self.mul_many(np.arange(q), np.full(q, self.code(p - 1)))
-        self.neg_table = neg.astype(dtype)
+        self.neg_table = ((-digits % p) @ self._powers).astype(dtype)
 
     def _mul_slow(self, a, b):
         prod = _pmul(_code_to_poly(a, self.p), _code_to_poly(b, self.p), self.p)
@@ -172,11 +172,7 @@ class Field:
         return s @ self._powers
 
     def mul_many(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        nz = (a != 0) & (b != 0)
-        e = (self.log_table[a] + self.log_table[b]) % max(self.q - 1, 1)
-        return np.where(nz, self.exp_table[e], 0)
+        return self.mul_exp[self.mul_log[a] + self.mul_log[b]]
 
     # Scalar convenience wrappers.
 
@@ -187,9 +183,7 @@ class Field:
         return self.add(a, int(self.neg_table[b]))
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % (self.q - 1)])
+        return int(self.mul_many(a, b))
 
     def inv(self, a):
         assert a != 0, "zero has no inverse"

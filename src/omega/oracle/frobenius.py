@@ -1,20 +1,17 @@
 """Frobenius subgroup witnesses and an exhaustive pass/fail verifier."""
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..arith import _factor, is_prime_power, r_part
+from .action import fixed_space_dim
 from .field import build_field
-from .matgroup import (
-    Matrix,
-    MatrixGroup,
-    _batch_mul_chunked,
-    _field_inverse,
-    classical_generators,
-    enumerate_group,
-)
+from .kernel import _eliminate, _kernel, _make_codec
+from .matgroup import Matrix, MatrixGroup, classical_generators, enumerate_group
 
 VERIFY_CAP = 1 << 20
 
@@ -45,8 +42,6 @@ class FrobeniusVerdict:
 def _singer_block(q, k):
     """Multiplication by a generator of GF(q^k)* as a k x k matrix over GF(q):
     the companion matrix of a primitive polynomial, found by direct search."""
-    import itertools
-
     p = is_prime_power(q)
     assert p is not None, f"{q} is not a prime power"
     kq = 1
@@ -95,7 +90,7 @@ def _sl_hyperplane_witness(n, q):
         if math.gcd(big_order, u) != big_order // e:
             continue
         t = singer**u
-        det = _block_det(fld, t.a)
+        det = _eliminate(fld, t.a).det
         big = np.eye(n, dtype=np.uint16)
         big[0, 0] = fld.inv(det)
         big[1:, 1:] = t.a
@@ -103,18 +98,9 @@ def _sl_hyperplane_witness(n, q):
         # conjugation sends the translation row w to det^-1 * w * t^-1; the
         # complement is free exactly when no proper power of that map fixes
         # a nonzero vector
-        act_a = fld.mul_many(t.inverse().a.T, np.uint16(big[0, 0])).astype(np.uint16)
-        act = Matrix(fld, act_a)
-        eye = np.eye(n - 1, dtype=np.uint16)
-        power = act
-        free = True
-        for _ in range(1, e):
-            shifted = fld.add_many(power.a, fld.neg_table[eye]).astype(np.uint16)
-            if _field_inverse(fld, shifted) is None:
-                free = False
-                break
-            power = power @ act
-        if free and power.is_identity():
+        act = Matrix(fld, fld.mul_many(t.inverse().a.T, int(big[0, 0])))
+        powers = list(itertools.accumulate([act] * e, operator.matmul))
+        if powers[-1].is_identity() and not any(map(fixed_space_dim, powers[:-1])):
             c = cand
             break
     if c is None:
@@ -127,26 +113,6 @@ def _sl_hyperplane_witness(n, q):
         kernel_order=q ** (n - 1),
         complement_order=e,
     )
-
-
-def _block_det(fld, a):
-    d = len(a)
-    rows = [[int(x) for x in r] for r in a]
-    det = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if rows[r][col]), None)
-        assert piv is not None
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = fld.neg(det)
-        det = fld.mul(det, rows[col][col])
-        inv = fld.inv(rows[col][col])
-        for r in range(col + 1, d):
-            c = fld.mul(rows[r][col], inv)
-            if c:
-                s = fld.neg(c)
-                rows[r] = [fld.add(x, fld.mul(s, y)) for x, y in zip(rows[r], rows[col])]
-    return det
 
 
 def _gl_affine_witness(q, k):
@@ -194,15 +160,15 @@ def _sp_torus_witness(n, q):
         raise WitnessSearchError(f"no element of order {target} in Sp_{2 * n}({q})")
     s = table.element(int(s_candidates[0]))
     good_j = sorted(j for j in range(2, target) if _mult_order(j, target) == 2 * n)
-    sj_blocks = {j: (s**j).a.astype(fld.code_dtype) for j in good_j}
-    stack = table.payload["stack"]
+    sj_blocks = {j: (s**j).a for j in good_j}
+    kern = _kernel(fld, group.dim)
+    X = kern.of_table(table.payload["stack"], table.payload["keys"])
     cand = np.flatnonzero(orders == 2 * n)
-    sa = s.a.astype(fld.code_dtype)
     for lo in range(0, len(cand), 1 << 14):
         sel = cand[lo:lo + (1 << 14)]
-        cs = _batch_mul_chunked(fld, stack[sel], sa)
+        cs = kern.right(X[sel], s.a)
         for j in good_j:
-            sjc = _batch_mul_chunked(fld, sj_blocks[j], stack[sel])
+            sjc = kern.left(sj_blocks[j], X[sel])
             hit = (cs == sjc).reshape(len(sel), -1).all(axis=1)
             if hit.any():
                 c = table.element(int(sel[np.flatnonzero(hit)[0]]))
@@ -243,8 +209,9 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     k_keys = kt.payload["keys"]
     c_stack = ct.payload["stack"]
     k_stack = kt.payload["stack"]
-    codec = kt.payload["codec"]
-    c_keys = codec.keys(c_stack)
+    kern = _kernel(fld, dim)
+    K = kern.of_table(k_stack, k_keys)
+    c_keys = _make_codec(fld, dim).keys(c_stack)
     pos = np.minimum(np.searchsorted(k_keys, c_keys), len(k_keys) - 1)
     both = k_keys[pos] == c_keys
     if int(both.sum()) != 1:
@@ -262,10 +229,7 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
         if c.is_identity():
             continue
         cinv = c.inverse()
-        conj = _batch_mul_chunked(
-            fld, _batch_mul_chunked(fld, c.a.astype(fld.code_dtype), k_stack),
-            cinv.a.astype(fld.code_dtype))
-        conj_keys = codec.keys(conj)
+        conj_keys = kern.keys(kern.right(kern.left(c.a, K), cinv.a))
         pos = np.minimum(np.searchsorted(k_keys, conj_keys), len(k_keys) - 1)
         if not (k_keys[pos] == conj_keys).all():
             bad = int(np.flatnonzero(k_keys[pos] != conj_keys)[0])

@@ -1,0 +1,238 @@
+"""Products, sums and elimination for stacks of code matrices over GF(p^k).
+
+_kernel(fld, d) picks the representation of d x d matrices.  GF(2^k) with
+bits * d^2 <= 64 packs each matrix into the uint64 that is its _U64Codec key,
+and multiplies by XORing rows looked up in a q x 2^(bits d) table.  Other
+fields keep code stacks: int64 matmul mod p for prime fields; for k > 1,
+g @ X adds rows c * X[j] through a q-entry row per scalar c, and other
+products multiply by log/exp lookups.  Both representations share one
+interface: pack, unpack, of_table, keys, left, right, pair and add.
+"""
+
+import operator
+from collections import namedtuple
+from functools import lru_cache, reduce
+
+import numpy as np
+
+# Matrices per product: bounds the temporaries of code stacks, and keeps
+# packed words in L2-sized blocks (half the time of a large pair).
+_CHUNK, _PACKED_CHUNK = 1 << 17, 1 << 14
+# Largest q * 2^(bits d) scalar-times-row table the packed path builds.
+_PACK_TABLE_LIMIT = 1 << 18
+
+
+class _U64Codec:
+    """Pack dim^2 codes into one uint64, entry 0 most significant."""
+
+    def __init__(self, bits, count):
+        assert bits * count <= 64
+        self.shifts = (bits * np.arange(count - 1, -1, -1)).astype(np.uint64)
+
+    def keys(self, stack):
+        flat = stack.reshape(stack.shape[0], -1).astype(np.uint64)
+        return np.bitwise_or.reduce(flat << self.shifts[None, :], axis=1)
+
+
+class _VoidCodec:
+    """Raw big-endian byte keys for wide matrices."""
+
+    def __init__(self, itemsize, count):
+        self.dtype = f"V{itemsize * count}"
+        self.be = ">u2" if itemsize == 2 else "u1"
+
+    def keys(self, stack):
+        flat = np.ascontiguousarray(stack.reshape(stack.shape[0], -1).astype(self.be))
+        return flat.view(self.dtype).ravel()
+
+
+def _bits(fld):
+    return max((fld.q - 1).bit_length(), 1)
+
+
+def _make_codec(fld, dim):
+    if _bits(fld) * dim * dim <= 64:
+        return _U64Codec(_bits(fld), dim * dim)
+    return _VoidCodec(2 if fld.code_dtype == np.uint16 else 1, dim * dim)
+
+
+def _chunks(fn, A, B, ndim, size):
+    """fn(A, B), size matrices at a time of the stacked (ndim-D) operands."""
+    n = max(len(X) if X.ndim == ndim else 0 for X in (A, B))
+    if n <= size:
+        return fn(A, B)
+    return np.concatenate([fn(*(X[lo:lo + size] if X.ndim == ndim else X for X in (A, B)))
+                           for lo in range(0, n, size)])
+
+
+class _Codes:
+    """Code stacks as they are; a fixed operand may be any 2-D matrix."""
+
+    def __init__(self, fld):
+        self.fld = fld
+        self.dtype = fld.code_dtype
+
+    def pack(self, stack):
+        return stack
+
+    def unpack(self, X):
+        return X
+
+    def of_table(self, stack, keys):
+        return stack
+
+    def keys(self, X):
+        return _make_codec(self.fld, X.shape[-1]).keys(X)
+
+    def add(self, a, b):
+        fld = self.fld
+        if fld.p == 2:
+            return a ^ b
+        if fld.k == 1:
+            return ((a.astype(np.int64) + b) % fld.p).astype(self.dtype)
+        if fld.add_table is not None:
+            return fld.add_table[a, b]
+        return fld.add_many(a, b).astype(self.dtype)
+
+    def _matmul(self, A, B):
+        C = np.matmul(A.astype(np.int64), B.astype(np.int64)) % self.fld.p
+        return C.astype(self.dtype)
+
+    def left(self, g, X):
+        """g @ X[i] for a fixed matrix g."""
+        return _chunks(self._matmul if self.fld.k == 1 else self._left, g, X, 3, _CHUNK)
+
+    def _left(self, g, X):
+        out = np.zeros(X.shape[:-2] + g.shape[:1] + X.shape[-1:], dtype=self.dtype)
+        times = {c: self.fld.mul_many(c, np.arange(self.fld.q)) for c in np.unique(g)}
+        for i, grow in enumerate(g.tolist()):
+            terms = [X[..., j, :] if c == 1 else times[c][X[..., j, :]]
+                     for j, c in enumerate(grow) if c]
+            if terms:
+                out[..., i, :] = reduce(self.add, terms)
+        return out
+
+    def pair(self, A, B):
+        """A[i] @ B[i]; either side may be one fixed matrix."""
+        return _chunks(self._matmul if self.fld.k == 1 else self._pair, A, B, 3, _CHUNK)
+
+    right = pair
+
+    def _pair(self, A, B):
+        log, exp = self.fld.mul_log, self.fld.mul_exp
+        la, lb = log[A], log[B]
+        return reduce(self.add, (exp[la[..., :, j, None] + lb[..., None, j, :]]
+                                 for j in range(A.shape[-1])))
+
+
+class _Packed:
+    """GF(2^k) matrices as uint64 words, each the _U64Codec key of its matrix."""
+
+    def __init__(self, fld, d):
+        self.fld, self.d = fld, d
+        self.codec = _make_codec(fld, d)
+        bits, width = _bits(fld), _bits(fld) * d
+        self.width = np.uint64(width)
+        self.row_mask = np.uint64((1 << width) - 1)
+        self.entry_mask = np.uint64(fld.q - 1)
+        self.row_shift = [np.uint64(width * (d - 1 - i)) for i in range(d)]
+        self.entry_shift = [np.uint64(bits * (d - 1 - j)) for j in range(d)]
+        # table[c, r] = c * r for every scalar c and packed row r
+        rows, shifts = np.arange(1 << width, dtype=np.uint64), np.array(self.entry_shift)
+        entries = ((rows[:, None] >> shifts) & self.entry_mask).astype(np.int64)
+        prods = fld.mul_many(np.arange(fld.q)[:, None, None], entries).astype(np.uint64)
+        self.table = np.bitwise_or.reduce(prods << shifts, axis=2)
+        self.flat = self.table.ravel()
+
+    def pack(self, stack):
+        return self.codec.keys(stack)
+
+    def unpack(self, K):
+        codes = (K[:, None] >> self.codec.shifts[None, :]) & self.entry_mask
+        return codes.astype(self.fld.code_dtype).reshape(len(K), self.d, self.d)
+
+    def of_table(self, stack, keys):
+        return keys
+
+    def keys(self, K):
+        return K
+
+    def add(self, A, B):
+        return A ^ B
+
+    def _rows(self, K):
+        return [(K >> s) & self.row_mask for s in self.row_shift]
+
+    def left(self, g, K):
+        """g @ K[i] for a fixed (d, d) code matrix g."""
+        return _chunks(self._left, g, K, 1, _PACKED_CHUNK)
+
+    def _left(self, g, K):
+        rows = self._rows(K)
+        out = np.zeros(len(K), dtype=np.uint64)
+        for i, grow in enumerate(g.tolist()):
+            terms = [rows[j] if c == 1 else self.table[c][rows[j]]
+                     for j, c in enumerate(grow) if c]
+            if terms:
+                out |= reduce(operator.xor, terms) << self.row_shift[i]
+        return out
+
+    def right(self, K, g):
+        """K[i] @ g for a fixed (d, d) code matrix g."""
+        return self.pair(K, self.pack(g[None])[0])
+
+    def pair(self, A, B):
+        """A[i] @ B[i]; either side may be one packed matrix."""
+        return _chunks(self._pair, A, B, 1, _PACKED_CHUNK)
+
+    def _pair(self, A, B):
+        rows = self._rows(B)
+        out = np.zeros(np.broadcast(A, B).shape, dtype=np.uint64)
+        for si in self.row_shift:
+            a = [(A >> (si + sj)) & self.entry_mask for sj in self.entry_shift]
+            out |= reduce(operator.xor, (self.flat[(a[j] << self.width) | rows[j]]
+                                         for j in range(self.d))) << si
+        return out
+
+
+@lru_cache(maxsize=None)
+def _kernel(fld, d):
+    """The representation for d x d matrices over fld."""
+    if fld.p == 2 and _bits(fld) * d * d <= 64 and fld.q << (_bits(fld) * d) <= _PACK_TABLE_LIMIT:
+        return _Packed(fld, d)
+    return _Codes(fld)
+
+
+_Echelon = namedtuple("_Echelon", "rank det inverse nullspace")
+
+
+def _eliminate(fld, a):
+    """Gauss-Jordan elimination of an r x c code matrix: rank; det and
+    inverse when r == c (0 and None if singular), else None; nullspace, a
+    basis of {x : a x = 0}."""
+    m = np.array(a, dtype=fld.code_dtype)
+    r, c = m.shape
+    if r == c:
+        m = np.hstack([m, np.eye(r, dtype=m.dtype)])
+    det, pivots = 1, []
+    for col in range(c):
+        top = len(pivots)
+        below = np.flatnonzero(m[top:, col])
+        if not len(below):
+            det = 0
+            continue
+        if below[0]:
+            m[[top, top + below[0]]] = m[[top + below[0], top]]
+            det = fld.neg(det)
+        det = fld.mul(det, int(m[top, col]))
+        m[top] = fld.mul_many(fld.inv(int(m[top, col])), m[top])
+        scale = fld.neg_table[m[:, col]]
+        scale[top] = 0
+        m = _Codes(fld).add(m, fld.mul_many(scale[:, None], m[top][None, :]))
+        pivots.append(col)
+    free = [f for f in range(c) if f not in pivots]
+    nullspace = np.eye(c, dtype=fld.code_dtype)[free]
+    nullspace[:, pivots] = fld.neg_table[m[:len(pivots), free]].T
+    square, rank = r == c, len(pivots)
+    inverse = m[:, c:].astype(np.uint16) if square and rank == r else None
+    return _Echelon(rank, det if square else None, inverse, list(nullspace))

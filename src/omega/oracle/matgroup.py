@@ -7,9 +7,9 @@ import numpy as np
 from ..arith import _factor
 from ..groups import GroupSpec, group_order
 from .field import Field, build_field
+from .kernel import _Codes, _eliminate, _kernel, _make_codec
 
 DEFAULT_CAP = 1 << 24
-_CHUNK = 1 << 17
 
 
 class CapExceeded(RuntimeError):
@@ -19,25 +19,6 @@ class CapExceeded(RuntimeError):
         super().__init__(f"enumeration exceeded cap {cap}: at least {found} elements found")
         self.found = found
         self.cap = cap
-
-
-def _field_inverse(field, a):
-    """Inverse of a code matrix by Gaussian elimination; None if singular."""
-    d = len(a)
-    aug = [[int(a[i][j]) for j in range(d)] + [1 if j == i else 0 for j in range(d)]
-           for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        s = field.inv(aug[col][col])
-        aug[col] = [field.mul(s, x) for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                c = field.neg(aug[r][col])
-                aug[r] = [field.add(x, field.mul(c, y)) for x, y in zip(aug[r], aug[col])]
-    return np.array([row[d:] for row in aug], dtype=np.uint16)
 
 
 class Matrix:
@@ -64,7 +45,7 @@ class Matrix:
 
     def __matmul__(self, other):
         assert self.field == other.field and self.dim == other.dim
-        return Matrix(self.field, _matmul_codes(self.field, self.a, other.a))
+        return Matrix(self.field, _Codes(self.field).pair(self.a, other.a))
 
     def __pow__(self, e):
         if e < 0:
@@ -79,7 +60,7 @@ class Matrix:
         return out
 
     def inverse(self):
-        inv = _field_inverse(self.field, self.a)
+        inv = _eliminate(self.field, self.a).inverse
         assert inv is not None, "matrix is singular"
         return Matrix(self.field, inv)
 
@@ -118,91 +99,6 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.a.tolist()})"
 
 
-def _mul_broadcast(fld, A, B):
-    if fld.mul_table is not None:
-        return fld.mul_table[A, B]
-    return fld.mul_many(A, B)
-
-
-def _add_reduce(fld, T, axis):
-    if fld.p == 2:
-        return np.bitwise_xor.reduce(T, axis=axis)
-    acc = np.take(T, 0, axis=axis)
-    for i in range(1, T.shape[axis]):
-        nxt = np.take(T, i, axis=axis)
-        if fld.add_table is not None:
-            acc = fld.add_table[acc, nxt]
-        else:
-            acc = fld.add_many(acc, nxt)
-    return acc
-
-
-def _matmul_codes(fld, A, B):
-    """Single matrix product of 2-D code arrays."""
-    if fld.k == 1:
-        return ((A.astype(np.int64) @ B.astype(np.int64)) % fld.p).astype(np.uint16)
-    T = _mul_broadcast(fld, A[:, :, None], B[None, :, :])
-    return _add_reduce(fld, T, 1).astype(np.uint16)
-
-
-def _batch_mul(fld, A, B):
-    """Row-wise products: A (n,d,d) @ B (n,d,d) or with one side a single (d,d)."""
-    if fld.k == 1:
-        C = np.matmul(A.astype(np.int64), B.astype(np.int64)) % fld.p
-        return C.astype(fld.code_dtype)
-    if A.ndim == 2:
-        T = _mul_broadcast(fld, A[None, :, :, None], B[:, None, :, :])
-    elif B.ndim == 2:
-        T = _mul_broadcast(fld, A[:, :, :, None], B[None, None, :, :])
-    else:
-        T = _mul_broadcast(fld, A[:, :, :, None], B[:, None, :, :])
-    return _add_reduce(fld, T, 2).astype(fld.code_dtype)
-
-
-def _batch_mul_chunked(fld, A, B):
-    n = A.shape[0] if A.ndim == 3 else B.shape[0]
-    if n <= _CHUNK:
-        return _batch_mul(fld, A, B)
-    out = np.empty((n,) + (B.shape[-2], B.shape[-1]), dtype=fld.code_dtype)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        a = A if A.ndim == 2 else A[lo:hi]
-        b = B if B.ndim == 2 else B[lo:hi]
-        out[lo:hi] = _batch_mul(fld, a, b)
-    return out
-
-
-class _U64Codec:
-    """Pack dim^2 codes into one uint64, entry 0 most significant."""
-
-    def __init__(self, bits, count):
-        assert bits * count <= 64
-        self.shifts = (bits * np.arange(count - 1, -1, -1)).astype(np.uint64)
-
-    def keys(self, stack):
-        flat = stack.reshape(stack.shape[0], -1).astype(np.uint64)
-        return np.bitwise_or.reduce(flat << self.shifts[None, :], axis=1)
-
-
-class _VoidCodec:
-    """Raw big-endian byte keys for wide matrices."""
-
-    def __init__(self, itemsize, count):
-        self.dtype = f"V{itemsize * count}"
-        self.be = ">u2" if itemsize == 2 else "u1"
-
-    def keys(self, stack):
-        flat = np.ascontiguousarray(stack.reshape(stack.shape[0], -1).astype(self.be))
-        return flat.view(self.dtype).ravel()
-
-
-def _make_codec(fld, dim):
-    bits = max((fld.q - 1).bit_length(), 1)
-    if bits * dim * dim <= 64:
-        return _U64Codec(bits, dim * dim)
-    return _VoidCodec(2 if fld.code_dtype == np.uint16 else 1, dim * dim)
-
-
 @dataclass(frozen=True)
 class MatrixGroup:
     field: Field
@@ -214,7 +110,7 @@ class MatrixGroup:
         assert 1 <= self.dim <= 64
         for g in self.generators:
             assert g.field == self.field and g.dim == self.dim
-            assert _field_inverse(self.field, g.a) is not None, "generator not invertible"
+            assert _eliminate(self.field, g.a).rank == self.dim, "generator not invertible"
 
     def key(self):
         gens = tuple(sorted(g.a.tobytes() for g in self.generators))
@@ -247,8 +143,7 @@ class ElementTable:
     def orders(self):
         pl = self.payload
         if "orders" not in pl:
-            pl["orders"], _ = _order_vector(
-                pl["field"], pl["stack"], pl["keys"], pl["codec"])
+            pl["orders"], _ = _order_vector(pl["field"], pl["stack"], pl["keys"])
         return pl["orders"]
 
     def index_of_key(self, key):
@@ -260,21 +155,15 @@ class ElementTable:
 
 def _closure(group, cap):
     fld, d = group.field, group.dim
-    codec = _make_codec(fld, d)
-    gens = np.stack([g.a.astype(fld.code_dtype) for g in group.generators])
-    eye = np.eye(d, dtype=fld.code_dtype)
-    stack = np.concatenate([eye[None], gens])
-    keys = codec.keys(stack)
-    keys, first = np.unique(keys, return_index=True)
+    kern = _kernel(fld, d)
+    gens = [g.a for g in group.generators]
+    stack = kern.pack(np.stack([np.eye(d)] + gens).astype(fld.code_dtype))
+    keys, first = np.unique(kern.keys(stack), return_index=True)
     stack = stack[first]
     frontier = stack
     while len(frontier):
-        batches = []
-        for g in gens:
-            batches.append(_batch_mul_chunked(fld, g, frontier))
-        prods = np.concatenate(batches)
-        pk = codec.keys(prods)
-        pk, first = np.unique(pk, return_index=True)
+        prods = np.concatenate([kern.left(g, frontier) for g in gens])
+        pk, first = np.unique(kern.keys(prods), return_index=True)
         pos = np.searchsorted(keys, pk)
         pos_c = np.minimum(pos, len(keys) - 1)
         fresh = keys[pos_c] != pk
@@ -289,34 +178,36 @@ def _closure(group, cap):
         frontier = new_stack
         if len(keys) > cap:
             raise CapExceeded(len(keys), cap)
-    return stack, keys, codec
+    return kern.unpack(stack), keys
 
 
-def _power_map(fld, stack, keys, codec, e):
-    """Index array P with P[i] = index of stack[i]^e."""
+def _power_map(kern, X, keys, e):
+    """Index array P with P[i] = index of X[i]^e."""
     out = None
-    base = stack
+    base = X
     while e:
         if e & 1:
-            out = base if out is None else _batch_mul_chunked(fld, out, base)
+            out = base if out is None else kern.pair(out, base)
         e >>= 1
         if e:
-            base = _batch_mul_chunked(fld, base, base)
-    pk = codec.keys(out)
+            base = kern.pair(base, base)
+    pk = kern.keys(out)
     pos = np.searchsorted(keys, pk)
     assert (pos < len(keys)).all() and (keys[pos] == pk).all(), "power left the set"
     return pos
 
 
-def _order_vector(fld, stack, keys, codec, target_idx=None):
+def _order_vector(fld, stack, keys, target_idx=None):
     """Per-element orders; with target_idx, orders in the quotient by that
     central subgroup (least m with g^m in the subgroup)."""
-    n = len(keys)
+    n, d = len(keys), stack.shape[1]
+    kern = _kernel(fld, d)
+    X = kern.of_table(stack, keys)
     fac = _factor(n)
     primes = sorted(fac)
-    pmaps = {p: _power_map(fld, stack, keys, codec, p) for p in primes}
-    eye = np.eye(stack.shape[1], dtype=fld.code_dtype)
-    id_idx = int(np.searchsorted(keys, codec.keys(eye[None])[0]))
+    pmaps = {p: _power_map(kern, X, keys, p) for p in primes}
+    eye = np.eye(d, dtype=fld.code_dtype)
+    id_idx = int(np.searchsorted(keys, _make_codec(fld, d).keys(eye[None])[0]))
 
     def done(idx):
         if target_idx is None:
@@ -350,8 +241,8 @@ def enumerate_group(group, cap=DEFAULT_CAP):
     memo_key = group.key()
     table = _TABLE_MEMO.get(memo_key)
     if table is None:
-        stack, keys, codec = _closure(group, cap)
-        orders, _ = _order_vector(group.field, stack, keys, codec)
+        stack, keys = _closure(group, cap)
+        orders, _ = _order_vector(group.field, stack, keys)
         vals, counts = np.unique(orders, return_counts=True)
         hist = {int(v): int(c) for v, c in zip(vals, counts)}
         table = ElementTable(
@@ -363,7 +254,6 @@ def enumerate_group(group, cap=DEFAULT_CAP):
                 "dim": group.dim,
                 "stack": stack,
                 "keys": keys,
-                "codec": codec,
                 "orders": orders,
                 "group": group,
             },
@@ -382,13 +272,12 @@ def center_of(group, cap=DEFAULT_CAP):
     """Elements commuting with every generator, from the enumerated table."""
     table = enumerate_group(group, cap)
     pl = table.payload
-    fld, stack = pl["field"], pl["stack"]
+    kern = _kernel(pl["field"], pl["dim"])
+    X = kern.of_table(pl["stack"], pl["keys"])
     mask = np.ones(table.size, dtype=bool)
     for g in group.generators:
-        ga = g.a.astype(fld.code_dtype)
-        left = _batch_mul_chunked(fld, ga, stack)
-        right = _batch_mul_chunked(fld, stack, ga)
-        mask &= (left == right).reshape(table.size, -1).all(axis=1)
+        same = kern.left(g.a, X) == kern.right(X, g.a)
+        mask &= same.reshape(table.size, -1).all(axis=1)
     return [table.element(i) for i in np.flatnonzero(mask)]
 
 
@@ -396,7 +285,7 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
     """Orders in G/Z for a central subgroup Z given as a list of matrices."""
     table = enumerate_group(group, cap)
     pl = table.payload
-    fld, codec, keys = pl["field"], pl["codec"], pl["keys"]
+    fld, keys = pl["field"], pl["keys"]
     zs = list(center)
     assert zs, "center must contain at least the identity"
     for z in zs:
@@ -407,10 +296,10 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
         for w in zs:
             assert (z @ w).a.tobytes() in zset, "center list is not a subgroup"
     z_stack = np.stack([z.a.astype(fld.code_dtype) for z in zs])
-    zk = np.sort(codec.keys(z_stack))
+    zk = np.sort(_make_codec(fld, pl["dim"]).keys(z_stack))
     z_idx = np.searchsorted(keys, zk)
     assert (z_idx < len(keys)).all() and (keys[z_idx] == zk).all(), "center not in group"
-    qorders, _ = _order_vector(fld, pl["stack"], keys, codec, target_idx=z_idx)
+    qorders, _ = _order_vector(fld, pl["stack"], keys, target_idx=z_idx)
     vals, counts = np.unique(qorders, return_counts=True)
     zn = len(zs)
     assert table.size % zn == 0
@@ -427,7 +316,6 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
             "dim": pl["dim"],
             "stack": pl["stack"],
             "keys": keys,
-            "codec": codec,
             "orders": qorders,
             "group": group,
             "quotient_by": zn,

@@ -102,6 +102,15 @@ def test_semidirect_odd_characteristic():
     assert table.spectrum == (1, 2, 3, 4, 6)
 
 
+@pytest.mark.parametrize("q", [3, 9, 27, 3**7])
+def test_semidirect_sym3_closed_form(q):
+    # q = 3 and 9 count kernels by brute force, 27 and 3^7 by rank; 3^7 is
+    # past the field's full addition table
+    table = semidirect_spectrum(permutation_module(((1, 0, 2), (1, 2, 0)), q))
+    assert table.order_histogram == {
+        1: 1, 2: 3 * q, 3: q**3 - 1 + 2 * q**2, 6: 3 * (q**3 - q), 9: 2 * (q**3 - q**2)}
+
+
 def test_permutation_module_validation():
     with pytest.raises(AssertionError):
         permutation_module(((0, 0, 1),), 2)

@@ -1,0 +1,144 @@
+"""The product kernel against a scalar triple loop over Field.mul and Field.add."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omega.oracle import build_field, kernel
+from omega.oracle.kernel import _Codes, _Packed, _eliminate, _kernel, _make_codec
+
+# Every field shape: p = 2 with k = 1 and k > 1, odd p with k = 1 and k > 1,
+# and q > 2048, where the field has no full multiplication or addition table.
+FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (7, 1), (3, 2), (5, 2), (2, 12), (3, 7)]
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+
+def ref_product(fld, A, B):
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for col in range(B.shape[1]):
+            acc = 0
+            for j in range(A.shape[1]):
+                acc = fld.add(acc, fld.mul(int(A[i, j]), int(B[j, col])))
+            out[i, col] = acc
+    return out
+
+
+def ref_det(fld, rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    det = 0
+    for j, x in enumerate(rows[0]):
+        minor = ref_det(fld, [row[:j] + row[j + 1:] for row in rows[1:]])
+        term = fld.mul(x, minor)
+        det = fld.sub(det, term) if j % 2 else fld.add(det, term)
+    return det
+
+
+@st.composite
+def problems(draw, max_d=4, max_w=None):
+    """A field, a dimension, a fixed matrix g and a stack X of code matrices."""
+    p, k = draw(st.sampled_from(FIELDS))
+    fld = build_field(p, k)
+    d = draw(st.integers(1, max_d))
+    w = d if max_w is None else draw(st.integers(1, max_w))
+    n = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # sparse draws reach the 0 and 1 shortcuts of the row combination
+    dense = draw(st.booleans())
+
+    def codes(*shape):
+        a = rng.integers(0, fld.q, size=shape)
+        if not dense:
+            a = np.where(rng.random(shape) < 0.6, rng.integers(0, 2, size=shape), a)
+        return a.astype(fld.code_dtype)
+
+    return fld, d, codes(d, d), codes(n, d, w), codes(n, d, d)
+
+
+def kernels(fld, d):
+    """The kernel the oracle uses for (fld, d), and the unpacked one."""
+    return {type(k).__name__: k for k in (_kernel(fld, d), _Codes(fld))}.values()
+
+
+@SETTINGS
+@given(problems(), st.sampled_from([2, 1 << 20]))
+def test_left_right_pair(problem, chunk):
+    fld, d, g, X, Y = problem
+    # one pair of plain matrices, as Matrix.__matmul__ multiplies them
+    assert (_Codes(fld).pair(X[0], Y[0]) == ref_product(fld, X[0], Y[0])).all()
+    for kern in kernels(fld, d):
+        # chunk = 2 splits every stack of more than two matrices
+        with mock.patch.multiple(kernel, _CHUNK=chunk, _PACKED_CHUNK=chunk):
+            L = kern.unpack(kern.left(g, kern.pack(X)))
+            R = kern.unpack(kern.right(kern.pack(X), g))
+            P = kern.unpack(kern.pair(kern.pack(X), kern.pack(Y)))
+        S = kern.unpack(kern.add(kern.pack(X), kern.pack(Y)))
+        for i in range(len(X)):
+            assert (L[i] == ref_product(fld, g, X[i])).all()
+            assert (R[i] == ref_product(fld, X[i], g)).all()
+            assert (P[i] == ref_product(fld, X[i], Y[i])).all()
+            want = [[fld.add(int(a), int(b)) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(X[i], Y[i])]
+            assert (S[i] == np.array(want)).all()
+
+
+@SETTINGS
+@given(problems(max_w=6))
+def test_rectangular_operands(problem):
+    fld, d, g, X, Y = problem
+    codes = _Codes(fld)
+    left = codes.left(g, X)
+    right = codes.right(np.transpose(X, (0, 2, 1)), g)
+    wide = codes.right(Y, X[0])
+    for i in range(len(X)):
+        assert (left[i] == ref_product(fld, g, X[i])).all()
+        assert (right[i] == ref_product(fld, X[i].T, g)).all()
+        assert (wide[i] == ref_product(fld, Y[i], X[0])).all()
+
+
+@SETTINGS
+@given(problems())
+def test_packed_words_are_codec_keys(problem):
+    fld, d, _, X, _ = problem
+    kern = _kernel(fld, d)
+    if not isinstance(kern, _Packed):
+        return
+    keys = _make_codec(fld, d).keys(X)
+    assert (kern.pack(X) == keys).all()
+    assert (kern.keys(kern.pack(X)) == keys).all()
+    assert (kern.unpack(keys) == X).all()
+
+
+def test_packing_applies_where_promised():
+    assert isinstance(_kernel(build_field(2, 2), 4), _Packed)
+    assert isinstance(_kernel(build_field(2, 1), 8), _Packed)
+    assert isinstance(_kernel(build_field(2, 3), 3), _Packed)
+    # odd p, more than 64 bits, or a scalar-times-row table too large
+    assert not isinstance(_kernel(build_field(3, 2), 2), _Packed)
+    assert not isinstance(_kernel(build_field(2, 1), 9), _Packed)
+    assert not isinstance(_kernel(build_field(2, 12), 2), _Packed)
+
+
+@SETTINGS
+@given(problems(max_d=5, max_w=5))
+def test_eliminate(problem):
+    fld, d, g, X, _ = problem
+    for a in (g, X[0]):
+        ech = _eliminate(fld, a)
+        r, c = a.shape
+        assert len(ech.nullspace) == c - ech.rank
+        for x in ech.nullspace:
+            assert x.any() and not ref_product(fld, a, x[:, None]).any()
+        if r != c:
+            assert ech.det is None and ech.inverse is None
+            continue
+        assert (ech.det == 0) == (ech.inverse is None) == (ech.rank < r)
+        if ech.inverse is not None:
+            assert (ref_product(fld, a, ech.inverse) == np.eye(r)).all()
+        assert ech.det == ref_det(fld, a.tolist())

@@ -13,7 +13,7 @@ from omega.oracle import (
     quotient_spectrum,
     spectrum_table,
 )
-from omega.oracle.matgroup import _VoidCodec, _make_codec
+from omega.oracle.kernel import _VoidCodec, _make_codec
 
 
 def test_field_modulus_is_smallest():
