@@ -11,7 +11,7 @@ from ..arith import _factor, is_prime_power, r_part
 from .action import fixed_space_dim
 from .field import build_field
 from .kernel import _eliminate, _kernel, _make_codec
-from .matgroup import Matrix, MatrixGroup, classical_generators, enumerate_group
+from .matgroup import Matrix, MatrixGroup, _lookup, classical_generators, enumerate_group
 
 VERIFY_CAP = 1 << 20
 
@@ -212,8 +212,7 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     kern = _kernel(fld, dim)
     K = kern.of_table(k_stack, k_keys)
     c_keys = _make_codec(fld, dim).keys(c_stack)
-    pos = np.minimum(np.searchsorted(k_keys, c_keys), len(k_keys) - 1)
-    both = k_keys[pos] == c_keys
+    _, both = _lookup(k_keys, c_keys)
     if int(both.sum()) != 1:
         shared = next(
             Matrix(fld, c_stack[int(i)].astype(np.uint16))
@@ -230,9 +229,9 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
             continue
         cinv = c.inverse()
         conj_keys = kern.keys(kern.right(kern.left(c.a, K), cinv.a))
-        pos = np.minimum(np.searchsorted(k_keys, conj_keys), len(k_keys) - 1)
-        if not (k_keys[pos] == conj_keys).all():
-            bad = int(np.flatnonzero(k_keys[pos] != conj_keys)[0])
+        _, inside = _lookup(k_keys, conj_keys)
+        if not inside.all():
+            bad = int(np.flatnonzero(~inside)[0])
             return FrobeniusVerdict(
                 ok=False, kernel_order=kt.size, complement_order=ct.size,
                 reason="complement element does not normalize the kernel",

@@ -1,6 +1,7 @@
 """Matrix groups over small fields: exhaustive enumeration, exact spectra, centers."""
 
 from dataclasses import dataclass, field as dfield
+from functools import reduce
 
 import numpy as np
 
@@ -10,6 +11,11 @@ from .field import Field, build_field
 from .kernel import _Codes, _eliminate, _kernel, _make_codec
 
 DEFAULT_CAP = 1 << 24
+# A BFS level that could pass the cap goes in steps of the room left under
+# it, or this many products if that is more, so CapExceeded.found is at most
+# this far past the cap (each adopted generator at least doubles the group,
+# so there are far fewer of them than this).
+_CAP_CHUNK = 1 << 12
 
 
 class CapExceeded(RuntimeError):
@@ -146,39 +152,60 @@ class ElementTable:
             pl["orders"], _ = _order_vector(pl["field"], pl["stack"], pl["keys"])
         return pl["orders"]
 
-    def index_of_key(self, key):
-        keys = self.payload["keys"]
-        pos = int(np.searchsorted(keys, key))
-        assert pos < len(keys) and keys[pos] == key, "element not in table"
-        return pos
+
+def _lookup(keys, pk):
+    """Insertion points of pk in the sorted keys, and which of pk are there."""
+    pos = np.searchsorted(keys, pk)
+    return pos, keys[np.minimum(pos, len(keys) - 1)] == pk
 
 
 def _closure(group, cap):
+    """Sorted stack and keys of <generators>.  A generator already in the group
+    of those before it is skipped; the others are adopted one at a time, by
+    one pass over the group so far, then BFS levels with all those adopted."""
     fld, d = group.field, group.dim
     kern = _kernel(fld, d)
-    gens = [g.a for g in group.generators]
-    stack = kern.pack(np.stack([np.eye(d)] + gens).astype(fld.code_dtype))
-    keys, first = np.unique(kern.keys(stack), return_index=True)
-    stack = stack[first]
-    frontier = stack
-    while len(frontier):
-        prods = np.concatenate([kern.left(g, frontier) for g in gens])
-        pk, first = np.unique(kern.keys(prods), return_index=True)
-        pos = np.searchsorted(keys, pk)
-        pos_c = np.minimum(pos, len(keys) - 1)
-        fresh = keys[pos_c] != pk
-        if not fresh.any():
-            break
-        new_keys = pk[fresh]
-        new_stack = prods[first[fresh]]
-        keys = np.concatenate([keys, new_keys])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        stack = np.concatenate([stack, new_stack])[order]
-        frontier = new_stack
-        if len(keys) > cap:
-            raise CapExceeded(len(keys), cap)
+    stack = kern.pack(np.eye(d, dtype=fld.code_dtype)[None])
+    keys = kern.keys(stack)
+    mults = []
+    for g in group.generators:
+        _, known = _lookup(keys, kern.keys(kern.pack(g.a[None].astype(fld.code_dtype))))
+        if known[0]:
+            continue
+        mults.append(g.a)
+        # the subgroup so far is closed under the earlier generators
+        frontier, level = stack, [g.a]
+        while len(frontier):
+            keys, stack, frontier = _grow(kern, keys, stack, level, frontier, cap)
+            level = mults
     return kern.unpack(stack), keys
+
+
+def _grow(kern, keys, stack, mults, frontier, cap):
+    """Merge the new products m @ f into the sorted keys and stack; return
+    both and the new elements.  Steps after the first find their new elements
+    against the earlier ones; the main arrays take them all at the end."""
+    new_keys, lo = keys[:0], 0
+    while lo < len(frontier):
+        room = max(cap - len(keys) - len(new_keys), _CAP_CHUNK)
+        part = frontier[lo:lo + max(1, room // len(mults))]
+        lo += len(part)
+        prods = np.concatenate([kern.left(m, part) for m in mults])
+        pk = kern.keys(prods)
+        order = np.argsort(pk)
+        pos, known = _lookup(keys, pk[order])
+        known[1:] |= pk[order[1:]] == pk[order[:-1]]  # repeats of one product
+        if not len(new_keys):
+            new_keys, new, new_at = pk[order[~known]], prods[order[~known]], pos[~known]
+        else:
+            known |= _lookup(new_keys, pk[order])[1]
+            at = np.searchsorted(new_keys, pk[order[~known]])
+            new_keys = np.insert(new_keys, at, pk[order[~known]])
+            new = np.insert(new, at, prods[order[~known]], axis=0)
+            new_at = np.insert(new_at, at, pos[~known])
+        if len(keys) + len(new_keys) > cap:
+            raise CapExceeded(len(keys) + len(new_keys), cap)
+    return np.insert(keys, new_at, new_keys), np.insert(stack, new_at, new, axis=0), new
 
 
 def _power_map(kern, X, keys, e):
@@ -192,8 +219,8 @@ def _power_map(kern, X, keys, e):
         if e:
             base = kern.pair(base, base)
     pk = kern.keys(out)
-    pos = np.searchsorted(keys, pk)
-    assert (pos < len(keys)).all() and (keys[pos] == pk).all(), "power left the set"
+    pos, hit = _lookup(keys, pk)
+    assert hit.all(), "power left the set"
     return pos
 
 
@@ -258,11 +285,11 @@ def enumerate_group(group, cap=DEFAULT_CAP):
                 "group": group,
             },
         )
-        if group.name is not None:
-            want = group_order(group.name).n
-            assert table.size == want, (
-                f"enumerated {table.size} elements, {group.name} has order {want}")
-        _TABLE_MEMO[memo_key] = table
+    # checked on memo hits too: groups that differ only in name share an entry
+    want = None if group.name is None else group_order(group.name).n
+    if want is not None and table.size != want:
+        raise RuntimeError(f"enumerated {table.size} elements, {group.name} has order {want}")
+    _TABLE_MEMO[memo_key] = table
     if table.size > cap:
         raise CapExceeded(table.size, cap)
     return table
@@ -297,8 +324,8 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
             assert (z @ w).a.tobytes() in zset, "center list is not a subgroup"
     z_stack = np.stack([z.a.astype(fld.code_dtype) for z in zs])
     zk = np.sort(_make_codec(fld, pl["dim"]).keys(z_stack))
-    z_idx = np.searchsorted(keys, zk)
-    assert (z_idx < len(keys)).all() and (keys[z_idx] == zk).all(), "center not in group"
+    z_idx, hit = _lookup(keys, zk)
+    assert hit.all(), "center not in group"
     qorders, _ = _order_vector(fld, pl["stack"], keys, target_idx=z_idx)
     vals, counts = np.unique(qorders, return_counts=True)
     zn = len(zs)
@@ -323,15 +350,17 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
     )
 
 
+def _elementary(fld, dim, *entries):
+    """The identity matrix with the given (row, column, value) entries."""
+    m = np.eye(dim, dtype=np.uint16)
+    for r, c, v in entries:
+        m[r, c] = v
+    return Matrix(fld, m)
+
+
 def _sl_generators(fld, dim):
-    gens = []
-    for i in range(dim - 1):
-        for b in fld.basis():
-            for r, c in ((i, i + 1), (i + 1, i)):
-                m = np.eye(dim, dtype=np.uint16)
-                m[r, c] = b
-                gens.append(Matrix(fld, m))
-    return gens
+    return [_elementary(fld, dim, (r, c, b)) for i in range(dim - 1) for b in fld.basis()
+            for r, c in ((i, i + 1), (i + 1, i))]
 
 
 def _sp_form(fld, n):
@@ -343,27 +372,15 @@ def _sp_form(fld, n):
 
 
 def _sp_generators(fld, n):
-    dim = 2 * n
-    gens = []
+    dim, gens = 2 * n, []
     for i in range(n - 1):
-        j = i + 1
         for b in fld.basis():
             nb = fld.neg(b)
-            m = np.eye(dim, dtype=np.uint16)
-            m[i, j] = b
-            m[n + j, n + i] = nb
-            gens.append(Matrix(fld, m))
-            m = np.eye(dim, dtype=np.uint16)
-            m[j, i] = b
-            m[n + i, n + j] = nb
-            gens.append(Matrix(fld, m))
+            gens.append(_elementary(fld, dim, (i, i + 1, b), (n + i + 1, n + i, nb)))
+            gens.append(_elementary(fld, dim, (i + 1, i, b), (n + i, n + i + 1, nb)))
     for b in fld.basis():
-        m = np.eye(dim, dtype=np.uint16)
-        m[n - 1, dim - 1] = b
-        gens.append(Matrix(fld, m))
-        m = np.eye(dim, dtype=np.uint16)
-        m[dim - 1, n - 1] = b
-        gens.append(Matrix(fld, m))
+        gens.append(_elementary(fld, dim, (n - 1, dim - 1, b)))
+        gens.append(_elementary(fld, dim, (dim - 1, n - 1, b)))
     omega = _sp_form(fld, n)
     for g in gens:
         assert g.transpose() @ omega @ g == omega, "generator breaks the symplectic form"
@@ -375,60 +392,42 @@ def _su_generators(fld2, dim, k_base):
     import itertools
 
     q2 = fld2.q
-    conj = lambda x: fld2.frob(x, k_base)
-    form = np.zeros((dim, dim), dtype=np.uint16)
-    for i in range(dim):
-        form[i, dim - 1 - i] = 1
-    form_m = Matrix(fld2, form)
+    form = np.eye(dim, dtype=np.uint16)[::-1]
+    conj = np.array([fld2.frob(x, k_base) for x in range(q2)], dtype=fld2.code_dtype)
+    codes = _Codes(fld2)
 
-    def hermitian_norm(v):
-        acc = 0
-        for i in range(dim):
-            acc = fld2.add(acc, fld2.mul(v[i], conj(v[dim - 1 - i])))
-        return acc
+    def unitary(ts):
+        """Which t of the stack satisfy t^T F conj(t) = F."""
+        lhs = codes.pair(codes.pair(ts.transpose(0, 2, 1), form), conj[ts])
+        return (lhs == form).all(axis=(1, 2))
 
-    def is_unitary(t):
-        return t.transpose() @ form_m @ t.conj_entries(k_base) == form_m
-
-    gens = []
+    vs = np.array(list(itertools.product(range(q2), repeat=dim))[1:], dtype=fld2.code_dtype)
     if dim == 3:
         # transvections alone fall short here (SU3(2) is the classical
-        # exception), so take every unitary unipotent triangle instead
-        for a, b, c in itertools.product(range(q2), repeat=3):
-            if not (a or b or c):
-                continue
-            up = np.eye(3, dtype=np.uint16)
-            up[0, 1], up[0, 2], up[1, 2] = a, b, c
-            lo = np.eye(3, dtype=np.uint16)
-            lo[1, 0], lo[2, 0], lo[2, 1] = a, b, c
-            for m in (Matrix(fld2, up), Matrix(fld2, lo)):
-                if is_unitary(m):
-                    gens.append(m)
-        assert gens
+        # exception), so take every unitary unipotent triangle instead:
+        # for each nonzero (a, b, c), the upper one, then the lower one
+        tri = np.tile(np.eye(3, dtype=np.uint16), (len(vs), 2, 1, 1))
+        tri[:, 0, [0, 0, 1], [1, 2, 2]] = vs
+        tri[:, 1, [1, 2, 2], [0, 0, 1]] = vs
+        tri = tri.reshape(-1, 3, 3)
+        gens = [Matrix(fld2, t) for t in tri[unitary(tri)]]
+        assert gens, "no unitary triangles found"
         return gens
-    lams = [c for c in range(1, q2) if fld2.add(c, conj(c)) == 0]
+    # I + lam v w^T with w = conj(F v), for every isotropic v whose first
+    # nonzero entry is 1 and every trace-zero lam, v outermost
+    lams = [c for c in range(1, q2) if fld2.add(c, int(conj[c])) == 0]
     assert lams, "no trace-zero scalars"
-    for v in itertools.product(range(q2), repeat=dim):
-        nz = next((i for i, x in enumerate(v) if x), None)
-        if nz is None or v[nz] != 1:
-            continue
-        if hermitian_norm(v) != 0:
-            continue
-        w = [conj(v[dim - 1 - j]) for j in range(dim)]
-        for lam in lams:
-            m = np.eye(dim, dtype=np.uint16)
-            for i in range(dim):
-                if not v[i]:
-                    continue
-                lv = fld2.mul(lam, v[i])
-                for j in range(dim):
-                    if w[j]:
-                        m[i, j] = fld2.add(m[i, j], fld2.mul(lv, w[j]))
-            t = Matrix(fld2, m)
-            assert is_unitary(t), "transvection breaks the hermitian form"
-            gens.append(t)
-    assert gens, "no isotropic points found"
-    return gens
+    ws = conj[vs[:, ::-1]]
+    norms = reduce(fld2.add_many, fld2.mul_many(vs, ws).T)
+    lead = vs[np.arange(len(vs)), (vs != 0).argmax(axis=1)]
+    keep = (lead == 1) & (norms == 0)
+    vs, ws = vs[keep], ws[keep]
+    assert len(vs), "no isotropic points found"
+    lv = fld2.mul_many(np.array(lams)[None, :, None], vs[:, None, :])
+    outer = fld2.mul_many(lv[..., :, None], ws[:, None, None, :])
+    ts = fld2.add_many(np.eye(dim, dtype=np.int64), outer).reshape(-1, dim, dim)
+    assert unitary(ts).all(), "transvection breaks the hermitian form"
+    return [Matrix(fld2, t) for t in ts]
 
 
 def classical_generators(spec):

@@ -1,0 +1,227 @@
+"""The BFS closure against a naive all-generator BFS, its cap bound, the
+closed-form order check, and the batched unitary generator search."""
+
+import itertools
+import operator
+from functools import lru_cache, reduce
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omega.oracle import (
+    CapExceeded,
+    Matrix,
+    MatrixGroup,
+    build_field,
+    classical_generators,
+    enumerate_group,
+    frobenius_witness,
+    permutation_module,
+)
+from omega.oracle import matgroup
+from omega.oracle.kernel import _make_codec
+from omega.oracle.matgroup import _closure, _su_generators
+
+
+def naive_closure(group):
+    """Every generator applied to every element, level by level, with a dict
+    of raw bytes for the known set; stack and keys sorted by the codec key."""
+    fld, d = group.field, group.dim
+    eye = Matrix.identity(fld, d)
+    seen = {eye.a.tobytes(): eye}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in group.generators:
+                y = g @ x
+                if y.a.tobytes() not in seen:
+                    seen[y.a.tobytes()] = y
+                    nxt.append(y)
+        frontier = nxt
+    stack = np.stack([m.a for m in seen.values()]).astype(fld.code_dtype)
+    keys = _make_codec(fld, d).keys(stack)
+    order = np.argsort(keys)
+    return stack[order], keys[order]
+
+
+def _wide_sym4():
+    # 7x7 over GF(3): 98 bits per matrix, so the keys are raw bytes
+    fld, gens = build_field(3), []
+    for perm in ((1, 0, 2, 3), (1, 2, 3, 0)):
+        m = np.eye(7, dtype=np.uint16)
+        m[:4, :4] = 0
+        for i, j in enumerate(perm):
+            m[j, i] = 1
+        gens.append(Matrix(fld, m))
+    return fld, 7, gens
+
+
+def _frobenius(kind, params, part):
+    w = frobenius_witness(kind, params)
+    gens = w.kernel_gens + (w.complement_gens if part == "group" else ())
+    return gens[0].field, gens[0].dim, list(gens)
+
+
+def _classical(spec):
+    g = classical_generators(spec)
+    return g.field, g.dim, list(g.generators)
+
+
+def _perm_module(perms, r):
+    g = permutation_module(perms, r).image_group
+    return g.field, g.dim, list(g.generators)
+
+
+# packed GF(2^k) words, prime-field and GF(p^k) code stacks, raw byte keys,
+# and unnamed groups: permutation-module images and Frobenius subgroups
+CASES = {
+    "A(1,3)u": lambda: _classical("A(1,3)u"),
+    "A(1,4)u": lambda: _classical("A(1,4)u"),
+    "A(1,9)u": lambda: _classical("A(1,9)u"),
+    "A(2,2)u": lambda: _classical("A(2,2)u"),
+    "2A(2,2)u": lambda: _classical("2A(2,2)u"),
+    "wide Sym4": _wide_sym4,
+    "Sym4 on GF(2)^4": lambda: _perm_module([(1, 0, 2, 3), (1, 2, 3, 0)], 2),
+    "Sym3 on GF(9)^3": lambda: _perm_module([(1, 0, 2), (1, 2, 0)], 9),
+    "Frobenius kernel": lambda: _frobenius("sl-hyperplane", (3, 4), "kernel"),
+    "Frobenius group": lambda: _frobenius("sl-hyperplane", (4, 2), "group"),
+    "affine Frobenius group": lambda: _frobenius("gl-affine", (3, 2), "group"),
+}
+
+
+@lru_cache(maxsize=None)
+def case(name):
+    fld, d, gens = CASES[name]()
+    return fld, d, gens, naive_closure(MatrixGroup(fld, d, tuple(gens)))
+
+
+@st.composite
+def generator_lists(draw):
+    """A case, and its generators shuffled among redundant ones: repeats, the
+    identity, and products of other generators."""
+    name = draw(st.sampled_from(sorted(CASES)))
+    fld, d, gens, want = case(name)
+    extra = [Matrix.identity(fld, d)] * draw(st.integers(0, 2))
+    extra += draw(st.lists(st.sampled_from(gens), max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        word = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=4))
+        extra.append(reduce(operator.matmul, word))
+    order = draw(st.permutations(gens + extra))
+    return name, MatrixGroup(fld, d, tuple(order)), want
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(generator_lists())
+def test_closure_matches_naive_bfs(drawn):
+    name, group, (want_stack, want_keys) = drawn
+    stack, keys = _closure(group, matgroup.DEFAULT_CAP)
+    assert stack.dtype == want_stack.dtype, name
+    assert (keys == want_keys).all() and (stack == want_stack).all(), name
+
+
+def test_redundant_generators_change_no_table():
+    group = classical_generators("2A(2,2)u")
+    gens = group.generators
+    padded = MatrixGroup(group.field, group.dim,
+                         (gens[0] @ gens[1], Matrix.identity(group.field, 3)) + gens + gens[:2])
+    a, b = _closure(group, matgroup.DEFAULT_CAP), _closure(padded, matgroup.DEFAULT_CAP)
+    assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
+    assert enumerate_group(padded).order_histogram == enumerate_group(group).order_histogram
+
+
+@pytest.mark.parametrize("spec, cap", [("2A(3,2)u", 2000), ("A(2,4)u", 5000), ("A(1,5)u", 50)])
+@pytest.mark.parametrize("chunk", [None, 16])
+def test_cap_overshoot_is_at_most_one_chunk(spec, cap, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
+    with pytest.raises(CapExceeded) as e:
+        _closure(classical_generators(spec), cap)
+    assert e.value.cap == cap
+    assert cap < e.value.found <= cap + matgroup._CAP_CHUNK
+
+
+@pytest.mark.parametrize("spec, chunk", [
+    ("A(2,2)u", 5), ("2A(2,2)u", 5), ("A(1,9)u", 5), ("A(2,4)u", None), ("2A(3,2)u", 64)])
+def test_stepped_levels_build_the_same_table(spec, chunk, monkeypatch):
+    group = classical_generators(spec)
+    stack, keys = _closure(group, matgroup.DEFAULT_CAP)
+    # a cap of exactly |G| sends the late levels through ever smaller steps
+    if chunk is not None:
+        monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
+    s2, k2 = _closure(group, len(keys))
+    assert (s2 == stack).all() and (k2 == keys).all()
+
+
+def test_wrong_name_raises_even_under_memo():
+    right = classical_generators("A(1,3)u")
+    wrong = MatrixGroup(right.field, right.dim, right.generators,
+                        classical_generators("A(1,5)u").name)
+    enumerate_group(right)  # the shared memo entry is now present
+    with pytest.raises(RuntimeError, match="enumerated 24 elements"):
+        enumerate_group(wrong)
+    assert enumerate_group(right).size == 24
+
+
+def su3_reference(fld2, k_base):
+    """The unipotent triangles, upper then lower for each nonzero (a, b, c),
+    kept when t^T F conj(t) = F, one Matrix product at a time."""
+    form = Matrix(fld2, np.eye(3, dtype=np.uint16)[::-1])
+    out = []
+    for a, b, c in itertools.product(range(fld2.q), repeat=3):
+        if not (a or b or c):
+            continue
+        up = np.eye(3, dtype=np.uint16)
+        up[0, 1], up[0, 2], up[1, 2] = a, b, c
+        lo = np.eye(3, dtype=np.uint16)
+        lo[1, 0], lo[2, 0], lo[2, 1] = a, b, c
+        for t in (Matrix(fld2, up), Matrix(fld2, lo)):
+            if t.transpose() @ form @ t.conj_entries(k_base) == form:
+                out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("q, count", [(2, 14), (3, 52)])
+def test_su3_generators_match_scalar_search(q, count):
+    fld2 = build_field(q, 2)
+    gens = _su_generators(fld2, 3, 1)
+    assert len(gens) == count
+    assert gens == su3_reference(fld2, 1)
+    form = Matrix(fld2, np.eye(3, dtype=np.uint16)[::-1])
+    for t in gens:
+        assert t.a.dtype == np.uint16
+        assert t.transpose() @ form @ t.conj_entries(1) == form
+
+
+def transvection_reference(fld2, dim, k_base):
+    """I + lam v w^T, w = conj(F v), v isotropic with first nonzero entry 1,
+    lam of trace zero, built entry by entry."""
+    conj = lambda x: fld2.frob(x, k_base)
+    lams = [c for c in range(1, fld2.q) if fld2.add(c, conj(c)) == 0]
+    out = []
+    for v in itertools.product(range(fld2.q), repeat=dim):
+        nz = next((i for i, x in enumerate(v) if x), None)
+        if nz is None or v[nz] != 1:
+            continue
+        w = [conj(v[dim - 1 - j]) for j in range(dim)]
+        norm = 0
+        for i in range(dim):
+            norm = fld2.add(norm, fld2.mul(v[i], w[i]))
+        if norm:
+            continue
+        for lam in lams:
+            m = np.eye(dim, dtype=np.uint16)
+            for i, j in itertools.product(range(dim), repeat=2):
+                m[i, j] = fld2.add(int(m[i, j]), fld2.mul(fld2.mul(lam, v[i]), w[j]))
+            out.append(Matrix(fld2, m))
+    return out
+
+
+@pytest.mark.parametrize("q, dim, count", [(2, 4, 45), (2, 5, 165), (3, 4, 560)])
+def test_su_transvections_match_scalar_search(q, dim, count):
+    fld2 = build_field(q, 2)
+    gens = _su_generators(fld2, dim, 1)
+    assert len(gens) == count
+    assert gens == transvection_reference(fld2, dim, 1)
