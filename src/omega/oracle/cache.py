@@ -114,6 +114,7 @@ def cached_spectrum_table(spec, cap=DEFAULT_CAP, cache_dir=None):
         loaded = load_table(cache_dir, str(uni), cap, group.field, group.dim)
         if loaded is not None:
             assert loaded.size <= cap, "cached table exceeds the requested cap"
+            loaded.payload["group"] = group
             _TABLE_MEMO[key] = loaded
     out = spectrum_table(spec, cap)
     # a memo warmed by a cache-less call still owes the directory its files

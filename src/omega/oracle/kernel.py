@@ -95,8 +95,9 @@ class _Codes:
         return fld.add_many(a, b).astype(self.dtype)
 
     def _matmul(self, A, B):
-        C = np.matmul(A.astype(np.int64), B.astype(np.int64)) % self.fld.p
-        return C.astype(self.dtype)
+        # exact in uint16 while a sum of d products of codes < p stays below 2^16
+        wide = np.int64 if A.shape[-1] * (self.fld.p - 1) ** 2 >= 1 << 16 else np.uint16
+        return (np.matmul(A.astype(wide), B.astype(wide)) % self.fld.p).astype(self.dtype)
 
     def left(self, g, X):
         """g @ X[i] for a fixed matrix g."""
@@ -178,8 +179,16 @@ class _Packed:
         return out
 
     def right(self, K, g):
-        """K[i] @ g for a fixed (d, d) code matrix g."""
-        return self.pair(K, self.pack(g[None])[0])
+        """K[i] @ g for a fixed (d, d) code matrix g: one lookup per row in
+        the table of r @ g over every packed row r."""
+        top = self.row_shift[0]
+        every_row = np.arange(1 << int(self.width), dtype=np.uint64) << top
+        table = self._pair(every_row, self.pack(g[None])) >> top
+
+        def gather(part, _):
+            rows = zip(self._rows(part), self.row_shift)
+            return reduce(operator.or_, (table[r] << s for r, s in rows))
+        return _chunks(gather, K, g, 1, _PACKED_CHUNK)
 
     def pair(self, A, B):
         """A[i] @ B[i]; either side may be one packed matrix."""

@@ -1,5 +1,6 @@
 """Matrix groups over small fields: exhaustive enumeration, exact spectra, centers."""
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dfield
 from functools import reduce
 
@@ -147,10 +148,7 @@ class ElementTable:
         return Matrix(pl["field"], pl["stack"][i].astype(np.uint16))
 
     def orders(self):
-        pl = self.payload
-        if "orders" not in pl:
-            pl["orders"], _ = _order_vector(pl["field"], pl["stack"], pl["keys"])
-        return pl["orders"]
+        return _orders(self.payload)
 
 
 def _lookup(keys, pk):
@@ -160,9 +158,10 @@ def _lookup(keys, pk):
 
 
 def _closure(group, cap):
-    """Sorted stack and keys of <generators>.  A generator already in the group
-    of those before it is skipped; the others are adopted one at a time, by
-    one pass over the group so far, then BFS levels with all those adopted."""
+    """Sorted stack and keys of <generators>, and the generators adopted.  A
+    generator already in the group of those before it is skipped; the others
+    are adopted one at a time, by one pass over the group so far, then BFS
+    levels with all those adopted."""
     fld, d = group.field, group.dim
     kern = _kernel(fld, d)
     stack = kern.pack(np.eye(d, dtype=fld.code_dtype)[None])
@@ -178,7 +177,7 @@ def _closure(group, cap):
         while len(frontier):
             keys, stack, frontier = _grow(kern, keys, stack, level, frontier, cap)
             level = mults
-    return kern.unpack(stack), keys
+    return kern.unpack(stack), keys, mults
 
 
 def _grow(kern, keys, stack, mults, frontier, cap):
@@ -208,56 +207,80 @@ def _grow(kern, keys, stack, mults, frontier, cap):
     return np.insert(keys, new_at, new_keys), np.insert(stack, new_at, new, axis=0), new
 
 
-def _power_map(kern, X, keys, e):
-    """Index array P with P[i] = index of X[i]^e."""
-    out = None
-    base = X
-    while e:
-        if e & 1:
-            out = base if out is None else kern.pair(out, base)
-        e >>= 1
-        if e:
-            base = kern.pair(base, base)
-    pk = kern.keys(out)
-    pos, hit = _lookup(keys, pk)
-    assert hit.all(), "power left the set"
-    return pos
+_Classes = namedtuple("_Classes", "reps label sizes")
 
 
-def _order_vector(fld, stack, keys, target_idx=None):
-    """Per-element orders; with target_idx, orders in the quotient by that
-    central subgroup (least m with g^m in the subgroup)."""
-    n, d = len(keys), stack.shape[1]
-    kern = _kernel(fld, d)
-    X = kern.of_table(stack, keys)
-    fac = _factor(n)
-    primes = sorted(fac)
-    pmaps = {p: _power_map(kern, X, keys, p) for p in primes}
-    eye = np.eye(d, dtype=fld.code_dtype)
-    id_idx = int(np.searchsorted(keys, _make_codec(fld, d).keys(eye[None])[0]))
+def _classes(pl):
+    """Conjugacy classes of a table, kept in its payload: the least index of
+    each class (ascending), each element's class, and the class sizes."""
+    if "classes" in pl:
+        return pl["classes"]
+    fld, keys = pl["field"], pl["keys"]
+    kern = _kernel(fld, pl["dim"])
+    X = kern.of_table(pl["stack"], keys)
+    # the adopted generators generate the group; a cached table has none
+    gens = pl.get("adopted") or [g.a for g in pl["group"].generators]
+    perms = []
+    for g in gens:
+        pk = kern.keys(kern.left(g, kern.right(X, _eliminate(fld, g).inverse)))
+        # conjugation permutes the group, so sorting its keys gives the keys
+        # back, and the sorting order is the inverse permutation (same orbits)
+        inv = np.argsort(pk).astype(np.int32)
+        if not np.array_equal(pk[inv], keys):
+            raise RuntimeError("conjugate left the set")
+        perms.append(inv)
+    # label propagation: each element takes the least label along its
+    # conjugates, and pointer jumping shortcuts the chains
+    lab, old = np.arange(len(keys), dtype=np.int32), None
+    while not np.array_equal(lab, old):
+        old = lab
+        for P in perms:
+            lab = np.minimum(lab, lab[P])
+        lab = lab[lab]
+    reps = np.flatnonzero(lab == np.arange(len(keys)))
+    label = np.searchsorted(reps, lab).astype(np.int32)
+    pl["classes"] = _Classes(reps, label, np.bincount(label))
+    return pl["classes"]
 
-    def done(idx):
-        if target_idx is None:
-            return idx == id_idx
-        return np.isin(idx, target_idx)
 
-    orders = np.ones(n, dtype=np.int64)
-    for p in primes:
-        u = np.arange(n)
-        for r in primes:
-            if r != p:
-                for _ in range(fac[r]):
-                    u = pmaps[r][u]
-        e = np.zeros(n, dtype=np.int64)
-        for _ in range(fac[p]):
-            alive = ~done(u)
-            if not alive.any():
-                break
-            e[alive] += 1
-            u[alive] = pmaps[p][u[alive]]
-        assert done(u).all(), "element order does not divide group order"
-        orders *= p**e
-    return orders, id_idx
+def _least_powers(pl, target):
+    """Per element x, the least m >= 1 with x^m among the sorted keys target,
+    a central subset; this is a class function, so it is found once per class."""
+    c = _classes(pl)
+    kern = _kernel(pl["field"], pl["dim"])
+    R = kern.of_table(pl["stack"], pl["keys"])[c.reps]
+    m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
+    for _ in range(len(pl["keys"])):
+        out = ~_lookup(target, kern.keys(cur))[1]
+        if not out.any():
+            return m[c.label]
+        idx, cur = idx[out], cur[out]
+        m[idx] += 1
+        cur = kern.pair(cur, R[idx])
+    raise RuntimeError("order runaway: an element's order exceeds the group's")
+
+
+def _orders(pl):
+    """Element orders, kept in the payload."""
+    if "orders" not in pl:
+        kern = _kernel(pl["field"], pl["dim"])
+        eye = np.eye(pl["dim"], dtype=pl["field"].code_dtype)[None]
+        pl["orders"] = _least_powers(pl, kern.keys(kern.pack(eye)))
+    return pl["orders"]
+
+
+def _table(orders, pl, zn=1):
+    """ElementTable of per-element orders; with zn > 1, of the cosets of a
+    central subgroup of order zn."""
+    vals, counts = np.unique(orders, return_counts=True)
+    assert len(orders) % zn == 0
+    assert (counts % zn == 0).all(), "coset order count not divisible by |Z|"
+    return ElementTable(
+        size=len(orders) // zn,
+        order_histogram={int(v): int(c) // zn for v, c in zip(vals, counts)},
+        spectrum=tuple(int(v) for v in vals),
+        payload=pl,
+    )
 
 
 _TABLE_MEMO = {}
@@ -268,23 +291,10 @@ def enumerate_group(group, cap=DEFAULT_CAP):
     memo_key = group.key()
     table = _TABLE_MEMO.get(memo_key)
     if table is None:
-        stack, keys = _closure(group, cap)
-        orders, _ = _order_vector(group.field, stack, keys)
-        vals, counts = np.unique(orders, return_counts=True)
-        hist = {int(v): int(c) for v, c in zip(vals, counts)}
-        table = ElementTable(
-            size=len(keys),
-            order_histogram=hist,
-            spectrum=tuple(int(v) for v in vals),
-            payload={
-                "field": group.field,
-                "dim": group.dim,
-                "stack": stack,
-                "keys": keys,
-                "orders": orders,
-                "group": group,
-            },
-        )
+        stack, keys, adopted = _closure(group, cap)
+        pl = {"field": group.field, "dim": group.dim, "stack": stack, "keys": keys,
+              "group": group, "adopted": adopted}
+        table = _table(_orders(pl), pl)
     # checked on memo hits too: groups that differ only in name share an entry
     want = None if group.name is None else group_order(group.name).n
     if want is not None and table.size != want:
@@ -296,16 +306,10 @@ def enumerate_group(group, cap=DEFAULT_CAP):
 
 
 def center_of(group, cap=DEFAULT_CAP):
-    """Elements commuting with every generator, from the enumerated table."""
+    """The central elements, which are the singleton conjugacy classes."""
     table = enumerate_group(group, cap)
-    pl = table.payload
-    kern = _kernel(pl["field"], pl["dim"])
-    X = kern.of_table(pl["stack"], pl["keys"])
-    mask = np.ones(table.size, dtype=bool)
-    for g in group.generators:
-        same = kern.left(g.a, X) == kern.right(X, g.a)
-        mask &= same.reshape(table.size, -1).all(axis=1)
-    return [table.element(i) for i in np.flatnonzero(mask)]
+    c = _classes(table.payload)
+    return [table.element(int(i)) for i in c.reps[c.sizes == 1]]
 
 
 def quotient_spectrum(group, center, cap=DEFAULT_CAP):
@@ -314,40 +318,20 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
     pl = table.payload
     fld, keys = pl["field"], pl["keys"]
     zs = list(center)
-    assert zs, "center must contain at least the identity"
-    for z in zs:
-        for g in group.generators:
-            assert z @ g == g @ z, "center element does not commute with a generator"
+    if not zs:
+        raise ValueError("center must contain at least the identity")
+    if any(z @ g != g @ z for z in zs for g in group.generators):
+        raise ValueError("center element does not commute with a generator")
     zset = {m.a.tobytes() for m in zs}
-    for z in zs:
-        for w in zs:
-            assert (z @ w).a.tobytes() in zset, "center list is not a subgroup"
+    if any((z @ w).a.tobytes() not in zset for z in zs for w in zs):
+        raise ValueError("center list is not a subgroup")
     z_stack = np.stack([z.a.astype(fld.code_dtype) for z in zs])
     zk = np.sort(_make_codec(fld, pl["dim"]).keys(z_stack))
-    z_idx, hit = _lookup(keys, zk)
-    assert hit.all(), "center not in group"
-    qorders, _ = _order_vector(fld, pl["stack"], keys, target_idx=z_idx)
-    vals, counts = np.unique(qorders, return_counts=True)
-    zn = len(zs)
-    assert table.size % zn == 0
-    hist = {}
-    for v, c in zip(vals, counts):
-        assert int(c) % zn == 0, "coset order count not divisible by |Z|"
-        hist[int(v)] = int(c) // zn
-    return ElementTable(
-        size=table.size // zn,
-        order_histogram=hist,
-        spectrum=tuple(int(v) for v in vals),
-        payload={
-            "field": fld,
-            "dim": pl["dim"],
-            "stack": pl["stack"],
-            "keys": keys,
-            "orders": qorders,
-            "group": group,
-            "quotient_by": zn,
-        },
-    )
+    if not _lookup(keys, zk)[1].all():
+        raise ValueError("center not in group")
+    qorders, zn = _least_powers(pl, zk), len(zs)
+    return _table(qorders, {"field": fld, "dim": pl["dim"], "stack": pl["stack"], "keys": keys,
+                            "orders": qorders, "group": group, "quotient_by": zn}, zn)
 
 
 def _elementary(fld, dim, *entries):

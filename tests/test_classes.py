@@ -1,0 +1,168 @@
+"""Conjugacy classes and the class functions computed from them: element
+orders, the center and orders in G/Z, each against a direct computation."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from omega.groups import group_order, parse_group_spec
+from omega.oracle import (
+    Matrix,
+    MatrixGroup,
+    cached_spectrum_table,
+    center_of,
+    classical_generators,
+    enumerate_group,
+    frobenius_witness,
+    permutation_module,
+    quotient_spectrum,
+    spectrum_table,
+)
+from omega.oracle.kernel import _Codes, _make_codec
+from omega.oracle.matgroup import _TABLE_MEMO, _classes, _least_powers
+
+
+@pytest.fixture
+def fresh_memo():
+    saved = dict(_TABLE_MEMO)
+    _TABLE_MEMO.clear()
+    yield
+    _TABLE_MEMO.clear()
+    _TABLE_MEMO.update(saved)
+
+
+def _frobenius_group():
+    w = frobenius_witness("sl-hyperplane", (4, 2))
+    gens = w.kernel_gens + w.complement_gens
+    return MatrixGroup(gens[0].field, gens[0].dim, tuple(gens))
+
+
+# packed GF(2^k) words, prime-field and GF(p^k) code stacks, and unnamed groups
+ORDER_CASES = {
+    "A(1,4)u": lambda: classical_generators("A(1,4)u"),
+    "A(1,7)u": lambda: classical_generators("A(1,7)u"),
+    "A(2,2)u": lambda: classical_generators("A(2,2)u"),
+    "2A(2,2)u": lambda: classical_generators("2A(2,2)u"),
+    "C(2,2)u": lambda: classical_generators("C(2,2)u"),
+    "Sym3 on GF(9)^3": lambda: permutation_module([(1, 0, 2), (1, 2, 0)], 9).image_group,
+    "Frobenius group": _frobenius_group,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_orders_match_scalar_order(name):
+    table = enumerate_group(ORDER_CASES[name]())
+    orders = table.orders()
+    assert orders.dtype == np.int64
+    assert orders.tolist() == [table.element(i).order() for i in range(table.size)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_sl2_class_count(q):
+    table = enumerate_group(classical_generators(f"A(1,{q})u"))
+    c = _classes(table.payload)
+    # SL2(q) has q + 1 classes for even q and q + 4 for odd q
+    assert len(c.reps) == (q + 1 if q % 2 == 0 else q + 4)
+    assert c.sizes.sum() == table.size
+    assert all(table.size % int(s) == 0 for s in c.sizes)
+    assert (np.bincount(c.label) == c.sizes).all()
+    # each representative is the least index of its class
+    assert (c.label[c.reps] == np.arange(len(c.reps))).all()
+    by_class = np.argsort(c.label, kind="stable")
+    assert (by_class[np.r_[0, np.cumsum(c.sizes)[:-1]]] == c.reps).all()
+
+
+@pytest.mark.parametrize("spec", ["A(1,3)u", "A(1,5)u", "2A(2,2)u", "C(2,2)u",
+                                  "A(2,4)u", "C(2,3)u", "2A(3,2)u"])
+def test_center_matches_commuting_filter(spec):
+    group = classical_generators(spec)
+    table = enumerate_group(group)
+    stack, codes = table.payload["stack"], _Codes(group.field)
+    mask = np.ones(table.size, dtype=bool)
+    for g in group.generators:
+        same = codes.pair(stack, g.a) == codes.pair(g.a, stack)
+        mask &= same.reshape(table.size, -1).all(axis=1)
+    want = [table.element(int(i)) for i in np.flatnonzero(mask)]
+    assert center_of(group) == want
+
+
+def naive_quotient_histogram(group, zs):
+    """Orders of the cosets xZ, each coset named by its least key."""
+    table = enumerate_group(group)
+    fld, stack, codes = group.field, table.payload["stack"], _Codes(group.field)
+    codec = _make_codec(fld, group.dim)
+    zk = codec.keys(np.stack([z.a.astype(fld.code_dtype) for z in zs]))
+    coset = np.min([codec.keys(codes.pair(stack, z.a)) for z in zs], axis=0)
+    _, first = np.unique(coset, return_index=True)
+    reps = stack[first]
+    cur, m = reps.copy(), np.ones(len(reps), dtype=np.int64)
+    alive = ~np.isin(codec.keys(cur), zk)
+    while alive.any():
+        cur[alive] = codes.pair(cur[alive], reps[alive])
+        m[alive] += 1
+        alive[alive] = ~np.isin(codec.keys(cur[alive]), zk)
+    return dict(Counter(m.tolist()))
+
+
+@pytest.mark.parametrize("spec", ["A(1,5)u", "A(2,4)u"])
+def test_quotient_matches_coset_count(spec):
+    group = classical_generators(spec)
+    zs = center_of(group)
+    assert len(zs) > 1
+    q = quotient_spectrum(group, zs)
+    assert q.order_histogram == naive_quotient_histogram(group, zs)
+    simple = parse_group_spec(spec[:-1] + "s")
+    assert q.size == group_order(simple).n
+
+
+def test_cache_loaded_table_has_the_same_classes(tmp_path, fresh_memo):
+    fresh = enumerate_group(classical_generators("A(2,4)u"))
+    want = _classes(fresh.payload)
+    cached_spectrum_table("A(2,4)u", cache_dir=tmp_path)
+    _TABLE_MEMO.clear()
+    loaded = cached_spectrum_table("A(2,4)u", cache_dir=tmp_path)
+    assert loaded is not fresh and "adopted" not in loaded.payload
+    assert (loaded.orders() == fresh.orders()).all()
+    got = _classes(loaded.payload)
+    assert (got.label == want.label).all() and (got.reps == want.reps).all()
+
+
+def test_simple_table_reuses_classes(fresh_memo):
+    first = spectrum_table("C(2,3)s")
+    pl = enumerate_group(classical_generators("C(2,3)u")).payload
+    kept = pl["classes"]
+    second = spectrum_table("C(2,3)s")
+    assert pl["classes"] is kept
+    assert second.order_histogram == first.order_histogram
+    assert (second.orders() == first.orders()).all()
+
+
+def test_conjugate_outside_the_table_raises():
+    # the subgroup of one transvection is not normal in SL2(3)
+    group = classical_generators("A(1,3)u")
+    sub = enumerate_group(MatrixGroup(group.field, 2, group.generators[:1]))
+    pl = {key: sub.payload[key] for key in ("field", "dim", "stack", "keys")}
+    pl["group"] = group
+    with pytest.raises(RuntimeError, match="conjugate left the set"):
+        _classes(pl)
+
+
+def test_unreachable_target_raises():
+    pl = enumerate_group(classical_generators("A(1,3)u")).payload
+    # a key past the largest one names no element, so no power reaches it
+    with pytest.raises(RuntimeError, match="order runaway"):
+        _least_powers(pl, pl["keys"][-1:] + np.uint64(1))
+
+
+def test_center_check_holds_without_asserts():
+    g = classical_generators("A(1,5)u")
+    eye = Matrix.identity(g.field, 2)
+    with pytest.raises(ValueError):
+        quotient_spectrum(g, [])
+    with pytest.raises(ValueError):
+        quotient_spectrum(g, [eye, Matrix(g.field, [[1, 1], [0, 1]])])
+    # a central matrix of the right shape that SL2(5) does not contain
+    two = Matrix(g.field, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError):
+        quotient_spectrum(g, [eye, two, two @ two, two @ two @ two])

@@ -117,7 +117,7 @@ def generator_lists(draw):
 @given(generator_lists())
 def test_closure_matches_naive_bfs(drawn):
     name, group, (want_stack, want_keys) = drawn
-    stack, keys = _closure(group, matgroup.DEFAULT_CAP)
+    stack, keys, _ = _closure(group, matgroup.DEFAULT_CAP)
     assert stack.dtype == want_stack.dtype, name
     assert (keys == want_keys).all() and (stack == want_stack).all(), name
 
@@ -147,11 +147,11 @@ def test_cap_overshoot_is_at_most_one_chunk(spec, cap, chunk, monkeypatch):
     ("A(2,2)u", 5), ("2A(2,2)u", 5), ("A(1,9)u", 5), ("A(2,4)u", None), ("2A(3,2)u", 64)])
 def test_stepped_levels_build_the_same_table(spec, chunk, monkeypatch):
     group = classical_generators(spec)
-    stack, keys = _closure(group, matgroup.DEFAULT_CAP)
+    stack, keys, _ = _closure(group, matgroup.DEFAULT_CAP)
     # a cap of exactly |G| sends the late levels through ever smaller steps
     if chunk is not None:
         monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
-    s2, k2 = _closure(group, len(keys))
+    s2, k2, _ = _closure(group, len(keys))
     assert (s2 == stack).all() and (k2 == keys).all()
 
 

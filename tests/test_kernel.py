@@ -3,6 +3,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,3 +143,19 @@ def test_eliminate(problem):
         if ech.inverse is not None:
             assert (ref_product(fld, a, ech.inverse) == np.eye(r)).all()
         assert ech.det == ref_det(fld, a.tolist())
+
+
+@pytest.mark.parametrize("p, d", [(127, 4), (131, 4), (251, 1), (257, 1), (257, 2)])
+def test_prime_field_products_near_the_uint16_bound(p, d):
+    # d (p - 1)^2 < 2^16 multiplies in uint16 (127 at d = 4, 251 at d = 1);
+    # the rest need int64, and all-(p - 1) operands would wrap in uint16
+    fld = build_field(p)
+    rng = np.random.default_rng(p * d)
+    for X in (np.full((3, d, d), p - 1), rng.integers(0, p, size=(3, d, d))):
+        X = X.astype(fld.code_dtype)
+        g, Y, codes = X[1], X[::-1], _Codes(fld)
+        L, R, P = codes.left(g, X), codes.right(X, g), codes.pair(X, Y)
+        for i in range(len(X)):
+            assert (L[i] == ref_product(fld, g, X[i])).all()
+            assert (R[i] == ref_product(fld, X[i], g)).all()
+            assert (P[i] == ref_product(fld, X[i], Y[i])).all()
