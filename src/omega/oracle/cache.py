@@ -26,7 +26,8 @@ def cache_paths(cache_dir, spec_str, cap):
 
 def save_table(table, cache_dir, spec_str, cap):
     pl = table.payload
-    assert pl.get("quotient_by") is None, "only directly enumerated tables cached"
+    if pl.get("quotient_by") is not None:
+        raise ValueError("only directly enumerated tables are cached, not quotients")
     fld = pl["field"]
     stack = pl["stack"]
     item = np.dtype(fld.code_dtype).itemsize
@@ -113,7 +114,8 @@ def cached_spectrum_table(spec, cap=DEFAULT_CAP, cache_dir=None):
     if key not in _TABLE_MEMO:
         loaded = load_table(cache_dir, str(uni), cap, group.field, group.dim)
         if loaded is not None:
-            assert loaded.size <= cap, "cached table exceeds the requested cap"
+            if loaded.size > cap:
+                raise ValueError(f"cached table of {loaded.size} elements exceeds the cap {cap}")
             loaded.payload["group"] = group
             _TABLE_MEMO[key] = loaded
     out = spectrum_table(spec, cap)

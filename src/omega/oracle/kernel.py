@@ -1,12 +1,15 @@
 """Products, sums and elimination for stacks of code matrices over GF(p^k).
 
-_kernel(fld, d) picks the representation of d x d matrices.  GF(2^k) with
-bits * d^2 <= 64 packs each matrix into the uint64 that is its _U64Codec key,
-and multiplies by XORing rows looked up in a q x 2^(bits d) table.  Other
-fields keep code stacks: int64 matmul mod p for prime fields; for k > 1,
-g @ X adds rows c * X[j] through a q-entry row per scalar c, and other
-products multiply by log/exp lookups.  Both representations share one
-interface: pack, unpack, of_table, keys, left, right, pair and add.
+_kernel(fld, d) picks the representation of d x d matrices.  When bits * d^2
+<= 64 (bits = bit_length(q - 1)) and the lookup tables fit, each matrix packs
+into the uint64 that is its _U64Codec key, and a product adds rows looked up
+in a scalar-times-row table: by XOR for p = 2, through a row-sum table for
+odd p.  That covers GF(2^k) as before, GF(3) up to d = 4, GF(5) and GF(7) up
+to d = 3, and GF(9) to GF(13) up to d = 2.  Other shapes keep code stacks:
+int64 matmul mod p for prime fields; for k > 1, g @ X adds rows c * X[j]
+through a q-entry row per scalar c, and other products multiply by log/exp
+lookups.  Both representations share one interface: pack, unpack, of_table,
+keys, left, right, pair and add.
 """
 
 import operator
@@ -18,7 +21,8 @@ import numpy as np
 # Matrices per product: bounds the temporaries of code stacks, and keeps
 # packed words in L2-sized blocks (half the time of a large pair).
 _CHUNK, _PACKED_CHUNK = 1 << 17, 1 << 14
-# Largest q * 2^(bits d) scalar-times-row table the packed path builds.
+# Largest lookup table the packed path builds: 2^bits x 2^(bits d) scalar
+# times row, and for odd p 2^(bits d) x 2^(bits d) row sums.
 _PACK_TABLE_LIMIT = 1 << 18
 
 
@@ -127,7 +131,13 @@ class _Codes:
 
 
 class _Packed:
-    """GF(2^k) matrices as uint64 words, each the _U64Codec key of its matrix."""
+    """Matrices over a small field as uint64 words, each the _U64Codec key of
+    its matrix: bits = bit_length(q - 1) per entry and width = bits d per row.
+    A product looks rows up in a scalar-times-row table over every bits-bit
+    scalar and every width-bit row; entries q .. 2^bits - 1 never occur, and
+    the table reduces them mod q so that every lookup is in range.  Rows add
+    by XOR for p = 2 and otherwise by one lookup in a 2^width x 2^width
+    row-sum table."""
 
     def __init__(self, fld, d):
         self.fld, self.d = fld, d
@@ -135,15 +145,20 @@ class _Packed:
         bits, width = _bits(fld), _bits(fld) * d
         self.width = np.uint64(width)
         self.row_mask = np.uint64((1 << width) - 1)
-        self.entry_mask = np.uint64(fld.q - 1)
+        self.entry_mask = np.uint64((1 << bits) - 1)
         self.row_shift = [np.uint64(width * (d - 1 - i)) for i in range(d)]
         self.entry_shift = [np.uint64(bits * (d - 1 - j)) for j in range(d)]
-        # table[c, r] = c * r for every scalar c and packed row r
+        # table[c, r] = c * r for every scalar c and row r, padding mod q
         rows, shifts = np.arange(1 << width, dtype=np.uint64), np.array(self.entry_shift)
-        entries = ((rows[:, None] >> shifts) & self.entry_mask).astype(np.int64)
-        prods = fld.mul_many(np.arange(fld.q)[:, None, None], entries).astype(np.uint64)
+        entries = ((rows[:, None] >> shifts) & self.entry_mask).astype(np.int64) % fld.q
+        scalars = np.arange(1 << bits)[:, None, None] % fld.q
+        prods = fld.mul_many(scalars, entries).astype(np.uint64)
         self.table = np.bitwise_or.reduce(prods << shifts, axis=2)
         self.flat = self.table.ravel()
+        # sums[(x << width) | y] = x + y, built one entry position at a time
+        self.sums = None if fld.p == 2 else reduce(operator.or_, (
+            fld.add_table[e[:, None], e[None, :]].astype(np.uint64).ravel() << s
+            for e, s in zip(entries.T, shifts)))
 
     def pack(self, stack):
         return self.codec.keys(stack)
@@ -159,7 +174,14 @@ class _Packed:
         return K
 
     def add(self, A, B):
-        return A ^ B
+        if self.sums is None:
+            return A ^ B
+        return reduce(operator.or_, (self._add(a, b) << s for a, b, s
+                                     in zip(self._rows(A), self._rows(B), self.row_shift)))
+
+    def _add(self, x, y):
+        """Sums of packed rows."""
+        return x ^ y if self.sums is None else self.sums[(x << self.width) | y]
 
     def _rows(self, K):
         return [(K >> s) & self.row_mask for s in self.row_shift]
@@ -175,7 +197,7 @@ class _Packed:
             terms = [rows[j] if c == 1 else self.table[c][rows[j]]
                      for j, c in enumerate(grow) if c]
             if terms:
-                out |= reduce(operator.xor, terms) << self.row_shift[i]
+                out |= reduce(self._add, terms) << self.row_shift[i]
         return out
 
     def right(self, K, g):
@@ -199,15 +221,18 @@ class _Packed:
         out = np.zeros(np.broadcast(A, B).shape, dtype=np.uint64)
         for si in self.row_shift:
             a = [(A >> (si + sj)) & self.entry_mask for sj in self.entry_shift]
-            out |= reduce(operator.xor, (self.flat[(a[j] << self.width) | rows[j]]
-                                         for j in range(self.d))) << si
+            out |= reduce(self._add, (self.flat[(a[j] << self.width) | rows[j]]
+                                      for j in range(self.d))) << si
         return out
 
 
 @lru_cache(maxsize=None)
 def _kernel(fld, d):
     """The representation for d x d matrices over fld."""
-    if fld.p == 2 and _bits(fld) * d * d <= 64 and fld.q << (_bits(fld) * d) <= _PACK_TABLE_LIMIT:
+    bits = _bits(fld)
+    # the scalar-times-row table, and for odd p the row-sum table, must fit
+    tables = bits * d + (bits if fld.p == 2 else bits * d)
+    if bits * d * d <= 64 and 1 << tables <= _PACK_TABLE_LIMIT:
         return _Packed(fld, d)
     return _Codes(fld)
 

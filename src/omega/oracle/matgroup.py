@@ -114,10 +114,13 @@ class MatrixGroup:
     name: GroupSpec = None
 
     def __post_init__(self):
-        assert 1 <= self.dim <= 64
+        if not 1 <= self.dim <= 64:
+            raise ValueError(f"dimension {self.dim} is outside 1..64")
         for g in self.generators:
-            assert g.field == self.field and g.dim == self.dim
-            assert _eliminate(self.field, g.a).rank == self.dim, "generator not invertible"
+            if g.field != self.field or g.dim != self.dim:
+                raise ValueError(f"generator is not a {self.dim}x{self.dim} matrix over {self.field}")
+            if _eliminate(self.field, g.a).rank != self.dim:
+                raise ValueError("generator not invertible")
 
     def key(self):
         gens = tuple(sorted(g.a.tobytes() for g in self.generators))
@@ -183,8 +186,9 @@ def _closure(group, cap):
 def _grow(kern, keys, stack, mults, frontier, cap):
     """Merge the new products m @ f into the sorted keys and stack; return
     both and the new elements.  Steps after the first find their new elements
-    against the earlier ones; the main arrays take them all at the end."""
-    new_keys, lo = keys[:0], 0
+    against the earlier ones; the main arrays take them all at the end.
+    Packed words are their own keys, and then one array serves as both."""
+    shared, new_keys, lo = stack is keys, keys[:0], 0
     while lo < len(frontier):
         room = max(cap - len(keys) - len(new_keys), _CAP_CHUNK)
         part = frontier[lo:lo + max(1, room // len(mults))]
@@ -195,16 +199,18 @@ def _grow(kern, keys, stack, mults, frontier, cap):
         pos, known = _lookup(keys, pk[order])
         known[1:] |= pk[order[1:]] == pk[order[:-1]]  # repeats of one product
         if not len(new_keys):
-            new_keys, new, new_at = pk[order[~known]], prods[order[~known]], pos[~known]
+            new_keys, new_at = pk[order[~known]], pos[~known]
+            new = new_keys if shared else prods[order[~known]]
         else:
             known |= _lookup(new_keys, pk[order])[1]
             at = np.searchsorted(new_keys, pk[order[~known]])
             new_keys = np.insert(new_keys, at, pk[order[~known]])
-            new = np.insert(new, at, prods[order[~known]], axis=0)
+            new = new_keys if shared else np.insert(new, at, prods[order[~known]], axis=0)
             new_at = np.insert(new_at, at, pos[~known])
         if len(keys) + len(new_keys) > cap:
             raise CapExceeded(len(keys) + len(new_keys), cap)
-    return np.insert(keys, new_at, new_keys), np.insert(stack, new_at, new, axis=0), new
+    keys = np.insert(keys, new_at, new_keys)
+    return keys, keys if shared else np.insert(stack, new_at, new, axis=0), new
 
 
 _Classes = namedtuple("_Classes", "reps label sizes")
@@ -215,6 +221,9 @@ def _classes(pl):
     each class (ascending), each element's class, and the class sizes."""
     if "classes" in pl:
         return pl["classes"]
+    if "adopted" not in pl and "group" not in pl:
+        raise ValueError("the table has no generators: load it with cached_spectrum_table, "
+                         "which records its group")
     fld, keys = pl["field"], pl["keys"]
     kern = _kernel(fld, pl["dim"])
     X = kern.of_table(pl["stack"], keys)
@@ -273,8 +282,8 @@ def _table(orders, pl, zn=1):
     """ElementTable of per-element orders; with zn > 1, of the cosets of a
     central subgroup of order zn."""
     vals, counts = np.unique(orders, return_counts=True)
-    assert len(orders) % zn == 0
-    assert (counts % zn == 0).all(), "coset order count not divisible by |Z|"
+    if len(orders) % zn or (counts % zn).any():
+        raise RuntimeError(f"an order count is not divisible by |Z| = {zn}")
     return ElementTable(
         size=len(orders) // zn,
         order_histogram={int(v): int(c) // zn for v, c in zip(vals, counts)},

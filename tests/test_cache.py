@@ -102,8 +102,32 @@ def test_quotient_tables_never_cached(tmp_path):
     table = spectrum_table(parse_group_spec("A(1,5)s"))
     if table.payload.get("quotient_by") is None:
         pytest.skip("simple table came back without quotient marking")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         save_table(table, tmp_path, "A(1,5)s", 1 << 24)
+
+
+def test_cached_table_over_the_cap_raises(tmp_path):
+    saved = fresh_memo()
+    try:
+        # a file named for cap 10 that holds all 60 elements of SL2(4)
+        save_table(spectrum_table("A(1,4)u"), tmp_path, "A(1,4)u", 10)
+        _TABLE_MEMO.clear()
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            cached_spectrum_table("A(1,4)u", cap=10, cache_dir=tmp_path)
+    finally:
+        restore_memo(saved)
+
+
+def test_loaded_table_without_its_group_names_the_loader(tmp_path):
+    saved = fresh_memo()
+    try:
+        cached_spectrum_table("A(1,4)u", cache_dir=tmp_path)
+        group = classical_generators(parse_group_spec("A(1,4)u"))
+        loaded = load_table(tmp_path, "A(1,4)u", 1 << 24, group.field, group.dim)
+        with pytest.raises(ValueError, match="cached_spectrum_table"):
+            loaded.orders()
+    finally:
+        restore_memo(saved)
 
 
 def test_no_cache_dir_means_no_files(tmp_path):

@@ -2,6 +2,7 @@
 orders, the center and orders in G/Z, each against a direct computation."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from omega.oracle import (
     frobenius_witness,
     permutation_module,
     quotient_spectrum,
+    semidirect_spectrum,
     spectrum_table,
+    verify_frobenius,
 )
-from omega.oracle.kernel import _Codes, _make_codec
+from omega.oracle import action, frobenius, matgroup
+from omega.oracle.kernel import _Codes, _Packed, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, _classes, _least_powers
 
 
@@ -32,8 +36,8 @@ def fresh_memo():
     _TABLE_MEMO.update(saved)
 
 
-def _frobenius_group():
-    w = frobenius_witness("sl-hyperplane", (4, 2))
+def _frobenius_group(params=(4, 2)):
+    w = frobenius_witness("sl-hyperplane", params)
     gens = w.kernel_gens + w.complement_gens
     return MatrixGroup(gens[0].field, gens[0].dim, tuple(gens))
 
@@ -166,3 +170,64 @@ def test_center_check_holds_without_asserts():
     two = Matrix(g.field, [[2, 0], [0, 2]])
     with pytest.raises(ValueError):
         quotient_spectrum(g, [eye, two, two @ two, two @ two @ two])
+
+
+def _sym3(q):
+    return permutation_module([(1, 0, 2), (1, 2, 0)], q)
+
+
+# odd-characteristic groups; all but Sym3 on GF(9)^3 have packed words
+PACKED_CASES = {
+    "A(1,5)u": lambda: classical_generators("A(1,5)u"),
+    "A(1,9)u": lambda: classical_generators("A(1,9)u"),
+    "A(2,3)u": lambda: classical_generators("A(2,3)u"),
+    "C(2,3)u": lambda: classical_generators("C(2,3)u"),
+    "Frobenius group (3, 3)": lambda: _frobenius_group((3, 3)),
+    "Sym3 on GF(7)^3": lambda: _sym3(7).image_group,
+    "Sym3 on GF(9)^3": lambda: _sym3(9).image_group,
+}
+
+
+def _oracle_run(make):
+    """Everything the oracle derives from one fresh enumeration."""
+    _TABLE_MEMO.clear()
+    group = make()
+    table = enumerate_group(group)
+    pl, c = table.payload, _classes(table.payload)
+    center = center_of(group)
+    quotient = quotient_spectrum(group, center)
+    arrays = [pl["stack"], pl["keys"], np.array(pl["adopted"]), c.reps, c.label, c.sizes,
+              table.orders(), np.array([z.a for z in center]), quotient.orders()]
+    return arrays, (table.order_histogram, quotient.order_histogram)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_CASES))
+def test_packed_words_match_code_stacks(name, fresh_memo):
+    group = PACKED_CASES[name]()
+    assert isinstance(_kernel(group.field, group.dim), _Packed) == ("GF(9)^3" not in name)
+    packed, packed_hists = _oracle_run(PACKED_CASES[name])
+    codes = mock.MagicMock(side_effect=lambda fld, d: _Codes(fld))
+    with mock.patch.object(matgroup, "_kernel", codes):
+        unpacked, unpacked_hists = _oracle_run(PACKED_CASES[name])
+    assert codes.called
+    assert unpacked_hists == packed_hists
+    for got, want in zip(unpacked, packed):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
+    def run():
+        _TABLE_MEMO.clear()
+        action._SEMI_MEMO.clear()
+        w = frobenius_witness("sl-hyperplane", (3, q))
+        return (semidirect_spectrum(_sym3(q)).order_histogram,
+                verify_frobenius(w.kernel_gens, w.complement_gens))
+    packed = run()
+    codes = lambda fld, d: _Codes(fld)
+    with mock.patch.object(matgroup, "_kernel", codes), \
+            mock.patch.object(action, "_kernel", codes), \
+            mock.patch.object(frobenius, "_kernel", codes):
+        assert run() == packed
+    assert packed[1].ok

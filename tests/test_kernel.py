@@ -120,9 +120,14 @@ def test_packing_applies_where_promised():
     assert isinstance(_kernel(build_field(2, 2), 4), _Packed)
     assert isinstance(_kernel(build_field(2, 1), 8), _Packed)
     assert isinstance(_kernel(build_field(2, 3), 3), _Packed)
-    # odd p, more than 64 bits, or a scalar-times-row table too large
-    assert not isinstance(_kernel(build_field(3, 2), 2), _Packed)
+    # odd p while the row-sum table fits
+    assert isinstance(_kernel(build_field(3, 1), 4), _Packed)
+    assert isinstance(_kernel(build_field(3, 2), 2), _Packed)
+    assert isinstance(_kernel(build_field(7, 1), 3), _Packed)
+    # more than 64 bits, or a scalar-times-row or row-sum table too large
     assert not isinstance(_kernel(build_field(2, 1), 9), _Packed)
+    assert not isinstance(_kernel(build_field(3, 2), 3), _Packed)
+    assert not isinstance(_kernel(build_field(3, 1), 5), _Packed)
     assert not isinstance(_kernel(build_field(2, 12), 2), _Packed)
 
 

@@ -14,6 +14,7 @@ from omega.oracle import (
     spectrum_table,
 )
 from omega.oracle.kernel import _VoidCodec, _make_codec
+from omega.oracle.matgroup import _table
 
 
 def test_field_modulus_is_smallest():
@@ -81,6 +82,27 @@ def test_matrix_basics():
     f4 = build_field(2, 2)
     c = Matrix(f4, [[2, 0], [0, 3]]).conj_entries(1)
     assert c == Matrix(f4, [[3, 0], [0, 2]])
+
+
+def test_group_checks_hold_without_asserts():
+    f3, f5 = build_field(3), build_field(5)
+    one = Matrix(f3, [[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="outside"):
+        MatrixGroup(f3, 0, ())
+    with pytest.raises(ValueError, match="not a 2x2 matrix"):
+        MatrixGroup(f5, 2, (one,))
+    with pytest.raises(ValueError, match="not a 3x3 matrix"):
+        MatrixGroup(f3, 3, (one,))
+    with pytest.raises(ValueError, match="not invertible"):
+        MatrixGroup(f3, 2, (one, Matrix(f3, [[1, 1], [1, 1]])))
+
+
+def test_coset_counts_must_divide():
+    # three elements cannot split into cosets of a subgroup of order 2
+    with pytest.raises(RuntimeError, match="not divisible"):
+        _table(np.array([1, 2, 2]), {}, zn=2)
+    with pytest.raises(RuntimeError, match="not divisible"):
+        _table(np.array([1, 2, 2, 2]), {}, zn=2)  # four elements, but one of order 1
 
 
 def test_sl2_3_exhaustive():
