@@ -99,7 +99,8 @@ def _pair_order(fld, s, v):
         cur_v = codes.add(cur_v, codes.left(cur_g.a, base[:, None])[:, 0])
         cur_g = cur_g @ s
         k += 1
-        assert k <= 4096, "runaway pair order"
+        if k > 4096:
+            raise RuntimeError("runaway pair order")
     return k
 
 

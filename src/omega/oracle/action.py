@@ -7,7 +7,7 @@ import numpy as np
 from ..arith import is_prime_power
 from .field import build_field
 from .kernel import _Codes, _eliminate, _kernel
-from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, enumerate_group
+from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, enumerate_group
 
 
 def field_rank(fld, rows):
@@ -17,8 +17,8 @@ def field_rank(fld, rows):
 def fixed_space_dim(g, action=None):
     """Dimension of the 1-eigenspace of g on its column space."""
     fld = g.field
-    if action is not None:
-        assert g.dim == action.dim_V and fld == action.field, "dimension mismatch"
+    if action is not None and (g.dim != action.dim_V or fld != action.field):
+        raise ValueError("dimension mismatch")
     minus_one = fld.neg_table[np.eye(g.dim, dtype=np.uint16)]
     return len(_eliminate(fld, _Codes(fld).add(g.a, minus_one)).nullspace)
 
@@ -26,11 +26,12 @@ def fixed_space_dim(g, action=None):
 def min_poly_degree(g, action=None):
     """Degree of the minimal polynomial of g as a matrix."""
     fld = g.field
-    if action is not None:
-        assert g.dim == action.dim_V and fld == action.field, "dimension mismatch"
+    if action is not None and (g.dim != action.dim_V or fld != action.field):
+        raise ValueError("dimension mismatch")
     # once g^m lies in the span of lower powers, so do all higher ones
     deg = field_rank(fld, [(g**i).a.ravel() for i in range(g.dim + 1)])
-    assert deg <= g.dim, "minimal polynomial degree exceeds the dimension"
+    if deg > g.dim:
+        raise RuntimeError("minimal polynomial degree exceeds the dimension")
     return deg
 
 
@@ -44,9 +45,12 @@ class ModuleAction:
     label: str = ""
 
     def __post_init__(self):
-        assert self.dim_V == self.image_group.dim
+        if self.dim_V != self.image_group.dim:
+            raise ValueError(f"dim_V = {self.dim_V}, but the image group has dimension "
+                             f"{self.image_group.dim}")
         if self.source_perms is not None:
-            assert len(self.source_perms) == len(self.image_group.generators)
+            if len(self.source_perms) != len(self.image_group.generators):
+                raise ValueError("one source permutation per generator is needed")
             self._spot_check_relators()
 
     @property
@@ -69,7 +73,8 @@ class ModuleAction:
             m = Matrix.identity(self.field, self.dim_V)
             for w in word:
                 m = mats[w] @ m
-            assert m.is_identity(), "image fails a relator of the source"
+            if not m.is_identity():
+                raise ValueError("image fails a relator of the source")
 
 
 def natural_action(group):
@@ -79,12 +84,14 @@ def natural_action(group):
 def permutation_module(perm_gens, r):
     """Permutation matrices over GF(r) for permutations of {0..m-1}."""
     perms = [tuple(s) for s in perm_gens]
-    assert perms, "need at least one permutation"
+    if not perms:
+        raise ValueError("need at least one permutation")
     deg = len(perms[0])
-    assert 1 <= deg <= 64, "degree out of range"
+    if not 1 <= deg <= 64:
+        raise ValueError(f"degree {deg} out of range 1..64")
     for s in perms:
-        assert len(s) == deg and sorted(s) == list(range(deg)), \
-            f"not a permutation of 0..{deg - 1}: {s}"
+        if sorted(s) != list(range(deg)):
+            raise ValueError(f"not a permutation of 0..{deg - 1}: {s}")
     p = is_prime_power(r)
     if p is None:
         raise ValueError(f"{r} is not a prime power")
@@ -102,68 +109,39 @@ def permutation_module(perm_gens, r):
     return ModuleAction(group, deg, source_perms=tuple(perms), label=f"perm{deg}")
 
 
-def _zero_counts(fld, mats):
-    """For each matrix N in the stack, the number of vectors v with Nv = 0."""
-    d = mats.shape[1]
-    vecs = np.indices((fld.q,) * d).reshape(d, -1)
-    out = np.empty(len(mats), dtype=np.int64)
-    chunk = max(1, (1 << 22) // vecs.size)
-    for lo in range(0, len(mats), chunk):
-        r = _Codes(fld).right(mats[lo:lo + chunk], vecs)
-        out[lo:lo + chunk] = (r == 0).all(axis=1).sum(axis=1)
-    return out
-
-
-_SEMI_MEMO = {}
-
-
 def semidirect_spectrum(action, cap=DEFAULT_CAP):
     """Exact order data of V x| S from the order law: (v,s) has order |s| when
-    (sum of s^i, i < |s|) kills v, and p*|s| otherwise (p the characteristic)."""
-    memo_key = (action.image_group.key(), action.dim_V)
-    if memo_key in _SEMI_MEMO:
-        return _SEMI_MEMO[memo_key]
+    N(s) = 1 + s + ... + s^(|s|-1) kills v, and p*|s| otherwise (p the
+    characteristic).  N(g s g^-1) = g N(s) g^-1, so N(s) kills q^(d - rank N(s))
+    vectors for every s in a class; the result is kept on the table's payload."""
     table = enumerate_group(action.image_group, cap)
-    fld = action.field
-    d = action.dim_V
-    p = fld.p
-    orders = table.orders()
+    pl = table.payload
+    if "semidirect" in pl:
+        return pl["semidirect"]
+    fld, d = action.field, action.dim_V
+    c = _classes(pl)
+    orders = table.orders()[c.reps]
     kern = _kernel(fld, d)
-    X = kern.of_table(table.payload["stack"], table.payload["keys"])
-    vcount = fld.q**d
-    hist = {}
-
-    def bump(m, c):
-        if c:
-            hist[m] = hist.get(m, 0) + int(c)
-
-    brute = vcount <= 1 << 12
+    R = kern.of_table(pl["stack"], pl["keys"])[c.reps]
+    # N(rep) for every representative at once, by Horner's rule
     eye = kern.pack(np.eye(d, dtype=fld.code_dtype)[None])
-    for m in sorted(set(orders.tolist())):
-        idx = np.flatnonzero(orders == m)
-        cls = X[idx]
-        # 1 + s + ... + s^(m-1), by Horner's rule
-        nsum = np.broadcast_to(eye, cls.shape).copy()
-        for _ in range(m - 1):
-            nsum = kern.add(kern.pair(nsum, cls), eye)
-        # rank is a conjugation invariant, so duplicate sums collapse
-        _, first, counts = np.unique(
-            kern.keys(nsum), return_index=True, return_counts=True)
-        sums = kern.unpack(nsum[first])
-        if brute:
-            pure = int((_zero_counts(fld, sums) * counts).sum())
-        else:
-            pure = sum(int(c) * fld.q ** (d - field_rank(fld, s))
-                       for s, c in zip(sums, counts))
-        bump(m, pure)
-        bump(m * p, vcount * len(idx) - pure)
-    size = vcount * table.size
-    assert sum(hist.values()) == size
-    result = ElementTable(
-        size=size,
+    N = np.broadcast_to(eye, R.shape).copy()
+    for step in range(1, int(orders.max())):
+        on = orders > step
+        N[on] = kern.add(kern.pair(N[on], R[on]), eye)
+    vcount, hist = fld.q**d, {}
+    for m, size, n in zip(orders.tolist(), c.sizes.tolist(), kern.unpack(N)):
+        pure = size * fld.q ** (d - field_rank(fld, n))
+        for order, count in ((m, pure), (m * fld.p, size * vcount - pure)):
+            if count:
+                hist[order] = hist.get(order, 0) + count
+    total = vcount * table.size
+    if sum(hist.values()) != total:
+        raise RuntimeError(f"semidirect histogram sums to {sum(hist.values())}, not {total}")
+    pl["semidirect"] = ElementTable(
+        size=total,
         order_histogram=hist,
         spectrum=tuple(sorted(hist)),
         payload={"action": action, "group_table": table},
     )
-    _SEMI_MEMO[memo_key] = result
-    return result
+    return pl["semidirect"]

@@ -1,8 +1,12 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from omega.groups import parse_group_spec
 from omega.oracle import (
+    CapExceeded,
     Matrix,
     MatrixGroup,
     ModuleAction,
@@ -104,16 +108,75 @@ def test_semidirect_odd_characteristic():
 
 @pytest.mark.parametrize("q", [3, 9, 27, 3**7])
 def test_semidirect_sym3_closed_form(q):
-    # q = 3 and 9 count kernels by brute force, 27 and 3^7 by rank; 3^7 is
-    # past the field's full addition table
+    # 3^7 is past the field's full addition table
     table = semidirect_spectrum(permutation_module(((1, 0, 2), (1, 2, 0)), q))
     assert table.order_histogram == {
         1: 1, 2: 3 * q, 3: q**3 - 1 + 2 * q**2, 6: 3 * (q**3 - q), 9: 2 * (q**3 - q**2)}
 
 
+def null_count_histogram(action):
+    """Per element s of order m: the vectors v with N(s) v = 0, where
+    N(s) = 1 + s + ... + s^(m-1), go to order m and the rest to p*m."""
+    fld = action.field
+    d = action.dim_V
+    table = enumerate_group(action.image_group)
+    # every vector of GF(q)^d as a column
+    vecs = np.array(list(itertools.product(range(fld.q), repeat=d)), dtype=np.uint16).T
+    hist = {}
+    for i in range(table.size):
+        s = table.element(i)
+        m = s.order()
+        tot = np.zeros((d, d), dtype=np.uint16)
+        pw = Matrix.identity(fld, d)
+        for _ in range(m):
+            tot = fld.add_many(tot, pw.a).astype(np.uint16)
+            pw = pw @ s
+        image = reduce(fld.add_many, (fld.mul_many(tot[:, j, None], vecs[j][None, :])
+                                      for j in range(d)))
+        killed = int((image == 0).all(axis=0).sum())
+        for order, count in ((m, killed), (m * fld.p, vecs.shape[1] - killed)):
+            if count:
+                hist[order] = hist.get(order, 0) + count
+    return hist
+
+
+NULL_COUNT_CASES = {
+    "Sym3 on GF(3)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 3),
+    "Sym3 on GF(4)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 4),
+    "Sym3 on GF(7)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 7),
+    "C(2,2)u natural": lambda: natural_action(classical_generators("C(2,2)u")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NULL_COUNT_CASES))
+def test_semidirect_matches_per_element_null_count(name):
+    action = NULL_COUNT_CASES[name]()
+    table = semidirect_spectrum(action)
+    assert table.order_histogram == null_count_histogram(action)
+
+
+def test_semidirect_result_kept_on_group_table():
+    action = natural_action(classical_generators("A(1,2)u"))
+    first = semidirect_spectrum(action)
+    assert enumerate_group(action.image_group).payload["semidirect"] is first
+    again = natural_action(classical_generators("A(1,2)u"))
+    assert semidirect_spectrum(again) is first
+
+
+def test_semidirect_repeat_call_checks_the_cap():
+    action = natural_action(classical_generators("A(1,3)u"))
+    semidirect_spectrum(action)
+    with pytest.raises(CapExceeded):
+        semidirect_spectrum(action, cap=23)
+
+
 def test_permutation_module_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         permutation_module(((0, 0, 1),), 2)
+    with pytest.raises(ValueError):
+        permutation_module((), 2)
+    with pytest.raises(ValueError):
+        permutation_module(((0, 1), (0, 1, 2)), 2)
     with pytest.raises(ValueError):
         permutation_module(((1, 0),), 6)
     act = permutation_module(((1, 2, 3, 0),), 4)
@@ -195,5 +258,19 @@ def test_relator_spot_check_catches_wrong_wiring():
     # swapping the images while keeping the permutations must trip the check
     g_swap, g_cyc = good.image_group.generators
     bad_group = MatrixGroup(good.image_group.field, 3, (g_cyc, g_swap))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ModuleAction(bad_group, 3, source_perms=(swap, cyc))
+
+
+def test_module_action_input_checks():
+    act = permutation_module(((1, 0, 2), (1, 2, 0)), 2)
+    with pytest.raises(ValueError):
+        ModuleAction(act.image_group, 4)
+    with pytest.raises(ValueError):
+        ModuleAction(act.image_group, 3, source_perms=act.source_perms[:1])
+    # an element of the wrong dimension for the action
+    g = Matrix.identity(act.field, 2)
+    with pytest.raises(ValueError):
+        fixed_space_dim(g, act)
+    with pytest.raises(ValueError):
+        min_poly_degree(g, act)

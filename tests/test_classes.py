@@ -220,7 +220,6 @@ def test_packed_words_match_code_stacks(name, fresh_memo):
 def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
     def run():
         _TABLE_MEMO.clear()
-        action._SEMI_MEMO.clear()
         w = frobenius_witness("sl-hyperplane", (3, q))
         return (semidirect_spectrum(_sym3(q)).order_histogram,
                 verify_frobenius(w.kernel_gens, w.complement_gens))
