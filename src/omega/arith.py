@@ -203,11 +203,10 @@ class Factored:
     factors: dict = field(compare=False)
 
     def __post_init__(self):
-        prod = 1
-        for p, e in self.factors.items():
-            assert e >= 1
-            prod *= p**e
-        assert prod == self.n, "factorization does not multiply back"
+        if any(e < 1 for e in self.factors.values()):
+            raise ValueError(f"exponents must be positive: {self.factors}")
+        if math.prod(p**e for p, e in self.factors.items()) != self.n:
+            raise ValueError("factorization does not multiply back")
 
     def primes(self):
         return tuple(sorted(self.factors))

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..arith import is_prime_power
 from .field import build_field
-from .kernel import _Codes, _eliminate, _kernel
+from .kernel import _Codes, _eliminate, _kernel, _make_codec
 from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, enumerate_group
 
 
@@ -113,24 +113,24 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
     """Exact order data of V x| S from the order law: (v,s) has order |s| when
     N(s) = 1 + s + ... + s^(|s|-1) kills v, and p*|s| otherwise (p the
     characteristic).  N(g s g^-1) = g N(s) g^-1, so N(s) kills q^(d - rank N(s))
-    vectors for every s in a class; the result is kept on the table's payload."""
+    vectors for every s in a class; the result is kept on the group's record."""
     table = enumerate_group(action.image_group, cap)
-    pl = table.payload
-    if "semidirect" in pl:
-        return pl["semidirect"]
+    rec = table.payload
+    if rec.semidirect is not None:
+        return rec.semidirect
     fld, d = action.field, action.dim_V
-    c = _classes(pl)
+    c = _classes(rec)
     orders = table.orders()[c.reps]
-    kern = _kernel(fld, d)
-    R = kern.of_table(pl["stack"], pl["keys"])[c.reps]
+    kern, codec = _kernel(fld, d), _make_codec(fld, d)
+    R = kern.of_keys(rec.keys[c.reps])
     # N(rep) for every representative at once, by Horner's rule
-    eye = kern.pack(np.eye(d, dtype=fld.code_dtype)[None])
+    eye = kern.of_keys(codec.keys(np.eye(d, dtype=fld.code_dtype)[None]))
     N = np.broadcast_to(eye, R.shape).copy()
     for step in range(1, int(orders.max())):
         on = orders > step
         N[on] = kern.add(kern.pair(N[on], R[on]), eye)
     vcount, hist = fld.q**d, {}
-    for m, size, n in zip(orders.tolist(), c.sizes.tolist(), kern.unpack(N)):
+    for m, size, n in zip(orders.tolist(), c.sizes.tolist(), codec.decode(kern.keys(N))):
         pure = size * fld.q ** (d - field_rank(fld, n))
         for order, count in ((m, pure), (m * fld.p, size * vcount - pure)):
             if count:
@@ -138,10 +138,5 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
     total = vcount * table.size
     if sum(hist.values()) != total:
         raise RuntimeError(f"semidirect histogram sums to {sum(hist.values())}, not {total}")
-    pl["semidirect"] = ElementTable(
-        size=total,
-        order_histogram=hist,
-        spectrum=tuple(sorted(hist)),
-        payload={"action": action, "group_table": table},
-    )
-    return pl["semidirect"]
+    rec.semidirect = ElementTable(size=total, order_histogram=hist, spectrum=tuple(sorted(hist)))
+    return rec.semidirect

@@ -9,7 +9,8 @@ import numpy as np
 
 from ..groups import parse_group_spec
 from .kernel import _make_codec
-from .matgroup import DEFAULT_CAP, ElementTable, _TABLE_MEMO, classical_generators, spectrum_table
+from .matgroup import (DEFAULT_CAP, ElementTable, GroupRecord, _TABLE_MEMO, _memoize,
+                       classical_generators, spectrum_table)
 
 MAGIC = b"OMEGA1"
 
@@ -25,11 +26,10 @@ def cache_paths(cache_dir, spec_str, cap):
 
 
 def save_table(table, cache_dir, spec_str, cap):
-    pl = table.payload
-    if pl.get("quotient_by") is not None:
+    rec = table.payload
+    if not isinstance(rec, GroupRecord):
         raise ValueError("only directly enumerated tables are cached, not quotients")
-    fld = pl["field"]
-    stack = pl["stack"]
+    fld = rec.field
     item = np.dtype(fld.code_dtype).itemsize
     spec_b = spec_str.encode()
     head = [
@@ -38,11 +38,13 @@ def save_table(table, cache_dir, spec_str, cap):
         spec_b,
         struct.pack("<III", fld.p, fld.k, len(fld.modulus)),
         struct.pack(f"<{len(fld.modulus)}I", *fld.modulus),
-        struct.pack("<IQB", pl["dim"], table.size, item),
+        struct.pack("<IQB", rec.dim, table.size, item),
     ]
     tbl_path, json_path = cache_paths(cache_dir, spec_str, cap)
     tbl_path.parent.mkdir(parents=True, exist_ok=True)
-    tbl_path.write_bytes(b"".join(head) + stack.tobytes())
+    # the file holds the code stack, which the table itself does not keep
+    with tbl_path.open("wb") as fh:
+        fh.writelines(head + [_make_codec(fld, rec.dim).decode(rec.keys).data])
     sidecar = {
         "spec": spec_str,
         "cap": cap,
@@ -54,8 +56,10 @@ def save_table(table, cache_dir, spec_str, cap):
     return tbl_path
 
 
-def load_table(cache_dir, spec_str, cap, fld, dim):
-    """Rebuild a table from cache; None when absent, ValueError when malformed."""
+def load_table(cache_dir, spec_str, cap, group):
+    """Rebuild the table of group (a MatrixGroup) from cache; None when
+    absent, ValueError when malformed or holding more than cap elements."""
+    fld, dim = group.field, group.dim
     tbl_path, json_path = cache_paths(cache_dir, spec_str, cap)
     if not tbl_path.exists() or not json_path.exists():
         return None
@@ -81,14 +85,15 @@ def load_table(cache_dir, spec_str, cap, fld, dim):
         raise ValueError(f"{tbl_path}: dimension mismatch")
     if item != np.dtype(fld.code_dtype).itemsize:
         raise ValueError(f"{tbl_path}: code width mismatch")
-    body = raw[off:]
-    if len(body) != count * dim * dim * item:
+    if count > cap:
+        raise ValueError(f"{tbl_path}: cached table of {count} elements exceeds the cap {cap}")
+    if len(raw) - off != count * dim * dim * item:
         raise ValueError(f"{tbl_path}: truncated body")
-    stack = np.frombuffer(body, dtype=fld.code_dtype).reshape(count, dim, dim).copy()
+    stack = np.frombuffer(raw, dtype=fld.code_dtype, offset=off).reshape(count, dim, dim)
     if int(stack.max(initial=0)) >= fld.q:
         raise ValueError(f"{tbl_path}: entry out of field range")
     keys = _make_codec(fld, dim).keys(stack)
-    if count > 1 and not (keys[1:] > keys[:-1]).all():
+    if not np.array_equal(np.sort(keys), keys) or (keys[1:] == keys[:-1]).any():
         raise ValueError(f"{tbl_path}: keys not strictly sorted")
     side = json.loads(json_path.read_text())
     hist = {int(m): int(c) for m, c in side["order_histogram"].items()}
@@ -98,7 +103,7 @@ def load_table(cache_dir, spec_str, cap, fld, dim):
         size=int(count),
         order_histogram=hist,
         spectrum=tuple(sorted(hist)),
-        payload={"field": fld, "dim": dim, "stack": stack, "keys": keys},
+        payload=GroupRecord(fld, dim, keys, [g.a for g in group.generators]),
     )
 
 
@@ -110,16 +115,12 @@ def cached_spectrum_table(spec, cap=DEFAULT_CAP, cache_dir=None):
         return spectrum_table(spec, cap)
     uni = replace(spec, version="universal")
     group = classical_generators(uni)
-    key = group.key()
-    if key not in _TABLE_MEMO:
-        loaded = load_table(cache_dir, str(uni), cap, group.field, group.dim)
+    if group.key() not in _TABLE_MEMO:
+        loaded = load_table(cache_dir, str(uni), cap, group)
         if loaded is not None:
-            if loaded.size > cap:
-                raise ValueError(f"cached table of {loaded.size} elements exceeds the cap {cap}")
-            loaded.payload["group"] = group
-            _TABLE_MEMO[key] = loaded
+            _memoize(group, loaded, cap)
     out = spectrum_table(spec, cap)
     # a memo warmed by a cache-less call still owes the directory its files
     if not cache_paths(cache_dir, str(uni), cap)[0].exists():
-        save_table(_TABLE_MEMO[key], cache_dir, str(uni), cap)
+        save_table(_TABLE_MEMO.get(group.key()), cache_dir, str(uni), cap)
     return out

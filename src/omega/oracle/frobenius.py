@@ -10,7 +10,7 @@ import numpy as np
 from ..arith import _factor, is_prime_power, r_part
 from .action import fixed_space_dim
 from .field import build_field
-from .kernel import _eliminate, _kernel, _make_codec
+from .kernel import _eliminate, _kernel
 from .matgroup import Matrix, MatrixGroup, _lookup, classical_generators, enumerate_group
 
 VERIFY_CAP = 1 << 20
@@ -162,13 +162,13 @@ def _sp_torus_witness(n, q):
     good_j = sorted(j for j in range(2, target) if _mult_order(j, target) == 2 * n)
     sj_blocks = {j: (s**j).a for j in good_j}
     kern = _kernel(fld, group.dim)
-    X = kern.of_table(table.payload["stack"], table.payload["keys"])
     cand = np.flatnonzero(orders == 2 * n)
     for lo in range(0, len(cand), 1 << 14):
         sel = cand[lo:lo + (1 << 14)]
-        cs = kern.right(X[sel], s.a)
+        X = kern.of_keys(table.payload.keys[sel])
+        cs = kern.right(X, s.a)
         for j in good_j:
-            sjc = kern.left(sj_blocks[j], X[sel])
+            sjc = kern.left(sj_blocks[j], X)
             hit = (cs == sjc).reshape(len(sel), -1).all(axis=1)
             if hit.any():
                 c = table.element(int(sel[np.flatnonzero(hit)[0]]))
@@ -206,18 +206,13 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     cg = MatrixGroup(fld, dim, tuple(complement_gens))
     kt = enumerate_group(kg, cap)
     ct = enumerate_group(cg, cap)
-    k_keys = kt.payload["keys"]
-    c_stack = ct.payload["stack"]
-    k_stack = kt.payload["stack"]
+    k_keys = kt.payload.keys
     kern = _kernel(fld, dim)
-    K = kern.of_table(k_stack, k_keys)
-    c_keys = _make_codec(fld, dim).keys(c_stack)
-    _, both = _lookup(k_keys, c_keys)
+    K = kern.of_keys(k_keys)
+    _, both = _lookup(k_keys, ct.payload.keys)
     if int(both.sum()) != 1:
-        shared = next(
-            Matrix(fld, c_stack[int(i)].astype(np.uint16))
-            for i in np.flatnonzero(both)
-            if not Matrix(fld, c_stack[int(i)].astype(np.uint16)).is_identity())
+        shared = next(m for m in map(ct.element, np.flatnonzero(both).tolist())
+                      if not m.is_identity())
         return FrobeniusVerdict(
             ok=False, kernel_order=kt.size, complement_order=ct.size,
             reason="kernel and complement intersect beyond the identity",
@@ -235,17 +230,15 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
             return FrobeniusVerdict(
                 ok=False, kernel_order=kt.size, complement_order=ct.size,
                 reason="complement element does not normalize the kernel",
-                counterexample=(c, Matrix(fld, k_stack[bad].astype(np.uint16))),
+                counterexample=(c, kt.element(bad)),
             )
         fixed = conj_keys == k_keys
-        fixed_count = int(fixed.sum())
-        if fixed_count > 1:
-            bad = next(
-                int(j) for j in np.flatnonzero(fixed)
-                if not Matrix(fld, k_stack[j].astype(np.uint16)).is_identity())
+        if int(fixed.sum()) > 1:
+            bad = next(m for m in map(kt.element, np.flatnonzero(fixed).tolist())
+                       if not m.is_identity())
             return FrobeniusVerdict(
                 ok=False, kernel_order=kt.size, complement_order=ct.size,
                 reason="complement element fixes a nontrivial kernel element",
-                counterexample=(c, Matrix(fld, k_stack[bad].astype(np.uint16))),
+                counterexample=(c, bad),
             )
     return FrobeniusVerdict(ok=True, kernel_order=kt.size, complement_order=ct.size)

@@ -8,8 +8,8 @@ odd p.  That covers GF(2^k) as before, GF(3) up to d = 4, GF(5) and GF(7) up
 to d = 3, and GF(9) to GF(13) up to d = 2.  Other shapes keep code stacks:
 int64 matmul mod p for prime fields; for k > 1, g @ X adds rows c * X[j]
 through a q-entry row per scalar c, and other products multiply by log/exp
-lookups.  Both representations share one interface: pack, unpack, of_table,
-keys, left, right, pair and add.
+lookups.  Both representations share one interface: of_keys, keys, left,
+right, pair and add.  A codec maps code stacks to keys and back (decode).
 """
 
 import operator
@@ -27,27 +27,44 @@ _PACK_TABLE_LIMIT = 1 << 18
 
 
 class _U64Codec:
-    """Pack dim^2 codes into one uint64, entry 0 most significant."""
+    """Pack d^2 codes into one uint64, entry 0 most significant."""
 
-    def __init__(self, bits, count):
-        assert bits * count <= 64
-        self.shifts = (bits * np.arange(count - 1, -1, -1)).astype(np.uint64)
+    def __init__(self, bits, d, dtype):
+        self.d, self.dtype = d, dtype
+        self.shifts = (bits * np.arange(d * d - 1, -1, -1)).astype(np.uint64)
+        self.mask = np.uint64((1 << bits) - 1)
 
     def keys(self, stack):
-        flat = stack.reshape(stack.shape[0], -1).astype(np.uint64)
-        return np.bitwise_or.reduce(flat << self.shifts[None, :], axis=1)
+        """In blocks of matrices, so that no |stack| x d^2 uint64 temporary is built."""
+        def block(flat, shifts):
+            return np.bitwise_or.reduce(flat.astype(np.uint64) << shifts, axis=1)
+        return _chunks(block, stack.reshape(len(stack), -1), self.shifts, 2, _PACKED_CHUNK)
+
+    def decode(self, keys):
+        """The code stack of keys, by shift and mask, a block of keys at a
+        time so that no |keys| x d^2 uint64 temporary is built."""
+        out = np.empty((len(keys), len(self.shifts)), dtype=self.dtype)
+        for lo in range(0, len(keys), _PACKED_CHUNK):
+            part = keys[lo:lo + _PACKED_CHUNK, None]
+            out[lo:lo + len(part)] = (part >> self.shifts) & self.mask
+        return out.reshape(-1, self.d, self.d)
 
 
 class _VoidCodec:
     """Raw big-endian byte keys for wide matrices."""
 
-    def __init__(self, itemsize, count):
-        self.dtype = f"V{itemsize * count}"
-        self.be = ">u2" if itemsize == 2 else "u1"
+    def __init__(self, d, dtype):
+        self.d, self.dtype = d, dtype
+        self.be = ">u2" if np.dtype(dtype).itemsize == 2 else "u1"
+        self.void = f"V{np.dtype(self.be).itemsize * d * d}"
 
     def keys(self, stack):
         flat = np.ascontiguousarray(stack.reshape(stack.shape[0], -1).astype(self.be))
-        return flat.view(self.dtype).ravel()
+        return flat.view(self.void).ravel()
+
+    def decode(self, keys):
+        """The code stack of keys, read through a big-endian view."""
+        return np.ascontiguousarray(keys).view(self.be).astype(self.dtype).reshape(-1, self.d, self.d)
 
 
 def _bits(fld):
@@ -56,8 +73,8 @@ def _bits(fld):
 
 def _make_codec(fld, dim):
     if _bits(fld) * dim * dim <= 64:
-        return _U64Codec(_bits(fld), dim * dim)
-    return _VoidCodec(2 if fld.code_dtype == np.uint16 else 1, dim * dim)
+        return _U64Codec(_bits(fld), dim, fld.code_dtype)
+    return _VoidCodec(dim, fld.code_dtype)
 
 
 def _chunks(fn, A, B, ndim, size):
@@ -72,21 +89,16 @@ def _chunks(fn, A, B, ndim, size):
 class _Codes:
     """Code stacks as they are; a fixed operand may be any 2-D matrix."""
 
-    def __init__(self, fld):
+    def __init__(self, fld, d=None):
         self.fld = fld
         self.dtype = fld.code_dtype
+        self.codec = None if d is None else _make_codec(fld, d)
 
-    def pack(self, stack):
-        return stack
-
-    def unpack(self, X):
-        return X
-
-    def of_table(self, stack, keys):
-        return stack
+    def of_keys(self, K):
+        return self.codec.decode(K)
 
     def keys(self, X):
-        return _make_codec(self.fld, X.shape[-1]).keys(X)
+        return self.codec.keys(X)
 
     def add(self, a, b):
         fld = self.fld
@@ -145,12 +157,11 @@ class _Packed:
         bits, width = _bits(fld), _bits(fld) * d
         self.width = np.uint64(width)
         self.row_mask = np.uint64((1 << width) - 1)
-        self.entry_mask = np.uint64((1 << bits) - 1)
         self.row_shift = [np.uint64(width * (d - 1 - i)) for i in range(d)]
         self.entry_shift = [np.uint64(bits * (d - 1 - j)) for j in range(d)]
         # table[c, r] = c * r for every scalar c and row r, padding mod q
         rows, shifts = np.arange(1 << width, dtype=np.uint64), np.array(self.entry_shift)
-        entries = ((rows[:, None] >> shifts) & self.entry_mask).astype(np.int64) % fld.q
+        entries = ((rows[:, None] >> shifts) & self.codec.mask).astype(np.int64) % fld.q
         scalars = np.arange(1 << bits)[:, None, None] % fld.q
         prods = fld.mul_many(scalars, entries).astype(np.uint64)
         self.table = np.bitwise_or.reduce(prods << shifts, axis=2)
@@ -160,18 +171,10 @@ class _Packed:
             fld.add_table[e[:, None], e[None, :]].astype(np.uint64).ravel() << s
             for e, s in zip(entries.T, shifts)))
 
-    def pack(self, stack):
-        return self.codec.keys(stack)
-
-    def unpack(self, K):
-        codes = (K[:, None] >> self.codec.shifts[None, :]) & self.entry_mask
-        return codes.astype(self.fld.code_dtype).reshape(len(K), self.d, self.d)
-
-    def of_table(self, stack, keys):
-        return keys
-
-    def keys(self, K):
+    def of_keys(self, K):
         return K
+
+    keys = of_keys
 
     def add(self, A, B):
         if self.sums is None:
@@ -205,7 +208,7 @@ class _Packed:
         the table of r @ g over every packed row r."""
         top = self.row_shift[0]
         every_row = np.arange(1 << int(self.width), dtype=np.uint64) << top
-        table = self._pair(every_row, self.pack(g[None])) >> top
+        table = self._pair(every_row, self.codec.keys(g[None])) >> top
 
         def gather(part, _):
             rows = zip(self._rows(part), self.row_shift)
@@ -220,7 +223,7 @@ class _Packed:
         rows = self._rows(B)
         out = np.zeros(np.broadcast(A, B).shape, dtype=np.uint64)
         for si in self.row_shift:
-            a = [(A >> (si + sj)) & self.entry_mask for sj in self.entry_shift]
+            a = [(A >> (si + sj)) & self.codec.mask for sj in self.entry_shift]
             out |= reduce(self._add, (self.flat[(a[j] << self.width) | rows[j]]
                                       for j in range(self.d))) << si
         return out
@@ -234,7 +237,7 @@ def _kernel(fld, d):
     tables = bits * d + (bits if fld.p == 2 else bits * d)
     if bits * d * d <= 64 and 1 << tables <= _PACK_TABLE_LIMIT:
         return _Packed(fld, d)
-    return _Codes(fld)
+    return _Codes(fld, d)
 
 
 _Echelon = namedtuple("_Echelon", "rank det inverse nullspace")

@@ -37,9 +37,10 @@ class Matrix:
     def __init__(self, fld, entries):
         self.field = fld
         a = np.asarray(entries, dtype=np.uint16)
-        assert a.ndim == 2 and a.shape[0] == a.shape[1], "square matrices only"
-        assert a.shape[0] <= 64, "dimension cap is 64"
-        assert int(a.max(initial=0)) < fld.q, "entry is not a field code"
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] > 64:
+            raise ValueError("square matrices of dimension at most 64 only")
+        if int(a.max(initial=0)) >= fld.q:
+            raise ValueError("entry is not a field code")
         self.a = a
 
     @property
@@ -51,7 +52,8 @@ class Matrix:
         return cls(fld, np.eye(dim, dtype=np.uint16))
 
     def __matmul__(self, other):
-        assert self.field == other.field and self.dim == other.dim
+        if self.field != other.field or self.dim != other.dim:
+            raise ValueError("matrices of different fields or sizes")
         return Matrix(self.field, _Codes(self.field).pair(self.a, other.a))
 
     def __pow__(self, e):
@@ -68,7 +70,8 @@ class Matrix:
 
     def inverse(self):
         inv = _eliminate(self.field, self.a).inverse
-        assert inv is not None, "matrix is singular"
+        if inv is None:
+            raise ValueError("matrix is singular")
         return Matrix(self.field, inv)
 
     def is_identity(self):
@@ -88,7 +91,8 @@ class Matrix:
         while not g.is_identity():
             g = g @ self
             m += 1
-            assert m <= 1 << 20, "order runaway"
+            if m > 1 << 20:
+                raise RuntimeError("order runaway")
         return m
 
     def __eq__(self, other):
@@ -127,28 +131,49 @@ class MatrixGroup:
         return (self.field.p, self.field.k, self.field.modulus, self.dim, gens)
 
 
+_Classes = namedtuple("_Classes", "reps label sizes")
+_Cosets = namedtuple("_Cosets", "orders")
+
+
+@dataclass(eq=False)
+class GroupRecord:
+    """An enumerated group: its elements as sorted codec keys, code matrices
+    that generate it, and classes, orders and V x| G, filled in on first use."""
+
+    field: Field
+    dim: int
+    keys: np.ndarray
+    generators: list
+    classes: _Classes = None
+    orders: np.ndarray = None
+    semidirect: "ElementTable" = None
+
+
 @dataclass
 class ElementTable:
-    """Exhaustive element data: size, order histogram, spectrum of orders."""
+    """Exhaustive element data: size, order histogram, spectrum of orders.  The
+    payload is the GroupRecord of an enumerated group, _Cosets for G/Z, else None."""
 
     size: int
     order_histogram: dict
     spectrum: tuple
-    payload: dict = dfield(default=None, repr=False, compare=False)
+    payload: GroupRecord = dfield(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        assert sum(self.order_histogram.values()) == self.size
-        assert self.spectrum and self.spectrum[0] >= 1
-        assert 1 in self.spectrum
-        assert list(self.spectrum) == sorted(set(self.order_histogram))
+        if sum(self.order_histogram.values()) != self.size:
+            raise ValueError(f"order histogram does not sum to the size {self.size}")
+        if list(self.spectrum) != sorted(set(self.order_histogram)):
+            raise ValueError("spectrum is not the sorted histogram keys")
+        if not self.spectrum or self.spectrum[0] != 1:
+            raise ValueError("1 is not the least order of the spectrum")
         members = set(self.spectrum)
         for m in members:
-            for p in _factor(m):
-                assert m // p in members, f"spectrum not divisor-closed at {m}"
+            if any(m // p not in members for p in _factor(m)):
+                raise ValueError(f"spectrum not divisor-closed at {m}")
 
     def element(self, i):
-        pl = self.payload
-        return Matrix(pl["field"], pl["stack"][i].astype(np.uint16))
+        rec = self.payload
+        return Matrix(rec.field, _make_codec(rec.field, rec.dim).decode(rec.keys[i:i + 1])[0])
 
     def orders(self):
         return _orders(self.payload)
@@ -161,76 +186,58 @@ def _lookup(keys, pk):
 
 
 def _closure(group, cap):
-    """Sorted stack and keys of <generators>, and the generators adopted.  A
-    generator already in the group of those before it is skipped; the others
-    are adopted one at a time, by one pass over the group so far, then BFS
-    levels with all those adopted."""
+    """Sorted keys of <generators>, and the generators adopted.  A generator
+    already in the group of those before it is skipped; the others are
+    adopted one at a time, by one pass over the group so far, then BFS levels
+    with all those adopted."""
     fld, d = group.field, group.dim
-    kern = _kernel(fld, d)
-    stack = kern.pack(np.eye(d, dtype=fld.code_dtype)[None])
-    keys = kern.keys(stack)
-    mults = []
-    for g in group.generators:
-        _, known = _lookup(keys, kern.keys(kern.pack(g.a[None].astype(fld.code_dtype))))
+    kern, codec = _kernel(fld, d), _make_codec(fld, d)
+    keys = codec.keys(np.eye(d, dtype=fld.code_dtype)[None])
+    gens, mults = [g.a for g in group.generators], []
+    for g, gk in zip(gens, codec.keys(np.array(gens, dtype=np.uint16).reshape(-1, d, d))):
+        _, known = _lookup(keys, gk[None])
         if known[0]:
             continue
-        mults.append(g.a)
+        mults.append(g)
         # the subgroup so far is closed under the earlier generators
-        frontier, level = stack, [g.a]
+        frontier, level = keys, [g]
         while len(frontier):
-            keys, stack, frontier = _grow(kern, keys, stack, level, frontier, cap)
+            keys, frontier = _grow(kern, keys, level, frontier, cap)
             level = mults
-    return kern.unpack(stack), keys, mults
+    return keys, mults
 
 
-def _grow(kern, keys, stack, mults, frontier, cap):
-    """Merge the new products m @ f into the sorted keys and stack; return
-    both and the new elements.  Steps after the first find their new elements
-    against the earlier ones; the main arrays take them all at the end.
-    Packed words are their own keys, and then one array serves as both."""
-    shared, new_keys, lo = stack is keys, keys[:0], 0
+def _grow(kern, keys, mults, frontier, cap):
+    """Merge the keys of the products m @ f, for f among the frontier keys,
+    into the sorted keys; return them and the new keys.  Steps after the
+    first find their new keys against the earlier ones; the main array takes
+    them all at the end."""
+    new_keys, lo = keys[:0], 0
     while lo < len(frontier):
         room = max(cap - len(keys) - len(new_keys), _CAP_CHUNK)
-        part = frontier[lo:lo + max(1, room // len(mults))]
+        part = kern.of_keys(frontier[lo:lo + max(1, room // len(mults))])
         lo += len(part)
-        prods = np.concatenate([kern.left(m, part) for m in mults])
-        pk = kern.keys(prods)
-        order = np.argsort(pk)
-        pos, known = _lookup(keys, pk[order])
-        known[1:] |= pk[order[1:]] == pk[order[:-1]]  # repeats of one product
-        if not len(new_keys):
-            new_keys, new_at = pk[order[~known]], pos[~known]
-            new = new_keys if shared else prods[order[~known]]
-        else:
-            known |= _lookup(new_keys, pk[order])[1]
-            at = np.searchsorted(new_keys, pk[order[~known]])
-            new_keys = np.insert(new_keys, at, pk[order[~known]])
-            new = new_keys if shared else np.insert(new, at, prods[order[~known]], axis=0)
-            new_at = np.insert(new_at, at, pos[~known])
+        pk = np.sort(kern.keys(np.concatenate([kern.left(m, part) for m in mults])))
+        known = _lookup(keys, pk)[1]
+        known[1:] |= pk[1:] == pk[:-1]  # repeats of one product
+        if len(new_keys):
+            known |= _lookup(new_keys, pk)[1]
+        new_keys = np.insert(new_keys, np.searchsorted(new_keys, pk[~known]), pk[~known])
         if len(keys) + len(new_keys) > cap:
             raise CapExceeded(len(keys) + len(new_keys), cap)
-    keys = np.insert(keys, new_at, new_keys)
-    return keys, keys if shared else np.insert(stack, new_at, new, axis=0), new
+    return np.insert(keys, np.searchsorted(keys, new_keys), new_keys), new_keys
 
 
-_Classes = namedtuple("_Classes", "reps label sizes")
-
-
-def _classes(pl):
-    """Conjugacy classes of a table, kept in its payload: the least index of
+def _classes(rec):
+    """Conjugacy classes of a group, kept in its record: the least index of
     each class (ascending), each element's class, and the class sizes."""
-    if "classes" in pl:
-        return pl["classes"]
-    if "adopted" not in pl and "group" not in pl:
-        raise ValueError("the table has no generators: load it with cached_spectrum_table, "
-                         "which records its group")
-    fld, keys = pl["field"], pl["keys"]
-    kern = _kernel(fld, pl["dim"])
-    X = kern.of_table(pl["stack"], keys)
-    # the adopted generators generate the group; a cached table has none
-    gens = pl.get("adopted") or [g.a for g in pl["group"].generators]
+    if rec.classes is not None:
+        return rec.classes
+    fld, keys = rec.field, rec.keys
+    kern = _kernel(fld, rec.dim)
+    X = kern.of_keys(keys)
     perms = []
-    for g in gens:
+    for g in rec.generators:
         pk = kern.keys(kern.left(g, kern.right(X, _eliminate(fld, g).inverse)))
         # conjugation permutes the group, so sorting its keys gives the keys
         # back, and the sorting order is the inverse permutation (same orbits)
@@ -248,18 +255,18 @@ def _classes(pl):
         lab = lab[lab]
     reps = np.flatnonzero(lab == np.arange(len(keys)))
     label = np.searchsorted(reps, lab).astype(np.int32)
-    pl["classes"] = _Classes(reps, label, np.bincount(label))
-    return pl["classes"]
+    rec.classes = _Classes(reps, label, np.bincount(label))
+    return rec.classes
 
 
-def _least_powers(pl, target):
+def _least_powers(rec, target):
     """Per element x, the least m >= 1 with x^m among the sorted keys target,
     a central subset; this is a class function, so it is found once per class."""
-    c = _classes(pl)
-    kern = _kernel(pl["field"], pl["dim"])
-    R = kern.of_table(pl["stack"], pl["keys"])[c.reps]
+    c = _classes(rec)
+    kern = _kernel(rec.field, rec.dim)
+    R = kern.of_keys(rec.keys[c.reps])
     m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
-    for _ in range(len(pl["keys"])):
+    for _ in range(len(rec.keys)):
         out = ~_lookup(target, kern.keys(cur))[1]
         if not out.any():
             return m[c.label]
@@ -269,16 +276,15 @@ def _least_powers(pl, target):
     raise RuntimeError("order runaway: an element's order exceeds the group's")
 
 
-def _orders(pl):
-    """Element orders, kept in the payload."""
-    if "orders" not in pl:
-        kern = _kernel(pl["field"], pl["dim"])
-        eye = np.eye(pl["dim"], dtype=pl["field"].code_dtype)[None]
-        pl["orders"] = _least_powers(pl, kern.keys(kern.pack(eye)))
-    return pl["orders"]
+def _orders(rec):
+    """Element orders, kept in the record."""
+    if rec.orders is None:
+        eye = np.eye(rec.dim, dtype=rec.field.code_dtype)[None]
+        rec.orders = _least_powers(rec, _make_codec(rec.field, rec.dim).keys(eye))
+    return rec.orders
 
 
-def _table(orders, pl, zn=1):
+def _table(orders, payload, zn=1):
     """ElementTable of per-element orders; with zn > 1, of the cosets of a
     central subgroup of order zn."""
     vals, counts = np.unique(orders, return_counts=True)
@@ -288,30 +294,33 @@ def _table(orders, pl, zn=1):
         size=len(orders) // zn,
         order_histogram={int(v): int(c) // zn for v, c in zip(vals, counts)},
         spectrum=tuple(int(v) for v in vals),
-        payload=pl,
+        payload=payload,
     )
 
 
 _TABLE_MEMO = {}
 
 
-def enumerate_group(group, cap=DEFAULT_CAP):
-    """Exhaustive BFS closure of the generators with exact orders."""
-    memo_key = group.key()
-    table = _TABLE_MEMO.get(memo_key)
-    if table is None:
-        stack, keys, adopted = _closure(group, cap)
-        pl = {"field": group.field, "dim": group.dim, "stack": stack, "keys": keys,
-              "group": group, "adopted": adopted}
-        table = _table(_orders(pl), pl)
-    # checked on memo hits too: groups that differ only in name share an entry
+def _memoize(group, table, cap):
+    """Check the table of group against its closed-form order (on memo hits
+    too: groups that differ only in name share an entry) and the cap, and
+    keep it in the memo, which no other module writes."""
     want = None if group.name is None else group_order(group.name).n
     if want is not None and table.size != want:
         raise RuntimeError(f"enumerated {table.size} elements, {group.name} has order {want}")
-    _TABLE_MEMO[memo_key] = table
+    _TABLE_MEMO[group.key()] = table
     if table.size > cap:
         raise CapExceeded(table.size, cap)
     return table
+
+
+def enumerate_group(group, cap=DEFAULT_CAP):
+    """Exhaustive BFS closure of the generators with exact orders."""
+    table = _TABLE_MEMO.get(group.key())
+    if table is None:
+        rec = GroupRecord(group.field, group.dim, *_closure(group, cap))
+        table = _table(_orders(rec), rec)
+    return _memoize(group, table, cap)
 
 
 def center_of(group, cap=DEFAULT_CAP):
@@ -324,8 +333,7 @@ def center_of(group, cap=DEFAULT_CAP):
 def quotient_spectrum(group, center, cap=DEFAULT_CAP):
     """Orders in G/Z for a central subgroup Z given as a list of matrices."""
     table = enumerate_group(group, cap)
-    pl = table.payload
-    fld, keys = pl["field"], pl["keys"]
+    rec = table.payload
     zs = list(center)
     if not zs:
         raise ValueError("center must contain at least the identity")
@@ -334,13 +342,11 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
     zset = {m.a.tobytes() for m in zs}
     if any((z @ w).a.tobytes() not in zset for z in zs for w in zs):
         raise ValueError("center list is not a subgroup")
-    z_stack = np.stack([z.a.astype(fld.code_dtype) for z in zs])
-    zk = np.sort(_make_codec(fld, pl["dim"]).keys(z_stack))
-    if not _lookup(keys, zk)[1].all():
+    zk = np.sort(_make_codec(group.field, group.dim).keys(np.stack([z.a for z in zs])))
+    if not _lookup(rec.keys, zk)[1].all():
         raise ValueError("center not in group")
-    qorders, zn = _least_powers(pl, zk), len(zs)
-    return _table(qorders, {"field": fld, "dim": pl["dim"], "stack": pl["stack"], "keys": keys,
-                            "orders": qorders, "group": group, "quotient_by": zn}, zn)
+    qorders = _least_powers(rec, zk)
+    return _table(qorders, _Cosets(qorders), len(zs))
 
 
 def _elementary(fld, dim, *entries):

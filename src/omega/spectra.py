@@ -18,15 +18,18 @@ class SpectrumDescriptor:
     context: GroupSpec = None
 
     def __post_init__(self):
-        assert self.scope in _SCOPES
+        if self.scope not in _SCOPES:
+            raise ValueError(f"scope {self.scope!r} is not one of {_SCOPES}")
         gens = self.generators
-        assert list(gens) == sorted(gens), "generators must be sorted"
+        if list(gens) != sorted(gens) or any(a < 1 for a in gens):
+            raise ValueError(f"generators must be sorted positive integers: {gens}")
         for i, a in enumerate(gens):
-            assert a >= 1
             for b in gens[i + 1 :]:
-                assert b % a, f"not an antichain: {a} divides {b}"
+                if not b % a:
+                    raise ValueError(f"not an antichain: {a} divides {b}")
         if self.scope == "p_prime_only" and self.context is not None:
-            assert all(g % self.context.p for g in gens)
+            if any(g % self.context.p == 0 for g in gens):
+                raise ValueError(f"a generator is divisible by p = {self.context.p}")
 
     def __contains__(self, m):
         return contains(self, m)

@@ -158,7 +158,7 @@ def test_semidirect_matches_per_element_null_count(name):
 def test_semidirect_result_kept_on_group_table():
     action = natural_action(classical_generators("A(1,2)u"))
     first = semidirect_spectrum(action)
-    assert enumerate_group(action.image_group).payload["semidirect"] is first
+    assert enumerate_group(action.image_group).payload.semidirect is first
     again = natural_action(classical_generators("A(1,2)u"))
     assert semidirect_spectrum(again) is first
 

@@ -62,7 +62,7 @@ def test_factorize_rejects_bad_input():
 
 
 def test_factored_validates():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Factored(10, {2: 1, 3: 1})
     assert str(Factored(51840, {2: 7, 3: 4, 5: 1})) == "2^7 * 3^4 * 5"
     assert str(Factored(1, {})) == "1"

@@ -3,9 +3,17 @@ import json
 import pytest
 
 from omega.groups import parse_group_spec
-from omega.oracle import cached_spectrum_table, load_table, save_table, spectrum_table
+from omega.oracle import (
+    cached_spectrum_table,
+    enumerate_group,
+    load_table,
+    permutation_module,
+    save_table,
+    spectrum_table,
+)
 from omega.oracle.cache import cache_paths
-from omega.oracle.matgroup import _TABLE_MEMO, classical_generators
+from omega.oracle.kernel import _Codes, _Packed, _U64Codec, _VoidCodec, _kernel, _make_codec
+from omega.oracle.matgroup import _TABLE_MEMO, _classes, classical_generators
 
 
 def fresh_memo():
@@ -72,7 +80,7 @@ def test_cache_tamper_detected(tmp_path):
         raw[-1] ^= 0x05
         tbl.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
-            load_table(tmp_path, "A(1,4)u", 1 << 24, group.field, group.dim)
+            load_table(tmp_path, "A(1,4)u", 1 << 24, group)
     finally:
         restore_memo(saved)
 
@@ -88,20 +96,18 @@ def test_cache_sidecar_disagreement(tmp_path):
         meta["size"] = 61
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError):
-            load_table(tmp_path, "A(1,4)u", 1 << 24, group.field, group.dim)
+            load_table(tmp_path, "A(1,4)u", 1 << 24, group)
     finally:
         restore_memo(saved)
 
 
 def test_load_missing_returns_none(tmp_path):
     group = classical_generators(parse_group_spec("A(1,2)u"))
-    assert load_table(tmp_path, "A(1,2)u", 1 << 24, group.field, group.dim) is None
+    assert load_table(tmp_path, "A(1,2)u", 1 << 24, group) is None
 
 
 def test_quotient_tables_never_cached(tmp_path):
     table = spectrum_table(parse_group_spec("A(1,5)s"))
-    if table.payload.get("quotient_by") is None:
-        pytest.skip("simple table came back without quotient marking")
     with pytest.raises(ValueError):
         save_table(table, tmp_path, "A(1,5)s", 1 << 24)
 
@@ -118,14 +124,44 @@ def test_cached_table_over_the_cap_raises(tmp_path):
         restore_memo(saved)
 
 
-def test_loaded_table_without_its_group_names_the_loader(tmp_path):
+def test_bare_load_matches_a_fresh_enumeration(tmp_path):
     saved = fresh_memo()
     try:
-        cached_spectrum_table("A(1,4)u", cache_dir=tmp_path)
-        group = classical_generators(parse_group_spec("A(1,4)u"))
-        loaded = load_table(tmp_path, "A(1,4)u", 1 << 24, group.field, group.dim)
-        with pytest.raises(ValueError, match="cached_spectrum_table"):
-            loaded.orders()
+        group = classical_generators(parse_group_spec("A(2,3)u"))
+        fresh = enumerate_group(group)
+        save_table(fresh, tmp_path, "A(2,3)u", 1 << 24)
+        loaded = load_table(tmp_path, "A(2,3)u", 1 << 24, group)
+        assert loaded is not fresh and (loaded.payload.keys == fresh.payload.keys).all()
+        assert (loaded.orders() == fresh.orders()).all()
+        got, want = _classes(loaded.payload), _classes(fresh.payload)
+        assert all((a == b).all() for a, b in zip(got, want))
+    finally:
+        restore_memo(saved)
+
+
+def _sym6_mod3():
+    """The module group of claim C14: Sym6 permuting GF(3)^6 (raw byte keys)."""
+    return permutation_module([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], 3).image_group
+
+
+# packed words, a code stack with uint64 keys, and one with raw byte keys
+@pytest.mark.parametrize("name, make, kernel, codec", [
+    ("A(2,4)u", lambda: classical_generators("A(2,4)u"), _Packed, _U64Codec),
+    ("2A(2,3)u", lambda: classical_generators("2A(2,3)u"), _Codes, _U64Codec),
+    ("sym6-mod3", _sym6_mod3, _Codes, _VoidCodec),
+], ids=["A(2,4)u", "2A(2,3)u", "sym6-mod3"])
+def test_save_load_save_writes_the_same_files(name, make, kernel, codec, tmp_path):
+    saved = fresh_memo()
+    try:
+        group = make()
+        assert type(_kernel(group.field, group.dim)) is kernel
+        assert type(_make_codec(group.field, group.dim)) is codec
+        save_table(enumerate_group(group), tmp_path / "first", name, 1 << 24)
+        loaded = load_table(tmp_path / "first", name, 1 << 24, group)
+        save_table(loaded, tmp_path / "second", name, 1 << 24)
+        for a, b in zip(cache_paths(tmp_path / "first", name, 1 << 24),
+                        cache_paths(tmp_path / "second", name, 1 << 24)):
+            assert a.read_bytes() == b.read_bytes()
     finally:
         restore_memo(saved)
 

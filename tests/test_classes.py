@@ -24,7 +24,7 @@ from omega.oracle import (
 )
 from omega.oracle import action, frobenius, matgroup
 from omega.oracle.kernel import _Codes, _Packed, _kernel, _make_codec
-from omega.oracle.matgroup import _TABLE_MEMO, _classes, _least_powers
+from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers
 
 
 @pytest.fixture
@@ -77,12 +77,17 @@ def test_sl2_class_count(q):
     assert (by_class[np.r_[0, np.cumsum(c.sizes)[:-1]]] == c.reps).all()
 
 
+def _codes_of(table):
+    rec = table.payload
+    return _make_codec(rec.field, rec.dim).decode(rec.keys)
+
+
 @pytest.mark.parametrize("spec", ["A(1,3)u", "A(1,5)u", "2A(2,2)u", "C(2,2)u",
                                   "A(2,4)u", "C(2,3)u", "2A(3,2)u"])
 def test_center_matches_commuting_filter(spec):
     group = classical_generators(spec)
     table = enumerate_group(group)
-    stack, codes = table.payload["stack"], _Codes(group.field)
+    stack, codes = _codes_of(table), _Codes(group.field)
     mask = np.ones(table.size, dtype=bool)
     for g in group.generators:
         same = codes.pair(stack, g.a) == codes.pair(g.a, stack)
@@ -94,7 +99,7 @@ def test_center_matches_commuting_filter(spec):
 def naive_quotient_histogram(group, zs):
     """Orders of the cosets xZ, each coset named by its least key."""
     table = enumerate_group(group)
-    fld, stack, codes = group.field, table.payload["stack"], _Codes(group.field)
+    fld, stack, codes = group.field, _codes_of(table), _Codes(group.field)
     codec = _make_codec(fld, group.dim)
     zk = codec.keys(np.stack([z.a.astype(fld.code_dtype) for z in zs]))
     coset = np.min([codec.keys(codes.pair(stack, z.a)) for z in zs], axis=0)
@@ -126,7 +131,10 @@ def test_cache_loaded_table_has_the_same_classes(tmp_path, fresh_memo):
     cached_spectrum_table("A(2,4)u", cache_dir=tmp_path)
     _TABLE_MEMO.clear()
     loaded = cached_spectrum_table("A(2,4)u", cache_dir=tmp_path)
-    assert loaded is not fresh and "adopted" not in loaded.payload
+    # a loaded table conjugates by every generator of the group, a fresh
+    # one by the generators its closure adopted
+    assert loaded is not fresh
+    assert len(loaded.payload.generators) == 8 > len(fresh.payload.generators)
     assert (loaded.orders() == fresh.orders()).all()
     got = _classes(loaded.payload)
     assert (got.label == want.label).all() and (got.reps == want.reps).all()
@@ -134,10 +142,10 @@ def test_cache_loaded_table_has_the_same_classes(tmp_path, fresh_memo):
 
 def test_simple_table_reuses_classes(fresh_memo):
     first = spectrum_table("C(2,3)s")
-    pl = enumerate_group(classical_generators("C(2,3)u")).payload
-    kept = pl["classes"]
+    rec = enumerate_group(classical_generators("C(2,3)u")).payload
+    kept = rec.classes
     second = spectrum_table("C(2,3)s")
-    assert pl["classes"] is kept
+    assert rec.classes is kept
     assert second.order_histogram == first.order_histogram
     assert (second.orders() == first.orders()).all()
 
@@ -146,17 +154,16 @@ def test_conjugate_outside_the_table_raises():
     # the subgroup of one transvection is not normal in SL2(3)
     group = classical_generators("A(1,3)u")
     sub = enumerate_group(MatrixGroup(group.field, 2, group.generators[:1]))
-    pl = {key: sub.payload[key] for key in ("field", "dim", "stack", "keys")}
-    pl["group"] = group
+    rec = GroupRecord(group.field, 2, sub.payload.keys, [g.a for g in group.generators])
     with pytest.raises(RuntimeError, match="conjugate left the set"):
-        _classes(pl)
+        _classes(rec)
 
 
 def test_unreachable_target_raises():
-    pl = enumerate_group(classical_generators("A(1,3)u")).payload
+    rec = enumerate_group(classical_generators("A(1,3)u")).payload
     # a key past the largest one names no element, so no power reaches it
     with pytest.raises(RuntimeError, match="order runaway"):
-        _least_powers(pl, pl["keys"][-1:] + np.uint64(1))
+        _least_powers(rec, rec.keys[-1:] + np.uint64(1))
 
 
 def test_center_check_holds_without_asserts():
@@ -193,10 +200,10 @@ def _oracle_run(make):
     _TABLE_MEMO.clear()
     group = make()
     table = enumerate_group(group)
-    pl, c = table.payload, _classes(table.payload)
+    rec, c = table.payload, _classes(table.payload)
     center = center_of(group)
     quotient = quotient_spectrum(group, center)
-    arrays = [pl["stack"], pl["keys"], np.array(pl["adopted"]), c.reps, c.label, c.sizes,
+    arrays = [rec.keys, _codes_of(table), np.array(rec.generators), c.reps, c.label, c.sizes,
               table.orders(), np.array([z.a for z in center]), quotient.orders()]
     return arrays, (table.order_histogram, quotient.order_histogram)
 
@@ -206,7 +213,7 @@ def test_packed_words_match_code_stacks(name, fresh_memo):
     group = PACKED_CASES[name]()
     assert isinstance(_kernel(group.field, group.dim), _Packed) == ("GF(9)^3" not in name)
     packed, packed_hists = _oracle_run(PACKED_CASES[name])
-    codes = mock.MagicMock(side_effect=lambda fld, d: _Codes(fld))
+    codes = mock.MagicMock(side_effect=lambda fld, d: _Codes(fld, d))
     with mock.patch.object(matgroup, "_kernel", codes):
         unpacked, unpacked_hists = _oracle_run(PACKED_CASES[name])
     assert codes.called
@@ -224,7 +231,7 @@ def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
         return (semidirect_spectrum(_sym3(q)).order_histogram,
                 verify_frobenius(w.kernel_gens, w.complement_gens))
     packed = run()
-    codes = lambda fld, d: _Codes(fld)
+    codes = lambda fld, d: _Codes(fld, d)
     with mock.patch.object(matgroup, "_kernel", codes), \
             mock.patch.object(action, "_kernel", codes), \
             mock.patch.object(frobenius, "_kernel", codes):

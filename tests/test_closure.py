@@ -117,7 +117,8 @@ def generator_lists(draw):
 @given(generator_lists())
 def test_closure_matches_naive_bfs(drawn):
     name, group, (want_stack, want_keys) = drawn
-    stack, keys, _ = _closure(group, matgroup.DEFAULT_CAP)
+    keys, _ = _closure(group, matgroup.DEFAULT_CAP)
+    stack = _make_codec(group.field, group.dim).decode(keys)
     assert stack.dtype == want_stack.dtype, name
     assert (keys == want_keys).all() and (stack == want_stack).all(), name
 
@@ -128,7 +129,7 @@ def test_redundant_generators_change_no_table():
     padded = MatrixGroup(group.field, group.dim,
                          (gens[0] @ gens[1], Matrix.identity(group.field, 3)) + gens + gens[:2])
     a, b = _closure(group, matgroup.DEFAULT_CAP), _closure(padded, matgroup.DEFAULT_CAP)
-    assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
+    assert (a[0] == b[0]).all()
     assert enumerate_group(padded).order_histogram == enumerate_group(group).order_histogram
 
 
@@ -147,12 +148,12 @@ def test_cap_overshoot_is_at_most_one_chunk(spec, cap, chunk, monkeypatch):
     ("A(2,2)u", 5), ("2A(2,2)u", 5), ("A(1,9)u", 5), ("A(2,4)u", None), ("2A(3,2)u", 64)])
 def test_stepped_levels_build_the_same_table(spec, chunk, monkeypatch):
     group = classical_generators(spec)
-    stack, keys, _ = _closure(group, matgroup.DEFAULT_CAP)
+    keys, _ = _closure(group, matgroup.DEFAULT_CAP)
     # a cap of exactly |G| sends the late levels through ever smaller steps
     if chunk is not None:
         monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
-    s2, k2, _ = _closure(group, len(keys))
-    assert (s2 == stack).all() and (k2 == keys).all()
+    k2, _ = _closure(group, len(keys))
+    assert (k2 == keys).all()
 
 
 def test_wrong_name_raises_even_under_memo():

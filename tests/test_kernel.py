@@ -63,8 +63,8 @@ def problems(draw, max_d=4, max_w=None):
 
 
 def kernels(fld, d):
-    """The kernel the oracle uses for (fld, d), and the unpacked one."""
-    return {type(k).__name__: k for k in (_kernel(fld, d), _Codes(fld))}.values()
+    """The kernel the oracle uses for (fld, d), and the code-stack one."""
+    return {type(k).__name__: k for k in (_kernel(fld, d), _Codes(fld, d))}.values()
 
 
 @SETTINGS
@@ -73,13 +73,15 @@ def test_left_right_pair(problem, chunk):
     fld, d, g, X, Y = problem
     # one pair of plain matrices, as Matrix.__matmul__ multiplies them
     assert (_Codes(fld).pair(X[0], Y[0]) == ref_product(fld, X[0], Y[0])).all()
+    codec = _make_codec(fld, d)
     for kern in kernels(fld, d):
         # chunk = 2 splits every stack of more than two matrices
         with mock.patch.multiple(kernel, _CHUNK=chunk, _PACKED_CHUNK=chunk):
-            L = kern.unpack(kern.left(g, kern.pack(X)))
-            R = kern.unpack(kern.right(kern.pack(X), g))
-            P = kern.unpack(kern.pair(kern.pack(X), kern.pack(Y)))
-        S = kern.unpack(kern.add(kern.pack(X), kern.pack(Y)))
+            KX, KY = kern.of_keys(codec.keys(X)), kern.of_keys(codec.keys(Y))
+            L = codec.decode(kern.keys(kern.left(g, KX)))
+            R = codec.decode(kern.keys(kern.right(KX, g)))
+            P = codec.decode(kern.keys(kern.pair(KX, KY)))
+        S = codec.decode(kern.keys(kern.add(KX, KY)))
         for i in range(len(X)):
             assert (L[i] == ref_product(fld, g, X[i])).all()
             assert (R[i] == ref_product(fld, X[i], g)).all()
@@ -104,16 +106,18 @@ def test_rectangular_operands(problem):
 
 
 @SETTINGS
-@given(problems())
-def test_packed_words_are_codec_keys(problem):
+@given(problems(), st.sampled_from([2, 1 << 20]))
+def test_packed_words_are_codec_keys(problem, chunk):
     fld, d, _, X, _ = problem
-    kern = _kernel(fld, d)
-    if not isinstance(kern, _Packed):
-        return
-    keys = _make_codec(fld, d).keys(X)
-    assert (kern.pack(X) == keys).all()
-    assert (kern.keys(kern.pack(X)) == keys).all()
-    assert (kern.unpack(keys) == X).all()
+    codec, kern = _make_codec(fld, d), _kernel(fld, d)
+    keys = codec.keys(X)
+    # decoding in blocks of two keys crosses a block boundary
+    with mock.patch.object(kernel, "_PACKED_CHUNK", chunk):
+        decoded = codec.decode(keys)
+    assert decoded.dtype == fld.code_dtype and (decoded == X).all()
+    assert (kern.keys(kern.of_keys(keys)) == keys).all()
+    if isinstance(kern, _Packed):
+        assert (kern.of_keys(keys) == keys).all()
 
 
 def test_packing_applies_where_promised():

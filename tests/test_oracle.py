@@ -4,6 +4,7 @@ import pytest
 from omega.groups import parse_group_spec
 from omega.oracle import (
     CapExceeded,
+    ElementTable,
     Matrix,
     MatrixGroup,
     build_field,
@@ -77,8 +78,14 @@ def test_matrix_basics():
     assert m ** 7 == m
     assert (m @ m.inverse()).is_identity()
     assert (m ** -2) == (m.inverse() @ m.inverse())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="singular"):
         Matrix(f, [[1, 1], [1, 1]]).inverse()
+    for bad, why in (([[1, 1]], "square"), (np.eye(65), "at most 64"), ([[3, 0], [0, 1]], "field code")):
+        with pytest.raises(ValueError, match=why):
+            Matrix(f, bad)
+    for other in (Matrix.identity(build_field(5), 2), Matrix.identity(f, 3)):
+        with pytest.raises(ValueError, match="different fields or sizes"):
+            m @ other
     f4 = build_field(2, 2)
     c = Matrix(f4, [[2, 0], [0, 3]]).conj_entries(1)
     assert c == Matrix(f4, [[3, 0], [0, 2]])
@@ -103,6 +110,28 @@ def test_coset_counts_must_divide():
         _table(np.array([1, 2, 2]), {}, zn=2)
     with pytest.raises(RuntimeError, match="not divisible"):
         _table(np.array([1, 2, 2, 2]), {}, zn=2)  # four elements, but one of order 1
+
+
+def test_table_histogram_must_sum_to_the_size():
+    with pytest.raises(ValueError, match="sum to the size 3"):
+        ElementTable(size=3, order_histogram={1: 1, 2: 1}, spectrum=(1, 2))
+
+
+def test_table_spectrum_must_hold_one():
+    with pytest.raises(ValueError, match="1 is not the least order"):
+        ElementTable(size=2, order_histogram={2: 1, 4: 1}, spectrum=(2, 4))
+
+
+def test_table_spectrum_must_be_the_sorted_histogram_keys():
+    with pytest.raises(ValueError, match="sorted histogram keys"):
+        ElementTable(size=2, order_histogram={1: 1, 2: 1}, spectrum=(2, 1))
+    with pytest.raises(ValueError, match="sorted histogram keys"):
+        ElementTable(size=2, order_histogram={1: 1, 2: 1}, spectrum=(1,))
+
+
+def test_table_spectrum_must_be_divisor_closed():
+    with pytest.raises(ValueError, match="divisor-closed at 6"):
+        ElementTable(size=3, order_histogram={1: 1, 2: 1, 6: 1}, spectrum=(1, 2, 6))
 
 
 def test_sl2_3_exhaustive():

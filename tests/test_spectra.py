@@ -52,9 +52,9 @@ def test_canonicalize_idempotent_and_order_free():
 
 
 def test_descriptor_invariants():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SpectrumDescriptor((3, 6))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SpectrumDescriptor((10, 8))
 
 
