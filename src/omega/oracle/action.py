@@ -11,7 +11,7 @@ from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, 
 
 
 def field_rank(fld, rows):
-    return _eliminate(fld, rows).rank
+    return int(_eliminate(fld, np.asarray(rows)[None]).rank[0])
 
 
 def fixed_space_dim(g, action=None):
@@ -20,7 +20,7 @@ def fixed_space_dim(g, action=None):
     if action is not None and (g.dim != action.dim_V or fld != action.field):
         raise ValueError("dimension mismatch")
     minus_one = fld.neg_table[np.eye(g.dim, dtype=np.uint16)]
-    return len(_eliminate(fld, _Codes(fld).add(g.a, minus_one)).nullspace)
+    return g.dim - field_rank(fld, _Codes(fld).add(g.a, minus_one))
 
 
 def min_poly_degree(g, action=None):
@@ -130,8 +130,9 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
         on = orders > step
         N[on] = kern.add(kern.pair(N[on], R[on]), eye)
     vcount, hist = fld.q**d, {}
-    for m, size, n in zip(orders.tolist(), c.sizes.tolist(), codec.decode(kern.keys(N))):
-        pure = size * fld.q ** (d - field_rank(fld, n))
+    ranks = _eliminate(fld, codec.decode(kern.keys(N))).rank
+    for m, size, rank in zip(orders.tolist(), c.sizes.tolist(), ranks.tolist()):
+        pure = size * fld.q ** (d - rank)
         for order, count in ((m, pure), (m * fld.p, size * vcount - pure)):
             if count:
                 hist[order] = hist.get(order, 0) + count

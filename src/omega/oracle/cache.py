@@ -13,6 +13,7 @@ from .matgroup import (DEFAULT_CAP, ElementTable, GroupRecord, _TABLE_MEMO, _mem
                        classical_generators, spectrum_table)
 
 MAGIC = b"OMEGA1"
+_SAVE_BLOCK = 1 << 16
 
 
 def _stem(spec_str, cap):
@@ -42,9 +43,13 @@ def save_table(table, cache_dir, spec_str, cap):
     ]
     tbl_path, json_path = cache_paths(cache_dir, spec_str, cap)
     tbl_path.parent.mkdir(parents=True, exist_ok=True)
-    # the file holds the code stack, which the table itself does not keep
+    # the file holds the code stack, which the table itself does not keep:
+    # decode it a block of keys at a time
+    codec = _make_codec(fld, rec.dim)
     with tbl_path.open("wb") as fh:
-        fh.writelines(head + [_make_codec(fld, rec.dim).decode(rec.keys).data])
+        fh.writelines(head)
+        for lo in range(0, len(rec.keys), _SAVE_BLOCK):
+            fh.write(codec.decode(rec.keys[lo:lo + _SAVE_BLOCK]).data)
     sidecar = {
         "spec": spec_str,
         "cap": cap,

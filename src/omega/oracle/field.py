@@ -97,7 +97,8 @@ class Field:
     def __init__(self, p, k, modulus):
         self.p, self.k, self.q = p, k, p**k
         self.modulus = tuple(modulus)
-        assert len(modulus) == k + 1 and modulus[-1] == 1
+        if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
+            raise ValueError(f"modulus {self.modulus} is not monic of degree {k}")
         q = self.q
         # Discrete log tables from a multiplicative generator.
         g = self._find_generator()
@@ -107,10 +108,10 @@ class Field:
         for i in range(q - 1):
             exp[i] = c
             c = self._mul_slow(c, g)
-        assert c == 1, "generator order wrong"
+        if c != 1 or sorted(exp) != list(range(1, q)):
+            raise ValueError(f"modulus {self.modulus} is not irreducible over GF({p})")
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        assert sorted(exp) == list(range(1, q)), "exp table must hit every nonzero code"
         self.exp_table = exp
         self.log_table = log
         digits = np.zeros((q, k), dtype=np.int64)
@@ -186,7 +187,8 @@ class Field:
         return int(self.mul_many(a, b))
 
     def inv(self, a):
-        assert a != 0, "zero has no inverse"
+        if a == 0:
+            raise ZeroDivisionError("zero has no inverse")
         return int(self.inv_table[a])
 
     def neg(self, a):
@@ -194,7 +196,8 @@ class Field:
 
     def pow(self, a, e):
         if a == 0:
-            assert e > 0
+            if e <= 0:
+                raise ZeroDivisionError(f"0 ** {e} is undefined")
             return 0
         return int(self.exp_table[int(self.log_table[a]) * e % (self.q - 1)])
 

@@ -10,7 +10,7 @@ import numpy as np
 from ..arith import _factor, is_prime_power, r_part
 from .action import fixed_space_dim
 from .field import build_field
-from .kernel import _eliminate, _kernel
+from .kernel import _eliminate, _kernel, _make_codec
 from .matgroup import Matrix, MatrixGroup, _lookup, classical_generators, enumerate_group
 
 VERIFY_CAP = 1 << 20
@@ -90,15 +90,15 @@ def _sl_hyperplane_witness(n, q):
         if math.gcd(big_order, u) != big_order // e:
             continue
         t = singer**u
-        det = _eliminate(fld, t.a).det
+        ech = _eliminate(fld, t.a[None])
         big = np.eye(n, dtype=np.uint16)
-        big[0, 0] = fld.inv(det)
+        big[0, 0] = fld.inv(int(ech.det[0]))
         big[1:, 1:] = t.a
         cand = Matrix(fld, big)
         # conjugation sends the translation row w to det^-1 * w * t^-1; the
         # complement is free exactly when no proper power of that map fixes
         # a nonzero vector
-        act = Matrix(fld, fld.mul_many(t.inverse().a.T, int(big[0, 0])))
+        act = Matrix(fld, fld.mul_many(ech.inverse[0].T, int(big[0, 0])))
         powers = list(itertools.accumulate([act] * e, operator.matmul))
         if powers[-1].is_identity() and not any(map(fixed_space_dim, powers[:-1])):
             c = cand
@@ -218,12 +218,12 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
             reason="kernel and complement intersect beyond the identity",
             counterexample=(shared, shared),
         )
-    for i in range(ct.size):
-        c = ct.element(i)
+    C = _make_codec(fld, dim).decode(ct.payload.keys)
+    for a, a_inv in zip(C, _eliminate(fld, C).inverse):
+        c = Matrix(fld, a)
         if c.is_identity():
             continue
-        cinv = c.inverse()
-        conj_keys = kern.keys(kern.right(kern.left(c.a, K), cinv.a))
+        conj_keys = kern.keys(kern.right(kern.left(a, K), a_inv))
         _, inside = _lookup(k_keys, conj_keys)
         if not inside.all():
             bad = int(np.flatnonzero(~inside)[0])

@@ -1,15 +1,18 @@
 """Products, sums and elimination for stacks of code matrices over GF(p^k).
 
 _kernel(fld, d) picks the representation of d x d matrices.  When bits * d^2
-<= 64 (bits = bit_length(q - 1)) and the lookup tables fit, each matrix packs
-into the uint64 that is its _U64Codec key, and a product adds rows looked up
-in a scalar-times-row table: by XOR for p = 2, through a row-sum table for
-odd p.  That covers GF(2^k) as before, GF(3) up to d = 4, GF(5) and GF(7) up
-to d = 3, and GF(9) to GF(13) up to d = 2.  Other shapes keep code stacks:
-int64 matmul mod p for prime fields; for k > 1, g @ X adds rows c * X[j]
-through a q-entry row per scalar c, and other products multiply by log/exp
-lookups.  Both representations share one interface: of_keys, keys, left,
-right, pair and add.  A codec maps code stacks to keys and back (decode).
+<= 64 (bits = bit_length(q - 1)) and the scalar-times-row table (2^bits x
+2^(bits d) words) fits _PACK_TABLE_LIMIT, each matrix packs into the uint64
+that is its _U64Codec key, and a product adds rows looked up in that table:
+by XOR for p = 2, and for odd p chunk by chunk, c entries at a time (c the
+largest with 2 bits c <= 16), through a table of sums of two chunks.  So
+GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5) and GF(7) up to
+d = 4, and GF(9) to GF(13) up to d = 3.  Other shapes keep code stacks: int64
+matmul mod p for prime fields; for k > 1, g @ X adds rows c * X[j] through a
+q-entry row per scalar c, and other products multiply by log/exp lookups.
+Both representations share one interface: of_keys, keys, left, right, pair
+and add.  A codec maps code stacks to keys and back (decode).  _eliminate
+runs one Gauss-Jordan over a whole stack of matrices, a pivot per matrix.
 """
 
 import operator
@@ -21,8 +24,8 @@ import numpy as np
 # Matrices per product: bounds the temporaries of code stacks, and keeps
 # packed words in L2-sized blocks (half the time of a large pair).
 _CHUNK, _PACKED_CHUNK = 1 << 17, 1 << 14
-# Largest lookup table the packed path builds: 2^bits x 2^(bits d) scalar
-# times row, and for odd p 2^(bits d) x 2^(bits d) row sums.
+# Largest scalar-times-row table the packed path builds, 2^bits x 2^(bits d);
+# a chunk-sum table has at most 2^16 words, or 2^18 for 1 x 1 over q > 256.
 _PACK_TABLE_LIMIT = 1 << 18
 
 
@@ -148,8 +151,8 @@ class _Packed:
     A product looks rows up in a scalar-times-row table over every bits-bit
     scalar and every width-bit row; entries q .. 2^bits - 1 never occur, and
     the table reduces them mod q so that every lookup is in range.  Rows add
-    by XOR for p = 2 and otherwise by one lookup in a 2^width x 2^width
-    row-sum table."""
+    by XOR for p = 2 and otherwise by one lookup per chunk of c entries in a
+    2^(bits c) x 2^(bits c) chunk-sum table."""
 
     def __init__(self, fld, d):
         self.fld, self.d = fld, d
@@ -159,17 +162,22 @@ class _Packed:
         self.row_mask = np.uint64((1 << width) - 1)
         self.row_shift = [np.uint64(width * (d - 1 - i)) for i in range(d)]
         self.entry_shift = [np.uint64(bits * (d - 1 - j)) for j in range(d)]
-        # table[c, r] = c * r for every scalar c and row r, padding mod q
+        # table[c, r] = c * r for every scalar c and row r, padding mod q,
+        # built one entry position at a time
         rows, shifts = np.arange(1 << width, dtype=np.uint64), np.array(self.entry_shift)
         entries = ((rows[:, None] >> shifts) & self.codec.mask).astype(np.int64) % fld.q
-        scalars = np.arange(1 << bits)[:, None, None] % fld.q
-        prods = fld.mul_many(scalars, entries).astype(np.uint64)
-        self.table = np.bitwise_or.reduce(prods << shifts, axis=2)
+        scalars = np.arange(1 << bits)[:, None] % fld.q
+        self.table = np.zeros((1 << bits, 1 << width), dtype=np.uint64)
+        for e, s in zip(entries.T, shifts):
+            self.table |= fld.mul_many(scalars, e).astype(np.uint64) << s
         self.flat = self.table.ravel()
-        # sums[(x << width) | y] = x + y, built one entry position at a time
+        # sums[(x << cw) | y] = x + y for chunks x, y of c entries, built one
+        # entry position at a time; _kernel's limits keep a row to two chunks
+        c = min(max(8 // bits, 1), d)
+        self.cw, self.chunk_mask = np.uint64(bits * c), np.uint64((1 << bits * c) - 1)
         self.sums = None if fld.p == 2 else reduce(operator.or_, (
             fld.add_table[e[:, None], e[None, :]].astype(np.uint64).ravel() << s
-            for e, s in zip(entries.T, shifts)))
+            for e, s in zip(entries[:1 << bits * c, d - c:].T, shifts[d - c:])))
 
     def of_keys(self, K):
         return K
@@ -183,8 +191,14 @@ class _Packed:
                                      in zip(self._rows(A), self._rows(B), self.row_shift)))
 
     def _add(self, x, y):
-        """Sums of packed rows."""
-        return x ^ y if self.sums is None else self.sums[(x << self.width) | y]
+        """Sums of packed rows: one chunk-sum lookup, or two when a row is
+        wider than a chunk (its low c entries, then the rest)."""
+        if self.sums is None:
+            return x ^ y
+        cw, m = self.cw, self.chunk_mask
+        if self.width <= cw:
+            return self.sums[(x << cw) | y]
+        return self.sums[((x & m) << cw) | (y & m)] | self.sums[((x >> cw) << cw) | (y >> cw)] << cw
 
     def _rows(self, K):
         return [(K >> s) & self.row_mask for s in self.row_shift]
@@ -233,43 +247,45 @@ class _Packed:
 def _kernel(fld, d):
     """The representation for d x d matrices over fld."""
     bits = _bits(fld)
-    # the scalar-times-row table, and for odd p the row-sum table, must fit
-    tables = bits * d + (bits if fld.p == 2 else bits * d)
-    if bits * d * d <= 64 and 1 << tables <= _PACK_TABLE_LIMIT:
+    if bits * d * d <= 64 and 1 << (bits + bits * d) <= _PACK_TABLE_LIMIT:
         return _Packed(fld, d)
     return _Codes(fld, d)
 
 
-_Echelon = namedtuple("_Echelon", "rank det inverse nullspace")
+_Echelon = namedtuple("_Echelon", "rank det inverse")
 
 
 def _eliminate(fld, a):
-    """Gauss-Jordan elimination of an r x c code matrix: rank; det and
-    inverse when r == c (0 and None if singular), else None; nullspace, a
-    basis of {x : a x = 0}."""
-    m = np.array(a, dtype=fld.code_dtype)
-    r, c = m.shape
-    if r == c:
-        m = np.hstack([m, np.eye(r, dtype=m.dtype)])
-    det, pivots = 1, []
+    """Gauss-Jordan elimination of a stack of n r x c code matrices, all at
+    once with a pivot per matrix: per matrix the rank, and when r == c the
+    det and inverse (0 and zeros if singular), else None.  Pivot rows stay
+    where they are: each column records its own, a zero row r stands in for
+    a missing pivot, and the inverse reads its rows in pivot order."""
+    n, r, c = np.shape(a)
+    m = np.zeros((n, r + 1, c + r * (r == c)), dtype=fld.code_dtype)
+    m[:, :r, :c] = a
+    m[:, :r, c:] = np.eye(r, m.shape[2] - c, dtype=m.dtype)
+    free, idx, add = np.ones((n, r + 1), dtype=bool), np.arange(n), _Codes(fld).add
+    pivots, values = [], []
     for col in range(c):
-        top = len(pivots)
-        below = np.flatnonzero(m[top:, col])
-        if not len(below):
-            det = 0
-            continue
-        if below[0]:
-            m[[top, top + below[0]]] = m[[top + below[0], top]]
-            det = fld.neg(det)
-        det = fld.mul(det, int(m[top, col]))
-        m[top] = fld.mul_many(fld.inv(int(m[top, col])), m[top])
-        scale = fld.neg_table[m[:, col]]
-        scale[top] = 0
-        m = _Codes(fld).add(m, fld.mul_many(scale[:, None], m[top][None, :]))
-        pivots.append(col)
-    free = [f for f in range(c) if f not in pivots]
-    nullspace = np.eye(c, dtype=fld.code_dtype)[free]
-    nullspace[:, pivots] = fld.neg_table[m[:len(pivots), free]].T
-    square, rank = r == c, len(pivots)
-    inverse = m[:, c:].astype(np.uint16) if square and rank == r else None
-    return _Echelon(rank, det if square else None, inverse, list(nullspace))
+        at = m[:, :, col]
+        live = (at != 0) & free
+        live[:, r] = True
+        p = live.argmax(axis=1)
+        free[idx, p] = False
+        row = m[idx, p]
+        unit = fld.mul_many(fld.inv_table[row[:, col]][:, None], row)
+        # the pivot row cancels itself here and is set to its unit multiple
+        m = add(m, fld.mul_many(fld.neg_table[at][:, :, None], unit[:, None, :]))
+        m[idx, p] = unit
+        pivots.append(p)
+        values.append(row[:, col])
+    P = np.stack(pivots, axis=1)
+    if r != c:
+        return _Echelon((P < r).sum(axis=1), None, None)
+    det = reduce(fld.mul_many, values)
+    if fld.p != 2:
+        # det a = sign of the pivot-row permutation times the pivots
+        odd = np.triu(P[:, :, None] > P[:, None, :]).sum(axis=(1, 2)) % 2 == 1
+        det = np.where(odd, fld.neg_table[det], det)
+    return _Echelon((P < r).sum(axis=1), det, m[idx[:, None], P, c:])

@@ -69,10 +69,10 @@ class Matrix:
         return out
 
     def inverse(self):
-        inv = _eliminate(self.field, self.a).inverse
-        if inv is None:
+        ech = _eliminate(self.field, self.a[None])
+        if ech.rank[0] < self.dim:
             raise ValueError("matrix is singular")
-        return Matrix(self.field, inv)
+        return Matrix(self.field, ech.inverse[0])
 
     def is_identity(self):
         return bool((self.a == np.eye(self.dim, dtype=np.uint16)).all())
@@ -123,8 +123,9 @@ class MatrixGroup:
         for g in self.generators:
             if g.field != self.field or g.dim != self.dim:
                 raise ValueError(f"generator is not a {self.dim}x{self.dim} matrix over {self.field}")
-            if _eliminate(self.field, g.a).rank != self.dim:
-                raise ValueError("generator not invertible")
+        gens = _stack([g.a for g in self.generators], self.dim)
+        if (_eliminate(self.field, gens).rank < self.dim).any():
+            raise ValueError("generator not invertible")
 
     def key(self):
         gens = tuple(sorted(g.a.tobytes() for g in self.generators))
@@ -179,6 +180,11 @@ class ElementTable:
         return _orders(self.payload)
 
 
+def _stack(codes, d):
+    """The (n, d, d) stack of a list of d x d code matrices, which may be empty."""
+    return np.array(codes, dtype=np.uint16).reshape(-1, d, d)
+
+
 def _lookup(keys, pk):
     """Insertion points of pk in the sorted keys, and which of pk are there."""
     pos = np.searchsorted(keys, pk)
@@ -193,8 +199,8 @@ def _closure(group, cap):
     fld, d = group.field, group.dim
     kern, codec = _kernel(fld, d), _make_codec(fld, d)
     keys = codec.keys(np.eye(d, dtype=fld.code_dtype)[None])
-    gens, mults = [g.a for g in group.generators], []
-    for g, gk in zip(gens, codec.keys(np.array(gens, dtype=np.uint16).reshape(-1, d, d))):
+    gens, mults = _stack([g.a for g in group.generators], d), []
+    for g, gk in zip(gens, codec.keys(gens)):
         _, known = _lookup(keys, gk[None])
         if known[0]:
             continue
@@ -237,8 +243,8 @@ def _classes(rec):
     kern = _kernel(fld, rec.dim)
     X = kern.of_keys(keys)
     perms = []
-    for g in rec.generators:
-        pk = kern.keys(kern.left(g, kern.right(X, _eliminate(fld, g).inverse)))
+    for g, g_inv in zip(rec.generators, _eliminate(fld, _stack(rec.generators, rec.dim)).inverse):
+        pk = kern.keys(kern.left(g, kern.right(X, g_inv)))
         # conjugation permutes the group, so sorting its keys gives the keys
         # back, and the sorting order is the inverse permutation (same orbits)
         inv = np.argsort(pk).astype(np.int32)
@@ -380,9 +386,9 @@ def _sp_generators(fld, n):
     for b in fld.basis():
         gens.append(_elementary(fld, dim, (n - 1, dim - 1, b)))
         gens.append(_elementary(fld, dim, (dim - 1, n - 1, b)))
-    omega = _sp_form(fld, n)
-    for g in gens:
-        assert g.transpose() @ omega @ g == omega, "generator breaks the symplectic form"
+    omega, G, codes = _sp_form(fld, n).a, _stack([g.a for g in gens], dim), _Codes(fld)
+    if not (codes.pair(codes.pair(G.transpose(0, 2, 1), omega), G) == omega).all():
+        raise RuntimeError("generator breaks the symplectic form")
     return gens
 
 
@@ -410,22 +416,26 @@ def _su_generators(fld2, dim, k_base):
         tri[:, 1, [1, 2, 2], [0, 0, 1]] = vs
         tri = tri.reshape(-1, 3, 3)
         gens = [Matrix(fld2, t) for t in tri[unitary(tri)]]
-        assert gens, "no unitary triangles found"
+        if not gens:
+            raise RuntimeError("no unitary triangles found")
         return gens
     # I + lam v w^T with w = conj(F v), for every isotropic v whose first
     # nonzero entry is 1 and every trace-zero lam, v outermost
     lams = [c for c in range(1, q2) if fld2.add(c, int(conj[c])) == 0]
-    assert lams, "no trace-zero scalars"
+    if not lams:
+        raise RuntimeError("no trace-zero scalars")
     ws = conj[vs[:, ::-1]]
     norms = reduce(fld2.add_many, fld2.mul_many(vs, ws).T)
     lead = vs[np.arange(len(vs)), (vs != 0).argmax(axis=1)]
     keep = (lead == 1) & (norms == 0)
     vs, ws = vs[keep], ws[keep]
-    assert len(vs), "no isotropic points found"
+    if not len(vs):
+        raise RuntimeError("no isotropic points found")
     lv = fld2.mul_many(np.array(lams)[None, :, None], vs[:, None, :])
     outer = fld2.mul_many(lv[..., :, None], ws[:, None, None, :])
     ts = fld2.add_many(np.eye(dim, dtype=np.int64), outer).reshape(-1, dim, dim)
-    assert unitary(ts).all(), "transvection breaks the hermitian form"
+    if not unitary(ts).all():
+        raise RuntimeError("transvection breaks the hermitian form")
     return [Matrix(fld2, t) for t in ts]
 
 

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -11,6 +12,7 @@ from omega.oracle import (
     save_table,
     spectrum_table,
 )
+from omega.oracle import cache
 from omega.oracle.cache import cache_paths
 from omega.oracle.kernel import _Codes, _Packed, _U64Codec, _VoidCodec, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, _classes, classical_generators
@@ -144,19 +146,28 @@ def _sym6_mod3():
     return permutation_module([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], 3).image_group
 
 
-# packed words, a code stack with uint64 keys, and one with raw byte keys
+def _sym4_mod9():
+    """Sym4 permuting GF(9)^4: 64-bit keys, but too wide a row to pack."""
+    return permutation_module([(1, 0, 2, 3), (1, 2, 3, 0)], 9).image_group
+
+
+# packed words over GF(2^k) and GF(9), a code stack with uint64 keys, and one
+# with raw byte keys
 @pytest.mark.parametrize("name, make, kernel, codec", [
     ("A(2,4)u", lambda: classical_generators("A(2,4)u"), _Packed, _U64Codec),
-    ("2A(2,3)u", lambda: classical_generators("2A(2,3)u"), _Codes, _U64Codec),
+    ("2A(2,3)u", lambda: classical_generators("2A(2,3)u"), _Packed, _U64Codec),
+    ("sym4-mod9", _sym4_mod9, _Codes, _U64Codec),
     ("sym6-mod3", _sym6_mod3, _Codes, _VoidCodec),
-], ids=["A(2,4)u", "2A(2,3)u", "sym6-mod3"])
+], ids=["A(2,4)u", "2A(2,3)u", "sym4-mod9", "sym6-mod3"])
 def test_save_load_save_writes_the_same_files(name, make, kernel, codec, tmp_path):
     saved = fresh_memo()
     try:
         group = make()
         assert type(_kernel(group.field, group.dim)) is kernel
         assert type(_make_codec(group.field, group.dim)) is codec
-        save_table(enumerate_group(group), tmp_path / "first", name, 1 << 24)
+        # the first file is written in blocks of 7 keys, the second in one
+        with mock.patch.object(cache, "_SAVE_BLOCK", 7):
+            save_table(enumerate_group(group), tmp_path / "first", name, 1 << 24)
         loaded = load_table(tmp_path / "first", name, 1 << 24, group)
         save_table(loaded, tmp_path / "second", name, 1 << 24)
         for a, b in zip(cache_paths(tmp_path / "first", name, 1 << 24),

@@ -183,7 +183,8 @@ def _sym3(q):
     return permutation_module([(1, 0, 2), (1, 2, 0)], q)
 
 
-# odd-characteristic groups; all but Sym3 on GF(9)^3 have packed words
+# odd-characteristic groups, all with packed words; rows over GF(7)^3, GF(9)^3
+# and GF(5)^4 add in two chunks
 PACKED_CASES = {
     "A(1,5)u": lambda: classical_generators("A(1,5)u"),
     "A(1,9)u": lambda: classical_generators("A(1,9)u"),
@@ -192,6 +193,7 @@ PACKED_CASES = {
     "Frobenius group (3, 3)": lambda: _frobenius_group((3, 3)),
     "Sym3 on GF(7)^3": lambda: _sym3(7).image_group,
     "Sym3 on GF(9)^3": lambda: _sym3(9).image_group,
+    "Sym4 on GF(5)^4": lambda: permutation_module([(1, 0, 2, 3), (1, 2, 3, 0)], 5).image_group,
 }
 
 
@@ -211,7 +213,7 @@ def _oracle_run(make):
 @pytest.mark.parametrize("name", sorted(PACKED_CASES))
 def test_packed_words_match_code_stacks(name, fresh_memo):
     group = PACKED_CASES[name]()
-    assert isinstance(_kernel(group.field, group.dim), _Packed) == ("GF(9)^3" not in name)
+    assert isinstance(_kernel(group.field, group.dim), _Packed)
     packed, packed_hists = _oracle_run(PACKED_CASES[name])
     codes = mock.MagicMock(side_effect=lambda fld, d: _Codes(fld, d))
     with mock.patch.object(matgroup, "_kernel", codes):
@@ -237,3 +239,26 @@ def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
             mock.patch.object(frobenius, "_kernel", codes):
         assert run() == packed
     assert packed[1].ok
+
+
+def test_one_elimination_per_stack(fresh_memo):
+    """Generators, conjugating inverses, N(rep) ranks and complement inverses
+    are each eliminated as one stack."""
+    def counted(module):
+        return mock.patch.object(module, "_eliminate", wraps=module._eliminate)
+
+    with counted(matgroup) as elim:
+        group = classical_generators("2A(3,2)u")
+        assert elim.call_count == 1 and len(elim.call_args[0][1]) == 45
+    rec = GroupRecord(group.field, group.dim, enumerate_group(group).payload.keys,
+                      list(np.array([g.a for g in group.generators])))
+    with counted(matgroup) as elim:
+        _classes(rec)
+        assert elim.call_count == 1
+    with counted(action) as elim:
+        semidirect_spectrum(_sym3(3))
+        assert elim.call_count == 1
+    w = frobenius_witness("sl-hyperplane", (3, 3))
+    with counted(frobenius) as elim:
+        assert verify_frobenius(w.kernel_gens, w.complement_gens).ok
+        assert elim.call_count == 1 and len(elim.call_args[0][1]) == w.complement_order

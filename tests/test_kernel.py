@@ -67,10 +67,42 @@ def kernels(fld, d):
     return {type(k).__name__: k for k in (_kernel(fld, d), _Codes(fld, d))}.values()
 
 
+def ref_rank(fld, rows):
+    """Row reduction one scalar at a time."""
+    rows, rank = [list(map(int, row)) for row in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = fld.inv(rows[rank][col])
+        for i in range(rank + 1, len(rows)):
+            f = fld.mul(rows[i][col], inv)
+            rows[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 @SETTINGS
 @given(problems(), st.sampled_from([2, 1 << 20]))
 def test_left_right_pair(problem, chunk):
-    fld, d, g, X, Y = problem
+    check_kernels(*problem, chunk)
+
+
+# packed shapes whose rows add in two chunks
+@pytest.mark.parametrize("p, k, d", [(3, 2, 3), (7, 1, 3), (5, 1, 4), (3, 1, 5)])
+def test_chunked_row_sums(p, k, d):
+    fld = build_field(p, k)
+    kern = _kernel(fld, d)
+    assert isinstance(kern, _Packed) and kern.width > kern.cw
+    rng = np.random.default_rng(p * k * d)
+    g, X, Y = (rng.integers(0, fld.q, size=s).astype(fld.code_dtype)
+               for s in ((d, d), (5, d, d), (5, d, d)))
+    for chunk in (2, 1 << 20):
+        check_kernels(fld, d, g, X, Y, chunk)
+
+
+def check_kernels(fld, d, g, X, Y, chunk):
     # one pair of plain matrices, as Matrix.__matmul__ multiplies them
     assert (_Codes(fld).pair(X[0], Y[0]) == ref_product(fld, X[0], Y[0])).all()
     codec = _make_codec(fld, d)
@@ -121,37 +153,48 @@ def test_packed_words_are_codec_keys(problem, chunk):
 
 
 def test_packing_applies_where_promised():
-    assert isinstance(_kernel(build_field(2, 2), 4), _Packed)
-    assert isinstance(_kernel(build_field(2, 1), 8), _Packed)
-    assert isinstance(_kernel(build_field(2, 3), 3), _Packed)
-    # odd p while the row-sum table fits
-    assert isinstance(_kernel(build_field(3, 1), 4), _Packed)
-    assert isinstance(_kernel(build_field(3, 2), 2), _Packed)
-    assert isinstance(_kernel(build_field(7, 1), 3), _Packed)
-    # more than 64 bits, or a scalar-times-row or row-sum table too large
-    assert not isinstance(_kernel(build_field(2, 1), 9), _Packed)
-    assert not isinstance(_kernel(build_field(3, 2), 3), _Packed)
-    assert not isinstance(_kernel(build_field(3, 1), 5), _Packed)
-    assert not isinstance(_kernel(build_field(2, 12), 2), _Packed)
+    # at most 64 bits and a scalar-times-row table of at most 2^18 words;
+    # odd p whatever the size of its whole-row sums
+    packed = [(2, 2, 4), (2, 1, 8), (2, 3, 3), (3, 1, 4), (3, 1, 5), (3, 2, 2),
+              (3, 2, 3), (7, 1, 3), (5, 1, 4), (7, 1, 4), (5, 2, 2)]
+    for p, k, d in packed:
+        kern = _kernel(build_field(p, k), d)
+        assert isinstance(kern, _Packed), (p, k, d)
+        assert kern.table.size <= 1 << 18
+        assert kern.sums is None or kern.sums.size <= 1 << 16
+    # rows add in at most two chunks, for every odd-p shape that packs
+    for q in (3, 7, 13, 31, 61, 127, 251, 509):
+        for d in range(1, 9):
+            kern = _kernel(build_field(q), d)
+            assert not isinstance(kern, _Packed) or kern.width <= 2 * kern.cw, (q, d)
+    # more than 64 bits, or a scalar-times-row table too large
+    for p, k, d in [(2, 1, 9), (3, 1, 6), (3, 2, 4), (7, 1, 5), (5, 2, 3), (2, 12, 2)]:
+        assert not isinstance(_kernel(build_field(p, k), d), _Packed), (p, k, d)
 
 
 @SETTINGS
-@given(problems(max_d=5, max_w=5))
-def test_eliminate(problem):
-    fld, d, g, X, _ = problem
-    for a in (g, X[0]):
-        ech = _eliminate(fld, a)
-        r, c = a.shape
-        assert len(ech.nullspace) == c - ech.rank
-        for x in ech.nullspace:
-            assert x.any() and not ref_product(fld, a, x[:, None]).any()
-        if r != c:
-            assert ech.det is None and ech.inverse is None
-            continue
-        assert (ech.det == 0) == (ech.inverse is None) == (ech.rank < r)
-        if ech.inverse is not None:
-            assert (ref_product(fld, a, ech.inverse) == np.eye(r)).all()
-        assert ech.det == ref_det(fld, a.tolist())
+@given(problems(max_d=5, max_w=5), st.data())
+def test_eliminate(problem, data):
+    fld, d, g, X, Y = problem
+    # make some of Y singular: the last row twice the first, or zero when d = 1
+    for i in range(len(Y)):
+        if data.draw(st.booleans()):
+            Y[i, -1] = fld.mul_many(fld.code(2), Y[i, 0]) if d > 1 else 0
+    for A in (X, Y, g[None]):
+        ech = _eliminate(fld, A)
+        n, r, c = A.shape
+        assert ech.rank.shape == (n,)
+        for i, a in enumerate(A):
+            one = _eliminate(fld, A[i:i + 1])
+            assert ech.rank[i] == one.rank[0] == ref_rank(fld, a)
+            if r != c:
+                assert ech.det is None and ech.inverse is None
+                continue
+            assert ech.det[i] == one.det[0] == ref_det(fld, a.tolist())
+            assert (ech.det[i] == 0) == (ech.rank[i] < r)
+            if ech.rank[i] == r:
+                assert (ech.inverse[i] == one.inverse[0]).all()
+                assert (ref_product(fld, a, ech.inverse[i]) == np.eye(r)).all()
 
 
 @pytest.mark.parametrize("p, d", [(127, 4), (131, 4), (251, 1), (257, 1), (257, 2)])

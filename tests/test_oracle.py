@@ -5,6 +5,7 @@ from omega.groups import parse_group_spec
 from omega.oracle import (
     CapExceeded,
     ElementTable,
+    Field,
     Matrix,
     MatrixGroup,
     build_field,
@@ -70,6 +71,22 @@ def test_field_rejects_bad_input():
         build_field(257, 2)
 
 
+def test_field_checks_hold_without_asserts():
+    with pytest.raises(ValueError, match="not monic of degree 2"):
+        Field(3, 2, [1, 1])
+    with pytest.raises(ValueError, match="not monic of degree 2"):
+        Field(3, 2, [1, 0, 2])
+    with pytest.raises(ValueError, match="not irreducible"):
+        Field(5, 2, [1, 0, 1])  # x^2 + 1 = (x - 2)(x - 3) over GF(5)
+    f = build_field(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    for e in (0, -1):
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, e)
+    assert f.pow(0, 3) == 0
+
+
 def test_matrix_basics():
     f = build_field(3)
     m = Matrix(f, [[1, 1], [0, 1]])
@@ -102,6 +119,18 @@ def test_group_checks_hold_without_asserts():
         MatrixGroup(f3, 3, (one,))
     with pytest.raises(ValueError, match="not invertible"):
         MatrixGroup(f3, 2, (one, Matrix(f3, [[1, 1], [1, 1]])))
+
+
+@pytest.mark.parametrize("at", [0, 22, 44])
+def test_one_singular_generator_among_many_is_caught(at):
+    group = classical_generators("2A(3,2)u")
+    gens = list(group.generators)
+    assert len(gens) == 45
+    singular = gens[at].a.copy()
+    singular[-1] = singular[0]
+    gens[at] = Matrix(group.field, singular)
+    with pytest.raises(ValueError, match="not invertible"):
+        MatrixGroup(group.field, group.dim, tuple(gens))
 
 
 def test_coset_counts_must_divide():
