@@ -3,11 +3,6 @@
 import math
 from dataclasses import dataclass, field
 
-try:
-    from gmpy2 import mpz  # optional speed path, plain ints work too
-except ImportError:
-    mpz = int
-
 _SIEVE_BOUND = 10_000
 
 
@@ -123,15 +118,14 @@ _PM1_PRIMES = _sieve(100_000)
 
 def _pminus1(n, bound):
     # Pollard p-1 first stage; cheap and effective when some p-1 is smooth.
-    a = mpz(2)
-    n = mpz(n)
+    a = 2
     for p in _PM1_PRIMES:
         if p > bound:
             break
         a = pow(a, p ** int(math.log(bound, p)), n)
         if a == 1:
             return None
-    g = math.gcd(int(a) - 1, int(n))
+    g = math.gcd(a - 1, n)
     return g if 1 < g < n else None
 
 
@@ -140,10 +134,9 @@ def _brent(n):
     # issue either way: returns some nontrivial factor. Deterministic parameter walk.
     if n % 2 == 0:
         return 2
-    n = mpz(n)
     c = 1
     while True:
-        y, m, g, r, q = mpz(2), 128, 1, 1, mpz(1)
+        y, m, g, r, q = 2, 128, 1, 1, 1
         while g == 1:
             x = y
             for _ in range(r):
@@ -154,16 +147,16 @@ def _brent(n):
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
-                g = math.gcd(int(q), int(n))
+                g = math.gcd(q, n)
                 k += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(int(x - ys), int(n))
+                g = math.gcd(x - ys, n)
         if g != n:
-            return int(g)
+            return g
         c += 1
 
 
@@ -337,11 +330,7 @@ def _sp_rows(q):
     p = is_prime_power(q)
     if p is None or p == 2:
         return
-    k = 0
-    m = q
-    while m > 1:
-        m //= p
-        k += 1
+    k = _factor(q)[p]
     for n in range(2, 13):
         eps = 1 if (k * (n - 1)) % 2 == 1 else -1
         lhs = math.gcd(q ** (n - 1) - eps, p + 1)

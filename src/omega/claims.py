@@ -16,6 +16,7 @@ from .arith import factorize, gcd_identity_suite, is_prime, is_prime_power, zsig
 from .groups import GroupSpec, group_order, parse_group_spec
 from .oracle import (
     DEFAULT_CAP,
+    Matrix,
     MatrixGroup,
     classical_generators,
     enumerate_group,
@@ -27,7 +28,7 @@ from .oracle import (
     spectrum_table,
     verify_frobenius,
 )
-from .oracle.kernel import _Codes
+from .oracle.action import _cover_witness
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,12 @@ class Claim:
     skip_reason: str = ""
 
     def __post_init__(self):
-        assert self.strategy in ("arithmetic", "descriptor", "oracle", "skipped")
-        if self.strategy == "skipped":
-            assert self.skip_reason
-        else:
-            assert self.grid
+        if self.strategy not in ("arithmetic", "descriptor", "oracle", "skipped"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == "skipped" and not self.skip_reason:
+            raise ValueError(f"skipped claim {self.id} needs a skip reason")
+        if self.strategy != "skipped" and not self.grid:
+            raise ValueError(f"claim {self.id} needs a grid")
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,8 @@ class ClaimResult:
     evidence: dict
 
     def __post_init__(self):
-        assert self.verdict in ("pass", "fail", "skipped")
+        if self.verdict not in ("pass", "fail", "skipped"):
+            raise ValueError(f"unknown verdict {self.verdict!r}")
 
     def as_dict(self):
         return {
@@ -90,39 +93,12 @@ def _budget(spec):
 # -- helpers shared by the oracle-backed cover claims ------------------------
 
 
-def _pair_order(fld, s, v):
-    """Order of (v, s) under the product (a, g)(b, h) = (a + g.b, g.h)."""
-    codes = _Codes(fld)
-    base = np.asarray(v, dtype=np.uint16)
-    cur_v, cur_g, k = base.copy(), s, 1
-    while cur_v.any() or not cur_g.is_identity():
-        cur_v = codes.add(cur_v, codes.left(cur_g.a, base[:, None])[:, 0])
-        cur_g = cur_g @ s
-        k += 1
-        if k > 4096:
-            raise RuntimeError("runaway pair order")
-    return k
-
-
-def _cover_witness(action, m):
-    """Some s of order m whose power sum 1 + s + ... + s^(m-1) is nonzero,
-    paired with a vector it moves; None when every power sum vanishes."""
-    fld = action.image_group.field
-    table = enumerate_group(action.image_group)
-    orders = table.orders()
-    for i in np.nonzero(orders == m)[0]:
-        s = table.element(int(i))
-        tot = np.zeros((s.dim, s.dim), dtype=np.uint16)
-        pw = type(s).identity(fld, s.dim)
-        for _ in range(m):
-            tot = fld.add_many(tot, pw.a).astype(np.uint16)
-            pw = pw @ s
-        cols = np.nonzero(tot.any(axis=0))[0]
-        if len(cols):
-            v = np.zeros(s.dim, dtype=np.uint16)
-            v[int(cols[0])] = 1
-            return s, v
-    return None
+def _pair_order(s, v):
+    """Order of (v, s) under the product (a, g)(b, h) = (a + g.b, g.h): the
+    order of its image [[s, v], [0, 1]] under that injective homomorphism."""
+    m = np.eye(s.dim + 1, dtype=np.uint16)
+    m[:-1, :-1], m[:-1, -1] = s.a, v
+    return Matrix(s.field, m).order()
 
 
 def _check_even_cover(q, rank, target):
@@ -146,7 +122,7 @@ def _check_even_cover(q, rank, target):
     ok = (not in_group) and in_cover
     if wit is not None:
         s, v = wit
-        got = _pair_order(group.field, s, v)
+        got = _pair_order(s, v)
         evidence["witness"] = {
             "s": [[int(x) for x in row] for row in s.a],
             "v": [int(x) for x in v],

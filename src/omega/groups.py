@@ -34,13 +34,8 @@ class GroupSpec:
         p = is_prime_power(self.q)
         if p is None:
             raise ValueError(f"q must be a prime power >= 2, got {self.q}")
-        k = 0
-        m = self.q
-        while m > 1:
-            m //= p
-            k += 1
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _factor(self.q)[p])
 
     @property
     def eps(self):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..arith import is_prime_power
+from ..arith import _factor, is_prime_power
 from .field import build_field
 from .kernel import _Codes, _eliminate, _kernel, _make_codec
 from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, enumerate_group
@@ -14,13 +14,18 @@ def field_rank(fld, rows):
     return int(_eliminate(fld, np.asarray(rows)[None]).rank[0])
 
 
+def _moved_ranks(fld, stack):
+    """rank(g - 1) for each matrix g of a code stack: the codimension of its
+    fixed space."""
+    minus_one = fld.neg_table[np.eye(stack.shape[-1], dtype=np.uint16)]
+    return _eliminate(fld, _Codes(fld).add(stack, minus_one)).rank
+
+
 def fixed_space_dim(g, action=None):
     """Dimension of the 1-eigenspace of g on its column space."""
-    fld = g.field
-    if action is not None and (g.dim != action.dim_V or fld != action.field):
+    if action is not None and (g.dim != action.dim_V or g.field != action.field):
         raise ValueError("dimension mismatch")
-    minus_one = fld.neg_table[np.eye(g.dim, dtype=np.uint16)]
-    return g.dim - field_rank(fld, _Codes(fld).add(g.a, minus_one))
+    return g.dim - int(_moved_ranks(g.field, g.a[None])[0])
 
 
 def min_poly_degree(g, action=None):
@@ -95,10 +100,7 @@ def permutation_module(perm_gens, r):
     p = is_prime_power(r)
     if p is None:
         raise ValueError(f"{r} is not a prime power")
-    k = 1
-    while p**k < r:
-        k += 1
-    fld = build_field(p, k)
+    fld = build_field(p, _factor(r)[p])
     mats = []
     for s in perms:
         m = np.zeros((deg, deg), dtype=np.uint16)
@@ -107,6 +109,20 @@ def permutation_module(perm_gens, r):
         mats.append(Matrix(fld, m))
     group = MatrixGroup(fld, deg, tuple(mats))
     return ModuleAction(group, deg, source_perms=tuple(perms), label=f"perm{deg}")
+
+
+def _power_sums(rec, idx, orders):
+    """The code stack of N(x) = 1 + x + ... + x^(m-1) for the elements x at
+    indices idx of a group record, m their orders, all at once by Horner's rule."""
+    fld, d = rec.field, rec.dim
+    kern, codec = _kernel(fld, d), _make_codec(fld, d)
+    R = kern.of_keys(rec.keys[idx])
+    eye = kern.of_keys(codec.keys(np.eye(d, dtype=fld.code_dtype)[None]))
+    N = np.broadcast_to(eye, R.shape).copy()
+    for step in range(1, int(orders.max(initial=1))):
+        on = orders > step
+        N[on] = kern.add(kern.pair(N[on], R[on]), eye)
+    return codec.decode(kern.keys(N))
 
 
 def semidirect_spectrum(action, cap=DEFAULT_CAP):
@@ -121,16 +137,8 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
     fld, d = action.field, action.dim_V
     c = _classes(rec)
     orders = table.orders()[c.reps]
-    kern, codec = _kernel(fld, d), _make_codec(fld, d)
-    R = kern.of_keys(rec.keys[c.reps])
-    # N(rep) for every representative at once, by Horner's rule
-    eye = kern.of_keys(codec.keys(np.eye(d, dtype=fld.code_dtype)[None]))
-    N = np.broadcast_to(eye, R.shape).copy()
-    for step in range(1, int(orders.max())):
-        on = orders > step
-        N[on] = kern.add(kern.pair(N[on], R[on]), eye)
     vcount, hist = fld.q**d, {}
-    ranks = _eliminate(fld, codec.decode(kern.keys(N))).rank
+    ranks = _eliminate(fld, _power_sums(rec, c.reps, orders)).rank
     for m, size, rank in zip(orders.tolist(), c.sizes.tolist(), ranks.tolist()):
         pure = size * fld.q ** (d - rank)
         for order, count in ((m, pure), (m * fld.p, size * vcount - pure)):
@@ -141,3 +149,21 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
         raise RuntimeError(f"semidirect histogram sums to {sum(hist.values())}, not {total}")
     rec.semidirect = ElementTable(size=total, order_histogram=hist, spectrum=tuple(sorted(hist)))
     return rec.semidirect
+
+
+def _cover_witness(action, m):
+    """The first s of order m, in key order, whose power sum N(s) is nonzero,
+    paired with the unit vector of the first nonzero column of N(s); None when
+    every power sum vanishes.  N(g s g^-1) = g N(s) g^-1, so the property holds
+    for a whole class or for none of it, and the first element that has it is
+    its class's least index: a representative."""
+    table = enumerate_group(action.image_group)
+    c = _classes(table.payload)
+    reps = c.reps[table.orders()[c.reps] == m]
+    N = _power_sums(table.payload, reps, np.full(len(reps), m))
+    hit = np.flatnonzero(N.any(axis=(1, 2)))
+    if not len(hit):
+        return None
+    v = np.zeros(action.dim_V, dtype=np.uint16)
+    v[int(np.flatnonzero(N[hit[0]].any(axis=0))[0])] = 1
+    return table.element(int(reps[hit[0]])), v

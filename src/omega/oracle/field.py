@@ -112,8 +112,6 @@ class Field:
             raise ValueError(f"modulus {self.modulus} is not irreducible over GF({p})")
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        self.exp_table = exp
-        self.log_table = log
         digits = np.zeros((q, k), dtype=np.int64)
         m = np.arange(q)
         for i in range(k):
@@ -128,12 +126,12 @@ class Field:
         n = max(q - 1, 1)
         self.mul_log = np.where(np.arange(q) == 0, 2 * n, log).astype(np.int32)
         self.mul_exp = np.concatenate([exp, exp, np.zeros(2 * n + 1, exp.dtype)]).astype(dtype)
-        a = np.arange(q)
-        self.add_table = (self.add_many(a[:, None], a[None, :]).astype(dtype)
-                          if q <= _TABLE_LIMIT else None)
+        a, self.add_table = np.arange(q), None
+        if q <= _TABLE_LIMIT:
+            self.add_table = self.add_many(a[:, None], a[None, :]).astype(dtype)
         inv = np.zeros(q, dtype=dtype)
         if q > 1:
-            inv[self.exp_table] = self.exp_table[(-np.arange(q - 1)) % (q - 1)]
+            inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
         self.inv_table = inv
         self.neg_table = ((-digits % p) @ self._powers).astype(dtype)
 
@@ -167,8 +165,12 @@ class Field:
     # Vectorized arithmetic on arrays of codes (any shape, broadcastable).
 
     def add_many(self, a, b):
+        """a + b: XOR for p = 2, a lookup while the addition table exists,
+        else digit by digit."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self.add_table is not None:
+            return self.add_table[a, b]
         s = (self._digits[a] + self._digits[b]) % self.p
         return s @ self._powers
 
@@ -199,7 +201,7 @@ class Field:
             if e <= 0:
                 raise ZeroDivisionError(f"0 ** {e} is undefined")
             return 0
-        return int(self.exp_table[int(self.log_table[a]) * e % (self.q - 1)])
+        return int(self.mul_exp[int(self.mul_log[a]) * e % (self.q - 1)])
 
     def frob(self, a, i=1):
         """a^(p^i)."""

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arith import _factor, is_prime_power, r_part
-from .action import fixed_space_dim
+from .action import _moved_ranks
 from .field import build_field
 from .kernel import _eliminate, _kernel, _make_codec
-from .matgroup import Matrix, MatrixGroup, _lookup, classical_generators, enumerate_group
+from .matgroup import (Matrix, MatrixGroup, _elementary, _lookup, classical_generators,
+                       enumerate_group)
 
 VERIFY_CAP = 1 << 20
 
@@ -43,11 +44,9 @@ def _singer_block(q, k):
     """Multiplication by a generator of GF(q^k)* as a k x k matrix over GF(q):
     the companion matrix of a primitive polynomial, found by direct search."""
     p = is_prime_power(q)
-    assert p is not None, f"{q} is not a prime power"
-    kq = 1
-    while p**kq < q:
-        kq += 1
-    fld = build_field(p, kq)
+    if p is None:
+        raise ValueError(f"{q} is not a prime power")
+    fld = build_field(p, _factor(q)[p])
     total = q**k - 1
     fac = sorted(_factor(total))
     for coeffs in itertools.product(range(q), repeat=k):
@@ -66,26 +65,26 @@ def _singer_block(q, k):
     raise WitnessSearchError(f"no primitive degree-{k} polynomial over GF({q})")
 
 
+def _translations(fld, n):
+    """The n x n translations of the hyperplane of coordinates 1 .. n-1 along
+    coordinate 0, one per position and basis element of fld."""
+    return tuple(_elementary(fld, n, (0, j, b)) for j in range(1, n) for b in fld.basis())
+
+
 def _sl_hyperplane_witness(n, q):
     """Inside SL_n(q): translations of a hyperplane, normalized by a power of a
     Singer cycle of the complementary block, adjusted to determinant one.  The
     determinant adjustment twists the action on the translations, so only the
     part of q^(n-1)-1 coprime to gcd(n, q-1) survives as a free complement;
     the right Singer power is found by searching."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError(f"wants n >= 2, got {n}")
     singer, fld = _singer_block(q, n - 1)
-    kgens = []
-    for j in range(1, n):
-        for b in fld.basis():
-            m = np.eye(n, dtype=np.uint16)
-            m[0, j] = b
-            kgens.append(Matrix(fld, m))
     big_order = q ** (n - 1) - 1
     d = math.gcd(n, q - 1)
     e = big_order if d == 1 else r_part(big_order, d)[1]
     if e == 1:
         raise WitnessSearchError(f"free complement degenerates for (n, q) = ({n}, {q})")
-    c = None
     for u in range(1, big_order):
         if math.gcd(big_order, u) != big_order // e:
             continue
@@ -94,43 +93,35 @@ def _sl_hyperplane_witness(n, q):
         big = np.eye(n, dtype=np.uint16)
         big[0, 0] = fld.inv(int(ech.det[0]))
         big[1:, 1:] = t.a
-        cand = Matrix(fld, big)
         # conjugation sends the translation row w to det^-1 * w * t^-1; the
         # complement is free exactly when no proper power of that map fixes
-        # a nonzero vector
+        # a nonzero vector, i.e. every act^j - 1 with 0 < j < e is invertible
         act = Matrix(fld, fld.mul_many(ech.inverse[0].T, int(big[0, 0])))
         powers = list(itertools.accumulate([act] * e, operator.matmul))
-        if powers[-1].is_identity() and not any(map(fixed_space_dim, powers[:-1])):
-            c = cand
-            break
-    if c is None:
-        raise WitnessSearchError(f"no free Singer power for (n, q) = ({n}, {q})")
-    return FrobeniusWitness(
-        kind="sl-hyperplane",
-        params=(n, q),
-        kernel_gens=tuple(kgens),
-        complement_gens=(c,),
-        kernel_order=q ** (n - 1),
-        complement_order=e,
-    )
+        if not powers[-1].is_identity():
+            continue
+        if (_moved_ranks(fld, np.array([g.a for g in powers[:-1]])) == n - 1).all():
+            return FrobeniusWitness(
+                kind="sl-hyperplane",
+                params=(n, q),
+                kernel_gens=_translations(fld, n),
+                complement_gens=(Matrix(fld, big),),
+                kernel_order=q ** (n - 1),
+                complement_order=e,
+            )
+    raise WitnessSearchError(f"no free Singer power for (n, q) = ({n}, {q})")
 
 
 def _gl_affine_witness(q, k):
     """Inside GL_(k+1)(q): the affine group of the line GF(q^k), kernel the
     translations, complement a Singer cycle."""
     singer, fld = _singer_block(q, k)
-    kgens = []
-    for j in range(1, k + 1):
-        for b in fld.basis():
-            m = np.eye(k + 1, dtype=np.uint16)
-            m[0, j] = b
-            kgens.append(Matrix(fld, m))
     big = np.eye(k + 1, dtype=np.uint16)
     big[1:, 1:] = singer.a
     return FrobeniusWitness(
         kind="gl-affine",
         params=(q, k),
-        kernel_gens=tuple(kgens),
+        kernel_gens=_translations(fld, k + 1),
         complement_gens=(Matrix(fld, big),),
         kernel_order=q**k,
         complement_order=q**k - 1,
@@ -142,14 +133,16 @@ def _mult_order(j, n):
     while x != 1:
         x = (x * j) % n
         m += 1
-        assert m <= n
+        if m > n:
+            raise RuntimeError(f"{j} has no multiplicative order mod {n}")
     return m
 
 
 def _sp_torus_witness(n, q):
     """Inside Sp_2n(q), q even, n a power of two: a cyclic kernel of order
     q^n + 1 with a cyclic complement of order 2n found by search."""
-    assert q % 2 == 0 and n & (n - 1) == 0, "needs even q and a 2-power n"
+    if q % 2 or n < 1 or n & (n - 1):
+        raise ValueError(f"needs even q and a 2-power n, got (n, q) = ({n}, {q})")
     group = classical_generators(f"C({n},{q})u")
     table = enumerate_group(group)
     fld = group.field

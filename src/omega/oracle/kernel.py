@@ -9,8 +9,8 @@ largest with 2 bits c <= 16), through a table of sums of two chunks.  So
 GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5) and GF(7) up to
 d = 4, and GF(9) to GF(13) up to d = 3.  Other shapes keep code stacks: int64
 matmul mod p for prime fields; for k > 1, g @ X adds rows c * X[j] through a
-q-entry row per scalar c, and other products multiply by log/exp lookups.
-Both representations share one interface: of_keys, keys, left, right, pair
+q-entry row per scalar c, and other products multiply by log/exp lookups;
+their sums are Field.add_many.  Both representations share one interface: of_keys, keys, left, right, pair
 and add.  A codec maps code stacks to keys and back (decode).  _eliminate
 runs one Gauss-Jordan over a whole stack of matrices, a pivot per matrix.
 """
@@ -104,14 +104,7 @@ class _Codes:
         return self.codec.keys(X)
 
     def add(self, a, b):
-        fld = self.fld
-        if fld.p == 2:
-            return a ^ b
-        if fld.k == 1:
-            return ((a.astype(np.int64) + b) % fld.p).astype(self.dtype)
-        if fld.add_table is not None:
-            return fld.add_table[a, b]
-        return fld.add_many(a, b).astype(self.dtype)
+        return self.fld.add_many(a, b).astype(self.dtype, copy=False)
 
     def _matmul(self, A, B):
         # exact in uint16 while a sum of d products of codes < p stays below 2^16

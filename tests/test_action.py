@@ -20,6 +20,7 @@ from omega.oracle import (
     permutation_module,
     semidirect_spectrum,
 )
+from omega.oracle.action import _cover_witness
 
 
 def mat_vec(fld, g, v):
@@ -153,6 +154,51 @@ def test_semidirect_matches_per_element_null_count(name):
     action = NULL_COUNT_CASES[name]()
     table = semidirect_spectrum(action)
     assert table.order_histogram == null_count_histogram(action)
+
+
+def per_element_cover_witness(action, m):
+    """The first s of order m, in key order, with N(s) = 1 + s + ... + s^(m-1)
+    nonzero, summed one power at a time, and the unit vector of its first
+    nonzero column; None when every N(s) vanishes."""
+    fld = action.image_group.field
+    table = enumerate_group(action.image_group)
+    orders = table.orders()
+    for i in np.nonzero(orders == m)[0]:
+        s = table.element(int(i))
+        tot = np.zeros((s.dim, s.dim), dtype=np.uint16)
+        pw = type(s).identity(fld, s.dim)
+        for _ in range(m):
+            tot = fld.add_many(tot, pw.a).astype(np.uint16)
+            pw = pw @ s
+        cols = np.nonzero(tot.any(axis=0))[0]
+        if len(cols):
+            v = np.zeros(s.dim, dtype=np.uint16)
+            v[int(cols[0])] = 1
+            return s, v
+    return None
+
+
+COVER_CASES = {
+    "A(1,4)u natural": lambda: natural_action(classical_generators("A(1,4)u")),
+    "C(2,2)u natural": lambda: natural_action(classical_generators("C(2,2)u")),
+    # odd p: for most orders every power sum vanishes
+    "C(2,3)u natural": lambda: natural_action(classical_generators("C(2,3)u")),
+    "Sym3 on GF(9)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_CASES))
+def test_cover_witness_matches_per_element_search(name):
+    action = COVER_CASES[name]()
+    found = []
+    for m in enumerate_group(action.image_group).spectrum:
+        want, got = per_element_cover_witness(action, m), _cover_witness(action, m)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0] and got[1].tolist() == want[1].tolist()
+        found.append(want is not None)
+    assert any(found)
 
 
 def test_semidirect_result_kept_on_group_table():

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from omega.claims import CATALOG, _BY_ID, _CHECKS, ClaimResult, run_claim, run_suite
+from omega.claims import (CATALOG, _BY_ID, _CHECKS, Claim, ClaimResult, _pair_order, run_claim,
+                          run_suite)
+from omega.oracle import Matrix, build_field
+from omega.oracle.kernel import _Codes
 
 
 def test_catalog_shape():
@@ -54,6 +58,48 @@ def test_run_claim_rejects_junk():
         run_claim("C15", {"kind": "sl-hyperplane", "args": "32"})
     with pytest.raises(ValueError):
         run_suite(["C1", "C99"])
+
+
+def test_claim_checks_hold_without_asserts():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        Claim("C0", "a statement", "guesswork", grid=({},))
+    with pytest.raises(ValueError, match="needs a skip reason"):
+        Claim("C0", "a statement", "skipped")
+    with pytest.raises(ValueError, match="needs a grid"):
+        Claim("C0", "a statement", "oracle")
+    with pytest.raises(ValueError, match="unknown verdict"):
+        ClaimResult("C0", {}, "maybe", {})
+
+
+def step_pair_order(fld, s, v):
+    """Order of (v, s) under (a, g)(b, h) = (a + g.b, g.h), one product at a time."""
+    codes = _Codes(fld)
+    base = np.asarray(v, dtype=np.uint16)
+    cur_v, cur_g, k = base.copy(), s, 1
+    while cur_v.any() or not cur_g.is_identity():
+        cur_v = codes.add(cur_v, codes.left(cur_g.a, base[:, None])[:, 0])
+        cur_g = cur_g @ s
+        k += 1
+        if k > 4096:
+            raise RuntimeError("runaway pair order")
+    return k
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_pair_order_matches_the_step_loop(p, k):
+    fld, rng, seen = build_field(p, k), np.random.default_rng(p * 10 + k), set()
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        s = Matrix(fld, rng.integers(0, fld.q, (d, d)))
+        try:
+            s.inverse()
+        except ValueError:
+            continue
+        v = rng.integers(0, fld.q, d) * (rng.random() < 0.8)
+        order = _pair_order(s, v)
+        assert order == step_pair_order(fld, s, v)
+        seen.add(order % fld.p == 0)
+    assert seen == {False, True}
 
 
 def test_skipped_claims():

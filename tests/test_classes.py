@@ -242,8 +242,8 @@ def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
 
 
 def test_one_elimination_per_stack(fresh_memo):
-    """Generators, conjugating inverses, N(rep) ranks and complement inverses
-    are each eliminated as one stack."""
+    """Generators, conjugating inverses, N(rep) ranks, a witness candidate's
+    proper powers and complement inverses are each eliminated as one stack."""
     def counted(module):
         return mock.patch.object(module, "_eliminate", wraps=module._eliminate)
 
@@ -258,7 +258,12 @@ def test_one_elimination_per_stack(fresh_memo):
     with counted(action) as elim:
         semidirect_spectrum(_sym3(3))
         assert elim.call_count == 1
-    w = frobenius_witness("sl-hyperplane", (3, 3))
+    with counted(frobenius) as elim, counted(action) as moved:
+        w = frobenius_witness("sl-hyperplane", (3, 3))
+        # the one candidate tried: its Singer power's det and inverse, then
+        # act^j - 1 for every proper power j as one stack
+        assert elim.call_count == 1 and len(elim.call_args[0][1]) == 1
+        assert moved.call_count == 1 and len(moved.call_args[0][1]) == w.complement_order - 1
     with counted(frobenius) as elim:
         assert verify_frobenius(w.kernel_gens, w.complement_gens).ok
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == w.complement_order

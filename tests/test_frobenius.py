@@ -9,7 +9,8 @@ from omega.oracle import (
     frobenius_witness,
     verify_frobenius,
 )
-from omega.oracle.frobenius import _singer_block
+from omega.oracle.frobenius import (_mult_order, _singer_block, _sl_hyperplane_witness,
+                                    _sp_torus_witness)
 
 
 def test_singer_block_orders():
@@ -58,6 +59,20 @@ def test_sp_torus_witness_small():
     v = verify_frobenius(w.kernel_gens, w.complement_gens)
     assert v.ok
     assert (v.kernel_order, v.complement_order) == (5, 4)
+
+
+def test_witness_checks_hold_without_asserts():
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        _singer_block(6, 2)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n >= 2"):
+            _sl_hyperplane_witness(n, 3)
+    for n, q in ((2, 3), (3, 2), (0, 2)):
+        with pytest.raises(ValueError, match="even q and a 2-power n"):
+            _sp_torus_witness(n, q)
+    assert _mult_order(2, 5) == 4
+    with pytest.raises(RuntimeError, match="no multiplicative order"):
+        _mult_order(2, 4)
 
 
 def test_unknown_kind():

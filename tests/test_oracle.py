@@ -87,6 +87,29 @@ def test_field_checks_hold_without_asserts():
     assert f.pow(0, 3) == 0
 
 
+def digit_sum(f, a, b):
+    """a + b in GF(p^k), one base-p digit at a time."""
+    out, place = 0, 1
+    while a or b:
+        out += (a + b) % f.p * place
+        a, b, place = a // f.p, b // f.p, place * f.p
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(3, 6), (251, 1), (2, 11), (2, 12), (3, 7), (65521, 1)])
+def test_add_many_is_the_digit_wise_sum(p, k, monkeypatch):
+    # up to 2^11 = 2048 elements a field keeps an addition table
+    f = build_field(p, k)
+    assert (f.add_table is not None) == (f.q <= 2048)
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, f.q, (20, 25)), rng.integers(0, f.q, 25)
+    a[0, :2], b[:2] = f.q - 1, (f.q - 1, 0)
+    want = [[digit_sum(f, x, y) for x, y in zip(row, b.tolist())] for row in a.tolist()]
+    assert f.add_many(a, b).tolist() == want
+    monkeypatch.setattr(f, "add_table", None)
+    assert f.add_many(a, b).tolist() == want
+
+
 def test_matrix_basics():
     f = build_field(3)
     m = Matrix(f, [[1, 1], [0, 1]])
