@@ -40,7 +40,8 @@ def _mr_witness(n, a):
 
 
 def _jacobi(a, n):
-    assert n > 0 and n % 2 == 1
+    if n <= 0 or n % 2 == 0:
+        raise ValueError(f"the Jacobi symbol wants an odd n > 0, got {n}")
     a %= n
     result = 1
     while a:
@@ -162,7 +163,8 @@ def _brent(n):
 
 def _factor(n):
     """Unbounded engine: prime -> exponent dict, smallest primes first."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"factoring wants n >= 1, got {n}")
     out = {}
     for p in SMALL_PRIMES:
         if p * p > n:
@@ -183,7 +185,8 @@ def _factor(n):
             stack += [r, r]
             continue
         d = _pminus1(m, 10_000) or _pminus1(m, 100_000) or _brent(m)
-        assert 1 < d < m
+        if not 1 < d < m:
+            raise RuntimeError(f"no proper split of {m}: got {d}")
         stack += [d, m // d]
     return dict(sorted(out.items()))
 
@@ -241,7 +244,8 @@ def r_part(n, r):
 
 
 def mobius(n):
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"mobius wants n >= 1, got {n}")
     mu = 1
     for _, e in _factor(n).items():
         if e >= 2:
@@ -252,7 +256,8 @@ def mobius(n):
 
 def divisors(n):
     """Sorted list of positive divisors."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"divisors wants n >= 1, got {n}")
     out = [1]
     for p, e in _factor(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
@@ -261,7 +266,8 @@ def divisors(n):
 
 def cyclotomic_value(n, q):
     """Value of the n-th cyclotomic polynomial at q, by Moebius inversion."""
-    assert n >= 1 and q >= 2
+    if n < 1 or q < 2:
+        raise ValueError(f"cyclotomic_value wants n >= 1 and q >= 2, got {n}, {q}")
     num = den = 1
     for d in divisors(n):
         mu = mobius(n // d)
@@ -269,12 +275,14 @@ def cyclotomic_value(n, q):
             num *= q**d - 1
         elif mu == -1:
             den *= q**d - 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"cyclotomic quotient for ({n}, {q}) is not exact")
     return num // den
 
 
 def smallest_prime_factor(n):
-    assert n >= 2
+    if n < 2:
+        raise ValueError(f"smallest_prime_factor wants n >= 2, got {n}")
     for p in SMALL_PRIMES:
         if n % p == 0:
             return p
@@ -299,10 +307,12 @@ def zsigmondy(q, n):
         while phi % p == 0:
             phi //= p
     if phi == 1:
-        assert (q, n) == (2, 6), "primitive divisor missing outside the known gap"
+        if (q, n) != (2, 6):
+            raise RuntimeError(f"primitive divisor missing outside the known gap at {(q, n)}")
         return None
     r = smallest_prime_factor(phi)
-    assert r % n == 1, "primitive prime divisor must be 1 mod n"
+    if r % n != 1:
+        raise RuntimeError(f"primitive prime divisor {r} of {q}^{n} - 1 is not 1 mod {n}")
     return r
 
 

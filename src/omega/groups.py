@@ -128,7 +128,7 @@ def _cyclo_profile(spec):
         return 36, _minus(12) + _plus(9) + _minus(8) + _minus(6) + _plus(5) + _minus(2)
     if fam == "E7":
         return 63, [d for i in (18, 14, 12, 10, 8, 6, 2) for d in _minus(i)]
-    raise AssertionError(fam)
+    raise RuntimeError(f"no order profile for family {fam!r}")
 
 
 def center_order(spec):
@@ -163,7 +163,8 @@ def group_order(spec):
     if spec.version == "simple":
         for r, e in _factor(center_order(spec)).items():
             factors[r] -= e
-            assert factors[r] >= 0
+            if factors[r] < 0:
+                raise RuntimeError(f"the center of {spec} does not divide its order")
     factors = {r: e for r, e in sorted(factors.items()) if e > 0}
     n = 1
     for r, e in factors.items():

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..arith import _factor, is_prime_power
 from .field import build_field
-from .kernel import _Codes, _eliminate, _kernel, _make_codec
+from .kernel import _Codes, _eliminate, _make_codec
 from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, enumerate_group
 
 
@@ -114,15 +114,14 @@ def permutation_module(perm_gens, r):
 def _power_sums(rec, idx, orders):
     """The code stack of N(x) = 1 + x + ... + x^(m-1) for the elements x at
     indices idx of a group record, m their orders, all at once by Horner's rule."""
-    fld, d = rec.field, rec.dim
-    kern, codec = _kernel(fld, d), _make_codec(fld, d)
-    R = kern.of_keys(rec.keys[idx])
-    eye = kern.of_keys(codec.keys(np.eye(d, dtype=fld.code_dtype)[None]))
+    fld, codes = rec.field, _Codes(rec.field)
+    R = _make_codec(fld, rec.dim).decode(rec.keys[idx])
+    eye = np.eye(rec.dim, dtype=fld.code_dtype)
     N = np.broadcast_to(eye, R.shape).copy()
     for step in range(1, int(orders.max(initial=1))):
         on = orders > step
-        N[on] = kern.add(kern.pair(N[on], R[on]), eye)
-    return codec.decode(kern.keys(N))
+        N[on] = codes.add(codes.pair(N[on], R[on]), eye)
+    return N
 
 
 def semidirect_spectrum(action, cap=DEFAULT_CAP):

@@ -5,6 +5,8 @@ import numpy as np
 from ..arith import _factor, is_prime
 
 _TABLE_LIMIT = 2048
+# Digits per block while the addition table is built.
+_ADD_BLOCK = 1 << 16
 
 # Polynomials over GF(p) as coefficient lists, low degree first.
 
@@ -126,9 +128,14 @@ class Field:
         n = max(q - 1, 1)
         self.mul_log = np.where(np.arange(q) == 0, 2 * n, log).astype(np.int32)
         self.mul_exp = np.concatenate([exp, exp, np.zeros(2 * n + 1, exp.dtype)]).astype(dtype)
+        # odd p only (p = 2 adds by XOR), built in blocks of rows to bound
+        # the (rows, q, k) digit temporaries of add_many
         a, self.add_table = np.arange(q), None
-        if q <= _TABLE_LIMIT:
-            self.add_table = self.add_many(a[:, None], a[None, :]).astype(dtype)
+        if p != 2 and q <= _TABLE_LIMIT:
+            table, step = np.empty((q, q), dtype=dtype), max(1, _ADD_BLOCK // (q * k))
+            for lo in range(0, q, step):
+                table[lo:lo + step] = self.add_many(a[lo:lo + step, None], a)
+            self.add_table = table
         inv = np.zeros(q, dtype=dtype)
         if q > 1:
             inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
@@ -147,7 +154,7 @@ class Field:
         for c in range(2, q):
             if all(self._pow_slow(c, (q - 1) // r) != 1 for r in rs):
                 return c
-        raise AssertionError("no generator found")
+        raise RuntimeError("no generator found")
 
     def _pow_slow(self, a, e):
         out = 1
@@ -165,8 +172,8 @@ class Field:
     # Vectorized arithmetic on arrays of codes (any shape, broadcastable).
 
     def add_many(self, a, b):
-        """a + b: XOR for p = 2, a lookup while the addition table exists,
-        else digit by digit."""
+        """a + b: XOR for p = 2, a lookup in the addition table of odd p
+        while q <= _TABLE_LIMIT, else digit by digit."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.add_table is not None:
@@ -245,6 +252,6 @@ def build_field(p, k=1):
                 f = Field(p, k, cand)
                 break
         else:
-            raise AssertionError("no irreducible polynomial found")
+            raise RuntimeError("no irreducible polynomial found")
     _FIELD_MEMO[(p, k)] = f
     return f

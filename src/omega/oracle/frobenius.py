@@ -2,13 +2,11 @@
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..arith import _factor, is_prime_power, r_part
-from .action import _moved_ranks
 from .field import build_field
 from .kernel import _eliminate, _kernel, _make_codec
 from .matgroup import (Matrix, MatrixGroup, _elementary, _lookup, classical_generators,
@@ -72,11 +70,19 @@ def _translations(fld, n):
 
 
 def _sl_hyperplane_witness(n, q):
-    """Inside SL_n(q): translations of a hyperplane, normalized by a power of a
-    Singer cycle of the complementary block, adjusted to determinant one.  The
-    determinant adjustment twists the action on the translations, so only the
-    part of q^(n-1)-1 coprime to gcd(n, q-1) survives as a free complement;
-    the right Singer power is found by searching."""
+    """Inside SL_n(q): translations of a hyperplane, normalized by t =
+    singer^((q^(n-1) - 1) / e), a power of a Singer cycle of the complementary
+    block, adjusted to determinant one; e is the part of q^(n-1) - 1 coprime
+    to gcd(n, q - 1).  Conjugation sends the translation row w to lam * w *
+    t^-1, lam = det(t)^-1.  Let alpha be an eigenvalue of t^-1, of order e;
+    then lam = alpha^M with M = (q^(n-1) - 1)/(q - 1), and act = lam (t^-1)^T
+    has the eigenvalues alpha^(M + q^i).  So act^e = lam^e I = I, and, as
+    alpha^M lies in GF(q), act^j fixes a nonzero vector exactly when
+    (alpha * alpha^M)^j = 1.  A prime r dividing both e and 1 + M divides
+    q^(n-1) - 1 = M (q - 1) but not M, so it divides q - 1; then M = n - 1
+    (mod r), so r divides n, and hence gcd(n, q - 1), which e is coprime to.
+    So no such r exists: act^j - 1 is invertible for 0 < j < e, and the
+    complement, generated by diag(lam, t) of order e, acts freely."""
     if n < 2:
         raise ValueError(f"wants n >= 2, got {n}")
     singer, fld = _singer_block(q, n - 1)
@@ -85,31 +91,18 @@ def _sl_hyperplane_witness(n, q):
     e = big_order if d == 1 else r_part(big_order, d)[1]
     if e == 1:
         raise WitnessSearchError(f"free complement degenerates for (n, q) = ({n}, {q})")
-    for u in range(1, big_order):
-        if math.gcd(big_order, u) != big_order // e:
-            continue
-        t = singer**u
-        ech = _eliminate(fld, t.a[None])
-        big = np.eye(n, dtype=np.uint16)
-        big[0, 0] = fld.inv(int(ech.det[0]))
-        big[1:, 1:] = t.a
-        # conjugation sends the translation row w to det^-1 * w * t^-1; the
-        # complement is free exactly when no proper power of that map fixes
-        # a nonzero vector, i.e. every act^j - 1 with 0 < j < e is invertible
-        act = Matrix(fld, fld.mul_many(ech.inverse[0].T, int(big[0, 0])))
-        powers = list(itertools.accumulate([act] * e, operator.matmul))
-        if not powers[-1].is_identity():
-            continue
-        if (_moved_ranks(fld, np.array([g.a for g in powers[:-1]])) == n - 1).all():
-            return FrobeniusWitness(
-                kind="sl-hyperplane",
-                params=(n, q),
-                kernel_gens=_translations(fld, n),
-                complement_gens=(Matrix(fld, big),),
-                kernel_order=q ** (n - 1),
-                complement_order=e,
-            )
-    raise WitnessSearchError(f"no free Singer power for (n, q) = ({n}, {q})")
+    t = singer ** (big_order // e)
+    big = np.eye(n, dtype=np.uint16)
+    big[0, 0] = fld.inv(int(_eliminate(fld, t.a[None]).det[0]))
+    big[1:, 1:] = t.a
+    return FrobeniusWitness(
+        kind="sl-hyperplane",
+        params=(n, q),
+        kernel_gens=_translations(fld, n),
+        complement_gens=(Matrix(fld, big),),
+        kernel_order=q ** (n - 1),
+        complement_order=e,
+    )
 
 
 def _gl_affine_witness(q, k):
@@ -158,11 +151,10 @@ def _sp_torus_witness(n, q):
     cand = np.flatnonzero(orders == 2 * n)
     for lo in range(0, len(cand), 1 << 14):
         sel = cand[lo:lo + (1 << 14)]
-        X = kern.of_keys(table.payload.keys[sel])
-        cs = kern.right(X, s.a)
+        K = table.payload.keys[sel]
+        cs = kern.right(K, s.a)
         for j in good_j:
-            sjc = kern.left(sj_blocks[j], X)
-            hit = (cs == sjc).reshape(len(sel), -1).all(axis=1)
+            hit = cs == kern.left(sj_blocks[j], K)
             if hit.any():
                 c = table.element(int(sel[np.flatnonzero(hit)[0]]))
                 return FrobeniusWitness(
@@ -201,7 +193,6 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     ct = enumerate_group(cg, cap)
     k_keys = kt.payload.keys
     kern = _kernel(fld, dim)
-    K = kern.of_keys(k_keys)
     _, both = _lookup(k_keys, ct.payload.keys)
     if int(both.sum()) != 1:
         shared = next(m for m in map(ct.element, np.flatnonzero(both).tolist())
@@ -216,7 +207,7 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
         c = Matrix(fld, a)
         if c.is_identity():
             continue
-        conj_keys = kern.keys(kern.right(kern.left(a, K), a_inv))
+        conj_keys = kern.right(kern.left(a, k_keys), a_inv)
         _, inside = _lookup(k_keys, conj_keys)
         if not inside.all():
             bad = int(np.flatnonzero(~inside)[0])

@@ -1,18 +1,19 @@
-"""Products, sums and elimination for stacks of code matrices over GF(p^k).
+"""Products, sums and elimination for matrices over GF(p^k).
 
-_kernel(fld, d) picks the representation of d x d matrices.  When bits * d^2
-<= 64 (bits = bit_length(q - 1)) and the scalar-times-row table (2^bits x
-2^(bits d) words) fits _PACK_TABLE_LIMIT, each matrix packs into the uint64
-that is its _U64Codec key, and a product adds rows looked up in that table:
-by XOR for p = 2, and for odd p chunk by chunk, c entries at a time (c the
-largest with 2 bits c <= 16), through a table of sums of two chunks.  So
-GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5) and GF(7) up to
-d = 4, and GF(9) to GF(13) up to d = 3.  Other shapes keep code stacks: int64
-matmul mod p for prime fields; for k > 1, g @ X adds rows c * X[j] through a
-q-entry row per scalar c, and other products multiply by log/exp lookups;
-their sums are Field.add_many.  Both representations share one interface: of_keys, keys, left, right, pair
-and add.  A codec maps code stacks to keys and back (decode).  _eliminate
-runs one Gauss-Jordan over a whole stack of matrices, a pivot per matrix.
+_kernel(fld, d) multiplies d x d matrices given by their codec keys: left(g, K)
+= g @ K[i] and right(K, g) = K[i] @ g for a fixed code matrix g, and pair(A, B)
+= A[i] @ B[i], each returning keys.  When bits * d^2 <= 64 (bits =
+bit_length(q - 1)) and the scalar-times-row table (2^bits x 2^(bits d) words)
+fits _PACK_TABLE_LIMIT, a key is the uint64 word of its matrix, and a product
+adds rows looked up in that table: by XOR for p = 2, and for odd p chunk by
+chunk, c entries at a time (c the largest with 2 bits c <= 16), through a
+table of sums of two chunks.  So GF(2^k) packs while its table fits, GF(3) up
+to d = 5, GF(5) and GF(7) up to d = 4, and GF(9) to GF(13) up to d = 3.
+Other shapes decode the keys, multiply the code stacks with _Codes and encode
+the product.  _Codes is plain code-stack arithmetic: sums by Field.add_many,
+and products by int64 matmul mod p for prime fields, else by log/exp lookups.
+A codec maps code stacks to keys and back (decode).  _eliminate runs one
+Gauss-Jordan over a whole stack of matrices, a pivot per matrix.
 """
 
 import operator
@@ -90,18 +91,12 @@ def _chunks(fn, A, B, ndim, size):
 
 
 class _Codes:
-    """Code stacks as they are; a fixed operand may be any 2-D matrix."""
+    """Plain code-stack arithmetic: sums, and products where either side may
+    be one fixed matrix of any 2-D shape."""
 
-    def __init__(self, fld, d=None):
+    def __init__(self, fld):
         self.fld = fld
         self.dtype = fld.code_dtype
-        self.codec = None if d is None else _make_codec(fld, d)
-
-    def of_keys(self, K):
-        return self.codec.decode(K)
-
-    def keys(self, X):
-        return self.codec.keys(X)
 
     def add(self, a, b):
         return self.fld.add_many(a, b).astype(self.dtype, copy=False)
@@ -111,31 +106,35 @@ class _Codes:
         wide = np.int64 if A.shape[-1] * (self.fld.p - 1) ** 2 >= 1 << 16 else np.uint16
         return (np.matmul(A.astype(wide), B.astype(wide)) % self.fld.p).astype(self.dtype)
 
-    def left(self, g, X):
-        """g @ X[i] for a fixed matrix g."""
-        return _chunks(self._matmul if self.fld.k == 1 else self._left, g, X, 3, _CHUNK)
-
-    def _left(self, g, X):
-        out = np.zeros(X.shape[:-2] + g.shape[:1] + X.shape[-1:], dtype=self.dtype)
-        times = {c: self.fld.mul_many(c, np.arange(self.fld.q)) for c in np.unique(g)}
-        for i, grow in enumerate(g.tolist()):
-            terms = [X[..., j, :] if c == 1 else times[c][X[..., j, :]]
-                     for j, c in enumerate(grow) if c]
-            if terms:
-                out[..., i, :] = reduce(self.add, terms)
-        return out
-
     def pair(self, A, B):
         """A[i] @ B[i]; either side may be one fixed matrix."""
         return _chunks(self._matmul if self.fld.k == 1 else self._pair, A, B, 3, _CHUNK)
-
-    right = pair
 
     def _pair(self, A, B):
         log, exp = self.fld.mul_log, self.fld.mul_exp
         la, lb = log[A], log[B]
         return reduce(self.add, (exp[la[..., :, j, None] + lb[..., None, j, :]]
                                  for j in range(A.shape[-1])))
+
+
+class _Wide:
+    """Keyed products for shapes too wide to pack: decode the keys, multiply
+    the code stacks, encode the product."""
+
+    def __init__(self, fld, d):
+        self.codes, self.codec = _Codes(fld), _make_codec(fld, d)
+
+    def left(self, g, K):
+        """g @ K[i] for a fixed (d, d) code matrix g."""
+        return self.codec.keys(self.codes.pair(g, self.codec.decode(K)))
+
+    def right(self, K, g):
+        """K[i] @ g for a fixed (d, d) code matrix g."""
+        return self.codec.keys(self.codes.pair(self.codec.decode(K), g))
+
+    def pair(self, A, B):
+        """A[i] @ B[i] for key arrays of one length."""
+        return self.codec.keys(self.codes.pair(self.codec.decode(A), self.codec.decode(B)))
 
 
 class _Packed:
@@ -171,17 +170,6 @@ class _Packed:
         self.sums = None if fld.p == 2 else reduce(operator.or_, (
             fld.add_table[e[:, None], e[None, :]].astype(np.uint64).ravel() << s
             for e, s in zip(entries[:1 << bits * c, d - c:].T, shifts[d - c:])))
-
-    def of_keys(self, K):
-        return K
-
-    keys = of_keys
-
-    def add(self, A, B):
-        if self.sums is None:
-            return A ^ B
-        return reduce(operator.or_, (self._add(a, b) << s for a, b, s
-                                     in zip(self._rows(A), self._rows(B), self.row_shift)))
 
     def _add(self, x, y):
         """Sums of packed rows: one chunk-sum lookup, or two when a row is
@@ -238,11 +226,11 @@ class _Packed:
 
 @lru_cache(maxsize=None)
 def _kernel(fld, d):
-    """The representation for d x d matrices over fld."""
+    """The keyed product kernel for d x d matrices over fld."""
     bits = _bits(fld)
     if bits * d * d <= 64 and 1 << (bits + bits * d) <= _PACK_TABLE_LIMIT:
         return _Packed(fld, d)
-    return _Codes(fld, d)
+    return _Wide(fld, d)
 
 
 _Echelon = namedtuple("_Echelon", "rank det inverse")

@@ -221,9 +221,9 @@ def _grow(kern, keys, mults, frontier, cap):
     new_keys, lo = keys[:0], 0
     while lo < len(frontier):
         room = max(cap - len(keys) - len(new_keys), _CAP_CHUNK)
-        part = kern.of_keys(frontier[lo:lo + max(1, room // len(mults))])
+        part = frontier[lo:lo + max(1, room // len(mults))]
         lo += len(part)
-        pk = np.sort(kern.keys(np.concatenate([kern.left(m, part) for m in mults])))
+        pk = np.sort(np.concatenate([kern.left(m, part) for m in mults]))
         known = _lookup(keys, pk)[1]
         known[1:] |= pk[1:] == pk[:-1]  # repeats of one product
         if len(new_keys):
@@ -241,10 +241,9 @@ def _classes(rec):
         return rec.classes
     fld, keys = rec.field, rec.keys
     kern = _kernel(fld, rec.dim)
-    X = kern.of_keys(keys)
     perms = []
     for g, g_inv in zip(rec.generators, _eliminate(fld, _stack(rec.generators, rec.dim)).inverse):
-        pk = kern.keys(kern.left(g, kern.right(X, g_inv)))
+        pk = kern.left(g, kern.right(keys, g_inv))
         # conjugation permutes the group, so sorting its keys gives the keys
         # back, and the sorting order is the inverse permutation (same orbits)
         inv = np.argsort(pk).astype(np.int32)
@@ -270,10 +269,10 @@ def _least_powers(rec, target):
     a central subset; this is a class function, so it is found once per class."""
     c = _classes(rec)
     kern = _kernel(rec.field, rec.dim)
-    R = kern.of_keys(rec.keys[c.reps])
+    R = rec.keys[c.reps]
     m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
     for _ in range(len(rec.keys)):
-        out = ~_lookup(target, kern.keys(cur))[1]
+        out = ~_lookup(target, cur)[1]
         if not out.any():
             return m[c.label]
         idx, cur = idx[out], cur[out]

@@ -120,7 +120,8 @@ def e6_semisimple_spectrum(q, eps):
         ((q**4 - 1) * (q**2 - e * q + 1), d),
         (q**4 - 1, 1),
     ]
-    assert all(num % den == 0 for num, den in entries)
+    if any(num % den for num, den in entries):
+        raise RuntimeError(f"an E6 order family at q = {q} is not divisible by its gcd")
     return canonicalize([num // den for num, den in entries], "p_prime_only", spec)
 
 
@@ -131,7 +132,8 @@ def e7_semisimple_spectrum(q):
     d2 = math.gcd(2, q - 1)
     nums = []
     for e in (1, -1):
-        assert (q**4 + 1) * (q**2 + 1) * (q - e) % d2 == 0
+        if (q**4 + 1) * (q**2 + 1) * (q - e) % d2:
+            raise RuntimeError(f"an E7 order family at q = {q} is not divisible by {d2}")
         nums += [
             (q**6 + e * q**3 + 1) * (q - e),
             q**7 - e,
@@ -193,9 +195,11 @@ class PrimeGraph:
     edges: tuple
 
     def __post_init__(self):
-        assert list(self.vertices) == sorted(self.vertices)
+        if list(self.vertices) != sorted(self.vertices):
+            raise ValueError(f"vertices {self.vertices} are not sorted")
         for r, t in self.edges:
-            assert r < t and r in self.vertices and t in self.vertices
+            if not (r < t and r in self.vertices and t in self.vertices):
+                raise ValueError(f"edge {(r, t)} is not an ordered pair of vertices")
 
     def adjacent(self, r, t):
         return (min(r, t), max(r, t)) in set(self.edges)

@@ -5,6 +5,8 @@ import pytest
 
 from omega.arith import (
     Factored,
+    _factor,
+    _jacobi,
     cyclotomic_value,
     divisors,
     factorize,
@@ -122,6 +124,22 @@ def test_mobius_and_divisors():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def test_argument_checks_hold_without_asserts():
+    # raised as ValueError, so the checks stay under python -O
+    for call, match in [
+        (lambda: _factor(0), "n >= 1"),
+        (lambda: _jacobi(2, 4), "odd n > 0"),
+        (lambda: _jacobi(2, -3), "odd n > 0"),
+        (lambda: mobius(0), "n >= 1"),
+        (lambda: divisors(-4), "n >= 1"),
+        (lambda: cyclotomic_value(0, 2), "n >= 1 and q >= 2"),
+        (lambda: cyclotomic_value(3, 1), "n >= 1 and q >= 2"),
+        (lambda: smallest_prime_factor(1), "n >= 2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_cyclotomic_values():

@@ -14,7 +14,7 @@ from omega.oracle import (
 )
 from omega.oracle import cache
 from omega.oracle.cache import cache_paths
-from omega.oracle.kernel import _Codes, _Packed, _U64Codec, _VoidCodec, _kernel, _make_codec
+from omega.oracle.kernel import _Packed, _U64Codec, _VoidCodec, _Wide, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, _classes, classical_generators
 
 
@@ -156,8 +156,8 @@ def _sym4_mod9():
 @pytest.mark.parametrize("name, make, kernel, codec", [
     ("A(2,4)u", lambda: classical_generators("A(2,4)u"), _Packed, _U64Codec),
     ("2A(2,3)u", lambda: classical_generators("2A(2,3)u"), _Packed, _U64Codec),
-    ("sym4-mod9", _sym4_mod9, _Codes, _U64Codec),
-    ("sym6-mod3", _sym6_mod3, _Codes, _VoidCodec),
+    ("sym4-mod9", _sym4_mod9, _Wide, _U64Codec),
+    ("sym6-mod3", _sym6_mod3, _Wide, _VoidCodec),
 ], ids=["A(2,4)u", "2A(2,3)u", "sym4-mod9", "sym6-mod3"])
 def test_save_load_save_writes_the_same_files(name, make, kernel, codec, tmp_path):
     saved = fresh_memo()

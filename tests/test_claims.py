@@ -77,7 +77,7 @@ def step_pair_order(fld, s, v):
     base = np.asarray(v, dtype=np.uint16)
     cur_v, cur_g, k = base.copy(), s, 1
     while cur_v.any() or not cur_g.is_identity():
-        cur_v = codes.add(cur_v, codes.left(cur_g.a, base[:, None])[:, 0])
+        cur_v = codes.add(cur_v, codes.pair(cur_g.a, base[:, None])[:, 0])
         cur_g = cur_g @ s
         k += 1
         if k > 4096:

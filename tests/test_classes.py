@@ -23,7 +23,7 @@ from omega.oracle import (
     verify_frobenius,
 )
 from omega.oracle import action, frobenius, matgroup
-from omega.oracle.kernel import _Codes, _Packed, _kernel, _make_codec
+from omega.oracle.kernel import _Codes, _Packed, _Wide, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers
 
 
@@ -215,7 +215,7 @@ def test_packed_words_match_code_stacks(name, fresh_memo):
     group = PACKED_CASES[name]()
     assert isinstance(_kernel(group.field, group.dim), _Packed)
     packed, packed_hists = _oracle_run(PACKED_CASES[name])
-    codes = mock.MagicMock(side_effect=lambda fld, d: _Codes(fld, d))
+    codes = mock.MagicMock(side_effect=_Wide)
     with mock.patch.object(matgroup, "_kernel", codes):
         unpacked, unpacked_hists = _oracle_run(PACKED_CASES[name])
     assert codes.called
@@ -233,17 +233,15 @@ def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
         return (semidirect_spectrum(_sym3(q)).order_histogram,
                 verify_frobenius(w.kernel_gens, w.complement_gens))
     packed = run()
-    codes = lambda fld, d: _Codes(fld, d)
-    with mock.patch.object(matgroup, "_kernel", codes), \
-            mock.patch.object(action, "_kernel", codes), \
-            mock.patch.object(frobenius, "_kernel", codes):
+    with mock.patch.object(matgroup, "_kernel", _Wide), \
+            mock.patch.object(frobenius, "_kernel", _Wide):
         assert run() == packed
     assert packed[1].ok
 
 
 def test_one_elimination_per_stack(fresh_memo):
-    """Generators, conjugating inverses, N(rep) ranks, a witness candidate's
-    proper powers and complement inverses are each eliminated as one stack."""
+    """Generators, conjugating inverses, N(rep) ranks and complement inverses
+    are each eliminated as one stack, and the witness's Singer power once."""
     def counted(module):
         return mock.patch.object(module, "_eliminate", wraps=module._eliminate)
 
@@ -258,12 +256,10 @@ def test_one_elimination_per_stack(fresh_memo):
     with counted(action) as elim:
         semidirect_spectrum(_sym3(3))
         assert elim.call_count == 1
-    with counted(frobenius) as elim, counted(action) as moved:
+    with counted(frobenius) as elim:
         w = frobenius_witness("sl-hyperplane", (3, 3))
-        # the one candidate tried: its Singer power's det and inverse, then
-        # act^j - 1 for every proper power j as one stack
+        # the Singer power's det, and no power of its action
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == 1
-        assert moved.call_count == 1 and len(moved.call_args[0][1]) == w.complement_order - 1
     with counted(frobenius) as elim:
         assert verify_frobenius(w.kernel_gens, w.complement_gens).ok
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == w.complement_order

@@ -1,6 +1,12 @@
+import functools
+import itertools
+import math
+import operator
+
 import numpy as np
 import pytest
 
+from omega.arith import r_part
 from omega.oracle import (
     FrobeniusVerdict,
     Matrix,
@@ -9,8 +15,11 @@ from omega.oracle import (
     frobenius_witness,
     verify_frobenius,
 )
+from omega.oracle import frobenius
+from omega.oracle.action import _moved_ranks
 from omega.oracle.frobenius import (_mult_order, _singer_block, _sl_hyperplane_witness,
                                     _sp_torus_witness)
+from omega.oracle.kernel import _eliminate
 
 
 def test_singer_block_orders():
@@ -39,6 +48,57 @@ def test_sl_hyperplane_witnesses():
     w = frobenius_witness("sl-hyperplane", (4, 2))
     v = verify_frobenius(w.kernel_gens, w.complement_gens)
     assert v.ok and (v.kernel_order, v.complement_order) == (8, 7)
+
+
+def _action_powers(fld, lam, t, e):
+    """act^1 .. act^e for act = lam (t^-1)^T, the action of diag(lam, t) on
+    the translation rows."""
+    act = Matrix(fld, fld.mul_many(_eliminate(fld, t[None]).inverse[0].T, lam))
+    return list(itertools.accumulate([act] * e, operator.matmul))
+
+
+def _free_order(n, q):
+    """e: the part of q^(n-1) - 1 coprime to gcd(n, q - 1)."""
+    big_order, d = q ** (n - 1) - 1, math.gcd(n, q - 1)
+    return big_order if d == 1 else r_part(big_order, d)[1]
+
+
+def _searched_complement(n, q):
+    """The complement generator by search: the first Singer power u with
+    gcd(q^(n-1) - 1, u) = (q^(n-1) - 1)/e whose action on the translations
+    has act^e = 1 and no fixed vector under act^j for 0 < j < e."""
+    singer, fld = frobenius._singer_block(q, n - 1)
+    big_order, e = q ** (n - 1) - 1, _free_order(n, q)
+    for u in range(1, big_order):
+        if math.gcd(big_order, u) != big_order // e:
+            continue
+        t = (singer**u).a
+        lam = fld.inv(int(_eliminate(fld, t[None]).det[0]))
+        powers = _action_powers(fld, lam, t, e)
+        if powers[-1].is_identity() and (
+                _moved_ranks(fld, np.array([g.a for g in powers[:-1]])) == n - 1).all():
+            big = np.eye(n, dtype=np.uint16)
+            big[0, 0], big[1:, 1:] = lam, t
+            return Matrix(fld, big)
+    return None
+
+
+HYPERPLANE_GRID = [(n, q) for n in range(2, 6) for q in (2, 3, 4, 5, 7, 8, 9)
+                   if _free_order(n, q) > 1]
+
+
+@pytest.mark.parametrize("n, q", HYPERPLANE_GRID)
+def test_sl_hyperplane_complement_is_free_without_search(n, q, monkeypatch):
+    # the witness and the search share one Singer cycle search
+    monkeypatch.setattr(frobenius, "_singer_block", functools.cache(_singer_block))
+    w = _sl_hyperplane_witness(n, q)
+    (c,) = w.complement_gens
+    assert c == _searched_complement(n, q)
+    # act^e = 1 and act^j - 1 has full rank for 0 < j < e
+    fld, e = c.field, w.complement_order
+    powers = _action_powers(fld, int(c.a[0, 0]), c.a[1:, 1:], e)
+    assert powers[-1].is_identity()
+    assert (_moved_ranks(fld, np.array([g.a for g in powers[:-1]])) == n - 1).all()
 
 
 def test_sl_hyperplane_degenerate():

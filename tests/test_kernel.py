@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omega.oracle import build_field, kernel
-from omega.oracle.kernel import _Codes, _Packed, _eliminate, _kernel, _make_codec
+from omega.oracle.kernel import _Codes, _Packed, _Wide, _eliminate, _kernel, _make_codec
 
 # Every field shape: p = 2 with k = 1 and k > 1, odd p with k = 1 and k > 1,
 # and q > 2048, where the field has no full multiplication or addition table.
@@ -63,8 +63,8 @@ def problems(draw, max_d=4, max_w=None):
 
 
 def kernels(fld, d):
-    """The kernel the oracle uses for (fld, d), and the code-stack one."""
-    return {type(k).__name__: k for k in (_kernel(fld, d), _Codes(fld, d))}.values()
+    """The kernel the oracle uses for (fld, d), and the keyed code-stack one."""
+    return {type(k).__name__: k for k in (_kernel(fld, d), _Wide(fld, d))}.values()
 
 
 def ref_rank(fld, rows):
@@ -104,23 +104,34 @@ def test_chunked_row_sums(p, k, d):
 
 def check_kernels(fld, d, g, X, Y, chunk):
     # one pair of plain matrices, as Matrix.__matmul__ multiplies them
-    assert (_Codes(fld).pair(X[0], Y[0]) == ref_product(fld, X[0], Y[0])).all()
+    codes = _Codes(fld)
+    assert (codes.pair(X[0], Y[0]) == ref_product(fld, X[0], Y[0])).all()
+    S = codes.add(X, Y)
+    for i in range(len(X)):
+        want = [[fld.add(int(a), int(b)) for a, b in zip(ra, rb)] for ra, rb in zip(X[i], Y[i])]
+        assert (S[i] == np.array(want)).all()
     codec = _make_codec(fld, d)
+    KX, KY = codec.keys(X), codec.keys(Y)
     for kern in kernels(fld, d):
         # chunk = 2 splits every stack of more than two matrices
         with mock.patch.multiple(kernel, _CHUNK=chunk, _PACKED_CHUNK=chunk):
-            KX, KY = kern.of_keys(codec.keys(X)), kern.of_keys(codec.keys(Y))
-            L = codec.decode(kern.keys(kern.left(g, KX)))
-            R = codec.decode(kern.keys(kern.right(KX, g)))
-            P = codec.decode(kern.keys(kern.pair(KX, KY)))
-        S = codec.decode(kern.keys(kern.add(KX, KY)))
+            L, R, P = kern.left(g, KX), kern.right(KX, g), kern.pair(KX, KY)
+        for got in (L, R, P):
+            assert got.dtype == KX.dtype and got.shape == KX.shape
+        L, R, P = codec.decode(L), codec.decode(R), codec.decode(P)
         for i in range(len(X)):
             assert (L[i] == ref_product(fld, g, X[i])).all()
             assert (R[i] == ref_product(fld, X[i], g)).all()
             assert (P[i] == ref_product(fld, X[i], Y[i])).all()
-            want = [[fld.add(int(a), int(b)) for a, b in zip(ra, rb)]
-                    for ra, rb in zip(X[i], Y[i])]
-            assert (S[i] == np.array(want)).all()
+
+
+def test_kernels_take_and_return_keys_only():
+    # the packed and the wide kernel share one keyed interface, and the
+    # code-stack arithmetic has no keys, codec or fixed-operand products
+    for cls in (_Packed, _Wide):
+        assert {n for n in vars(cls) if not n.startswith("_")} == {"left", "right", "pair"}
+    assert {n for n in vars(_Codes) if not n.startswith("_")} == {"add", "pair"}
+    assert not hasattr(_Codes(build_field(3, 2)), "codec")
 
 
 @SETTINGS
@@ -128,9 +139,9 @@ def check_kernels(fld, d, g, X, Y, chunk):
 def test_rectangular_operands(problem):
     fld, d, g, X, Y = problem
     codes = _Codes(fld)
-    left = codes.left(g, X)
-    right = codes.right(np.transpose(X, (0, 2, 1)), g)
-    wide = codes.right(Y, X[0])
+    left = codes.pair(g, X)
+    right = codes.pair(np.transpose(X, (0, 2, 1)), g)
+    wide = codes.pair(Y, X[0])
     for i in range(len(X)):
         assert (left[i] == ref_product(fld, g, X[i])).all()
         assert (right[i] == ref_product(fld, X[i].T, g)).all()
@@ -147,9 +158,9 @@ def test_packed_words_are_codec_keys(problem, chunk):
     with mock.patch.object(kernel, "_PACKED_CHUNK", chunk):
         decoded = codec.decode(keys)
     assert decoded.dtype == fld.code_dtype and (decoded == X).all()
-    assert (kern.keys(kern.of_keys(keys)) == keys).all()
-    if isinstance(kern, _Packed):
-        assert (kern.of_keys(keys) == keys).all()
+    # a kernel's identity product gives the keys back unchanged
+    eye = np.eye(d, dtype=fld.code_dtype)
+    assert (kern.left(eye, keys) == keys).all() and (kern.right(keys, eye) == keys).all()
 
 
 def test_packing_applies_where_promised():
@@ -206,7 +217,7 @@ def test_prime_field_products_near_the_uint16_bound(p, d):
     for X in (np.full((3, d, d), p - 1), rng.integers(0, p, size=(3, d, d))):
         X = X.astype(fld.code_dtype)
         g, Y, codes = X[1], X[::-1], _Codes(fld)
-        L, R, P = codes.left(g, X), codes.right(X, g), codes.pair(X, Y)
+        L, R, P = codes.pair(g, X), codes.pair(X, g), codes.pair(X, Y)
         for i in range(len(X)):
             assert (L[i] == ref_product(fld, g, X[i])).all()
             assert (R[i] == ref_product(fld, X[i], g)).all()

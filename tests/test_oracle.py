@@ -98,9 +98,9 @@ def digit_sum(f, a, b):
 
 @pytest.mark.parametrize("p, k", [(3, 6), (251, 1), (2, 11), (2, 12), (3, 7), (65521, 1)])
 def test_add_many_is_the_digit_wise_sum(p, k, monkeypatch):
-    # up to 2^11 = 2048 elements a field keeps an addition table
+    # up to 2^11 = 2048 elements a field of odd p keeps an addition table
     f = build_field(p, k)
-    assert (f.add_table is not None) == (f.q <= 2048)
+    assert (f.add_table is not None) == (f.p != 2 and f.q <= 2048)
     rng = np.random.default_rng(5)
     a, b = rng.integers(0, f.q, (20, 25)), rng.integers(0, f.q, 25)
     a[0, :2], b[:2] = f.q - 1, (f.q - 1, 0)

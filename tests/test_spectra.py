@@ -6,6 +6,7 @@ import pytest
 from omega.arith import _factor
 from omega.groups import group_order, parse_group_spec
 from omega.spectra import (
+    PrimeGraph,
     SpectrumDescriptor,
     canonicalize,
     contains,
@@ -166,6 +167,14 @@ def test_prime_graph():
     assert a5.edges == ()
     assert not a5.adjacent(2, 3)
     assert g.adjacent(5, 2)
+
+
+def test_prime_graph_checks_hold_without_asserts():
+    with pytest.raises(ValueError, match="not sorted"):
+        PrimeGraph((3, 2), ())
+    for edge in ((3, 2), (2, 7)):
+        with pytest.raises(ValueError, match="not an ordered pair"):
+            PrimeGraph((2, 3, 5), (edge,))
 
 
 def test_pg_witnesses():
