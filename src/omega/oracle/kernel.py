@@ -12,8 +12,9 @@ to d = 5, GF(5) and GF(7) up to d = 4, and GF(9) to GF(13) up to d = 3.
 Other shapes decode the keys, multiply the code stacks with _Codes and encode
 the product.  _Codes is plain code-stack arithmetic: sums by Field.add_many,
 and products by int64 matmul mod p for prime fields, else by log/exp lookups.
-A codec maps code stacks to keys and back (decode).  _eliminate runs one
-Gauss-Jordan over a whole stack of matrices, a pivot per matrix.
+A codec maps code stacks to keys and back (decode), and takes the least key
+of each row of a key array (least: min of words, a row sort of byte keys).
+_eliminate runs one Gauss-Jordan over a whole stack, a pivot per matrix.
 """
 
 import operator
@@ -53,6 +54,10 @@ class _U64Codec:
             out[lo:lo + len(part)] = (part >> self.shifts) & self.mask
         return out.reshape(-1, self.d, self.d)
 
+    def least(self, rows):
+        """The least key of each row of a 2-D key array."""
+        return rows.min(axis=1)
+
 
 class _VoidCodec:
     """Raw big-endian byte keys for wide matrices."""
@@ -69,6 +74,10 @@ class _VoidCodec:
     def decode(self, keys):
         """The code stack of keys, read through a big-endian view."""
         return np.ascontiguousarray(keys).view(self.be).astype(self.dtype).reshape(-1, self.d, self.d)
+
+    def least(self, rows):
+        """The least key of each row of a 2-D key array, by a row sort."""
+        return np.sort(rows, axis=1)[:, 0]
 
 
 def _bits(fld):

@@ -6,21 +6,21 @@ from functools import reduce
 
 import numpy as np
 
-from ..arith import _factor
+from ..arith import _factor, divisors
 from ..groups import GroupSpec, group_order
 from .field import Field, build_field
 from .kernel import _Codes, _eliminate, _kernel, _make_codec
 
 DEFAULT_CAP = 1 << 24
-# A BFS level that could pass the cap goes in steps of the room left under
-# it, or this many products if that is more, so CapExceeded.found is at most
-# this far past the cap (each adopted generator at least doubles the group,
-# so there are far fewer of them than this).
+# A round of the coset closure that could pass the cap goes in parts of the
+# room left under it, or of this many products if that is more, and
+# CapExceeded.found, the elements of the cosets known at the abort, is
+# reported as at most this many past the cap.
 _CAP_CHUNK = 1 << 12
 
 
 class CapExceeded(RuntimeError):
-    """BFS closure passed the cap; .found elements were already known."""
+    """Closure passed the cap; .found, a lower bound on |G|, is at most _CAP_CHUNK past it."""
 
     def __init__(self, found, cap):
         super().__init__(f"enumeration exceeded cap {cap}: at least {found} elements found")
@@ -171,6 +171,10 @@ class ElementTable:
         for m in members:
             if any(m // p not in members for p in _factor(m)):
                 raise ValueError(f"spectrum not divisor-closed at {m}")
+        # Frobenius: for n dividing |G|, n divides the count of x with x^n = 1
+        for n in divisors(self.size):
+            if sum(c for m, c in self.order_histogram.items() if n % m == 0) % n:
+                raise ValueError(f"elements of order dividing {n} are not a multiple of {n}")
 
     def element(self, i):
         rec = self.payload
@@ -192,10 +196,10 @@ def _lookup(keys, pk):
 
 
 def _closure(group, cap):
-    """Sorted keys of <generators>, and the generators adopted.  A generator
-    already in the group of those before it is skipped; the others are
-    adopted one at a time, by one pass over the group so far, then BFS levels
-    with all those adopted."""
+    """Sorted keys of <generators>, and the generators adopted (those not in
+    the group H of the ones before).  Adopting g enumerates the left cosets
+    of H in <H, g>, which left multiplication permutes: a coset is named by
+    its least key, so membership is tested once per candidate coset."""
     fld, d = group.field, group.dim
     kern, codec = _kernel(fld, d), _make_codec(fld, d)
     keys = codec.keys(np.eye(d, dtype=fld.code_dtype)[None])
@@ -205,33 +209,32 @@ def _closure(group, cap):
         if known[0]:
             continue
         mults.append(g)
-        # the subgroup so far is closed under the earlier generators
-        frontier, level = keys, [g]
+        # H is closed under the earlier generators, so the first round takes
+        # gH alone; leads holds the least key of each coset found, sorted
+        n, frontier, level = len(keys), keys[None], [g]
+        blocks, leads = [frontier], keys[:1]
         while len(frontier):
-            keys, frontier = _grow(kern, keys, level, frontier, cap)
-            level = mults
+            fresh, lo = [], 0
+            while lo < len(frontier):
+                room = max(cap - n * len(leads), _CAP_CHUNK)
+                part = frontier[lo:lo + max(1, room // (len(level) * n))]
+                lo += len(part)
+                rows = [kern.left(m, part.ravel()).reshape(-1, n) for m in level]
+                lead = np.concatenate([codec.least(r) for r in rows])
+                lead, first = np.unique(lead, return_index=True)
+                new = ~_lookup(leads, lead)[1]
+                # the fresh rows, taken from each generator's block: joining
+                # the blocks first would copy every product
+                block, row = np.divmod(first[new], len(part))
+                fresh += [r[row[block == i]] for i, r in enumerate(rows)]
+                leads = np.sort(np.concatenate([leads, lead[new]]))
+                if n * len(leads) > cap:
+                    raise CapExceeded(min(n * len(leads), cap + _CAP_CHUNK), cap)
+            frontier, level = np.concatenate(fresh), mults
+            blocks.append(frontier)
+        keys = np.concatenate(blocks).ravel()
+        keys.sort()
     return keys, mults
-
-
-def _grow(kern, keys, mults, frontier, cap):
-    """Merge the keys of the products m @ f, for f among the frontier keys,
-    into the sorted keys; return them and the new keys.  Steps after the
-    first find their new keys against the earlier ones; the main array takes
-    them all at the end."""
-    new_keys, lo = keys[:0], 0
-    while lo < len(frontier):
-        room = max(cap - len(keys) - len(new_keys), _CAP_CHUNK)
-        part = frontier[lo:lo + max(1, room // len(mults))]
-        lo += len(part)
-        pk = np.sort(np.concatenate([kern.left(m, part) for m in mults]))
-        known = _lookup(keys, pk)[1]
-        known[1:] |= pk[1:] == pk[:-1]  # repeats of one product
-        if len(new_keys):
-            known |= _lookup(new_keys, pk)[1]
-        new_keys = np.insert(new_keys, np.searchsorted(new_keys, pk[~known]), pk[~known])
-        if len(keys) + len(new_keys) > cap:
-            raise CapExceeded(len(keys) + len(new_keys), cap)
-    return np.insert(keys, np.searchsorted(keys, new_keys), new_keys), new_keys
 
 
 def _classes(rec):
@@ -320,7 +323,7 @@ def _memoize(group, table, cap):
 
 
 def enumerate_group(group, cap=DEFAULT_CAP):
-    """Exhaustive BFS closure of the generators with exact orders."""
+    """Exhaustive closure of the generators, coset by coset, with exact orders."""
     table = _TABLE_MEMO.get(group.key())
     if table is None:
         rec = GroupRecord(group.field, group.dim, *_closure(group, cap))

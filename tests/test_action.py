@@ -7,6 +7,7 @@ import pytest
 from omega.groups import parse_group_spec
 from omega.oracle import (
     CapExceeded,
+    ElementTable,
     Matrix,
     MatrixGroup,
     ModuleAction,
@@ -21,6 +22,7 @@ from omega.oracle import (
     semidirect_spectrum,
 )
 from omega.oracle.action import _cover_witness
+from omega.oracle.kernel import _Codes, _make_codec
 
 
 def mat_vec(fld, g, v):
@@ -115,9 +117,11 @@ def test_semidirect_sym3_closed_form(q):
         1: 1, 2: 3 * q, 3: q**3 - 1 + 2 * q**2, 6: 3 * (q**3 - q), 9: 2 * (q**3 - q**2)}
 
 
-def null_count_histogram(action):
+def null_count_histogram(action, one_short=False):
     """Per element s of order m: the vectors v with N(s) v = 0, where
-    N(s) = 1 + s + ... + s^(m-1), go to order m and the rest to p*m."""
+    N(s) = 1 + s + ... + s^(m-1), go to order m and the rest to p*m.  With
+    one_short, a mutant of that law: q^(d - rank N(s) - 1) killed vectors
+    wherever N(s) is singular, a dimension short."""
     fld = action.field
     d = action.dim_V
     table = enumerate_group(action.image_group)
@@ -135,6 +139,8 @@ def null_count_histogram(action):
         image = reduce(fld.add_many, (fld.mul_many(tot[:, j, None], vecs[j][None, :])
                                       for j in range(d)))
         killed = int((image == 0).all(axis=0).sum())
+        if one_short and killed > 1:
+            killed //= fld.q
         for order, count in ((m, killed), (m * fld.p, vecs.shape[1] - killed)):
             if count:
                 hist[order] = hist.get(order, 0) + count
@@ -156,26 +162,36 @@ def test_semidirect_matches_per_element_null_count(name):
     assert table.order_histogram == null_count_histogram(action)
 
 
+@pytest.mark.parametrize("spec", ["A(1,2)u", "A(1,3)u", "A(1,4)u"])
+def test_table_rejects_one_short_semidirect_histogram(spec):
+    # the mutant keeps the size, the sum and a divisor-closed spectrum: only
+    # Frobenius' theorem on the counts catches it
+    hist = null_count_histogram(natural_action(classical_generators(spec)), one_short=True)
+    with pytest.raises(ValueError, match="not a multiple of"):
+        ElementTable(size=sum(hist.values()), order_histogram=hist, spectrum=tuple(sorted(hist)))
+
+
 def per_element_cover_witness(action, m):
     """The first s of order m, in key order, with N(s) = 1 + s + ... + s^(m-1)
-    nonzero, summed one power at a time, and the unit vector of its first
-    nonzero column; None when every N(s) vanishes."""
+    nonzero, and the unit vector of its first nonzero column; None when every
+    N(s) vanishes.  Every element of order m is summed, one power at a time
+    for all of them at once."""
     fld = action.image_group.field
     table = enumerate_group(action.image_group)
-    orders = table.orders()
-    for i in np.nonzero(orders == m)[0]:
-        s = table.element(int(i))
-        tot = np.zeros((s.dim, s.dim), dtype=np.uint16)
-        pw = type(s).identity(fld, s.dim)
-        for _ in range(m):
-            tot = fld.add_many(tot, pw.a).astype(np.uint16)
-            pw = pw @ s
-        cols = np.nonzero(tot.any(axis=0))[0]
-        if len(cols):
-            v = np.zeros(s.dim, dtype=np.uint16)
-            v[int(cols[0])] = 1
-            return s, v
-    return None
+    rec = table.payload
+    idx = np.flatnonzero(table.orders() == m)
+    S = _make_codec(fld, rec.dim).decode(rec.keys[idx])
+    codes = _Codes(fld)
+    tot = pw = np.broadcast_to(np.eye(rec.dim, dtype=S.dtype), S.shape)
+    for _ in range(m - 1):
+        pw = codes.pair(pw, S)
+        tot = codes.add(tot, pw)
+    hit = np.flatnonzero(tot.any(axis=(1, 2)))
+    if not len(hit):
+        return None
+    v = np.zeros(rec.dim, dtype=np.uint16)
+    v[int(np.flatnonzero(tot[hit[0]].any(axis=0))[0])] = 1
+    return table.element(int(idx[hit[0]])), v
 
 
 COVER_CASES = {

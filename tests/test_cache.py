@@ -103,6 +103,24 @@ def test_cache_sidecar_disagreement(tmp_path):
         restore_memo(saved)
 
 
+def test_cache_sidecar_histogram_breaking_frobenius(tmp_path):
+    saved = fresh_memo()
+    try:
+        cached_spectrum_table("A(1,4)u", cache_dir=tmp_path)
+        tbl, sidecar = cache_paths(tmp_path, "A(1,4)u", 1 << 24)
+        group = classical_generators(parse_group_spec("A(1,4)u"))
+
+        # same size and spectrum, one element moved from order 5 to order 3
+        meta = json.loads(sidecar.read_text())
+        assert meta["order_histogram"] == {"1": 1, "2": 15, "3": 20, "5": 24}
+        meta["order_histogram"].update({"3": 21, "5": 23})
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="not a multiple of 3"):
+            load_table(tmp_path, "A(1,4)u", 1 << 24, group)
+    finally:
+        restore_memo(saved)
+
+
 def test_load_missing_returns_none(tmp_path):
     group = classical_generators(parse_group_spec("A(1,2)u"))
     assert load_table(tmp_path, "A(1,2)u", 1 << 24, group) is None

@@ -1,5 +1,6 @@
-"""The BFS closure against a naive all-generator BFS, its cap bound, the
-closed-form order check, and the batched unitary generator search."""
+"""The coset closure against a naive all-generator BFS, its cap bound and
+its membership tests, the closed-form order check, and the batched unitary
+generator search."""
 
 import itertools
 import operator
@@ -154,6 +155,22 @@ def test_stepped_levels_build_the_same_table(spec, chunk, monkeypatch):
         monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
     k2, _ = _closure(group, len(keys))
     assert (k2 == keys).all()
+
+
+@pytest.mark.parametrize("spec", ["A(2,4)u", "C(2,3)u", "2A(3,2)u"])
+def test_membership_tests_are_per_coset(spec, monkeypatch):
+    # one lookup per product would be about (generators adopted) x |G|; one
+    # per candidate coset is 225, 264 and 457 lookups here
+    needles = []
+    lookup = matgroup._lookup
+
+    def counted(keys, pk):
+        needles.append(len(pk))
+        return lookup(keys, pk)
+
+    monkeypatch.setattr(matgroup, "_lookup", counted)
+    keys, _ = _closure(classical_generators(spec), matgroup.DEFAULT_CAP)
+    assert 0 < sum(needles) < len(keys) / 50
 
 
 def test_wrong_name_raises_even_under_memo():
