@@ -1,5 +1,6 @@
 """Integer arithmetic: factoring, part-extraction, primitive prime divisors."""
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ def _sieve(bound):
     for i in range(2, int(bound**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(bound + 1) if flags[i]]
+    return [*itertools.compress(range(bound + 1), flags)]
 
 
 SMALL_PRIMES = _sieve(_SIEVE_BOUND)

@@ -5,16 +5,16 @@ _kernel(fld, d) multiplies d x d matrices given by their codec keys: left(g, K)
 = A[i] @ B[i], each returning keys.  When bits * d^2 <= 64 (bits =
 bit_length(q - 1)) and the scalar-times-row table (2^bits x 2^(bits d) words)
 fits _PACK_TABLE_LIMIT, a key is the uint64 word of its matrix, and a product
-adds rows looked up in that table: by XOR for p = 2, and for odd p chunk by
-chunk, c entries at a time (c the largest with 2 bits c <= 16), through a
-table of sums of two chunks.  So GF(2^k) packs while its table fits, GF(3) up
-to d = 5, GF(5) and GF(7) up to d = 4, and GF(9) to GF(13) up to d = 3.
-Other shapes decode the keys, multiply the code stacks with _Codes and encode
-the product.  _Codes is plain code-stack arithmetic: sums by Field.add_many,
-and products by int64 matmul mod p for prime fields, else by log/exp lookups.
-A codec maps code stacks to keys and back (decode), and takes the least key
-of each row of a key array (least: min of words, a row sort of byte keys).
-_eliminate runs one Gauss-Jordan over a whole stack, a pivot per matrix.
+adds rows looked up in that table by an intp view of the row words (a uint64
+index costs a cast copy): by XOR for p = 2, and for odd p chunk by chunk, c
+entries at a time (c the largest with 2 bits c <= 16), in a table of sums of
+two chunks.  So GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5)
+and GF(7) up to d = 4, and GF(9) to GF(13) up to d = 3.  Other shapes decode
+the keys, multiply the code stacks with _Codes and encode the product.  _Codes
+is plain code-stack arithmetic: sums by Field.add_many, and products by int64
+matmul mod p for prime fields, else by log/exp lookups.  A codec maps code
+stacks to keys and back (decode), and takes the least key of each row of a key
+array.  _eliminate runs one Gauss-Jordan over a stack, a pivot per matrix.
 """
 
 import operator
@@ -187,8 +187,9 @@ class _Packed:
             return x ^ y
         cw, m = self.cw, self.chunk_mask
         if self.width <= cw:
-            return self.sums[(x << cw) | y]
-        return self.sums[((x & m) << cw) | (y & m)] | self.sums[((x >> cw) << cw) | (y >> cw)] << cw
+            return self.sums[((x << cw) | y).view(np.intp)]
+        lo, hi = ((x & m) << cw) | (y & m), ((x >> cw) << cw) | (y >> cw)
+        return self.sums[lo.view(np.intp)] | self.sums[hi.view(np.intp)] << cw
 
     def _rows(self, K):
         return [(K >> s) & self.row_mask for s in self.row_shift]
@@ -201,7 +202,7 @@ class _Packed:
         rows = self._rows(K)
         out = np.zeros(len(K), dtype=np.uint64)
         for i, grow in enumerate(g.tolist()):
-            terms = [rows[j] if c == 1 else self.table[c][rows[j]]
+            terms = [rows[j] if c == 1 else self.table[c][rows[j].view(np.intp)]
                      for j, c in enumerate(grow) if c]
             if terms:
                 out |= reduce(self._add, terms) << self.row_shift[i]
@@ -216,7 +217,7 @@ class _Packed:
 
         def gather(part, _):
             rows = zip(self._rows(part), self.row_shift)
-            return reduce(operator.or_, (table[r] << s for r, s in rows))
+            return reduce(operator.or_, (table[r.view(np.intp)] << s for r, s in rows))
         return _chunks(gather, K, g, 1, _PACKED_CHUNK)
 
     def pair(self, A, B):
@@ -228,7 +229,7 @@ class _Packed:
         out = np.zeros(np.broadcast(A, B).shape, dtype=np.uint64)
         for si in self.row_shift:
             a = [(A >> (si + sj)) & self.codec.mask for sj in self.entry_shift]
-            out |= reduce(self._add, (self.flat[(a[j] << self.width) | rows[j]]
+            out |= reduce(self._add, (self.flat[((a[j] << self.width) | rows[j]).view(np.intp)]
                                       for j in range(self.d))) << si
         return out
 

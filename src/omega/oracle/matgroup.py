@@ -9,7 +9,7 @@ import numpy as np
 from ..arith import _factor, divisors
 from ..groups import GroupSpec, group_order
 from .field import Field, build_field
-from .kernel import _Codes, _eliminate, _kernel, _make_codec
+from .kernel import _PACKED_CHUNK, _Codes, _bits, _eliminate, _kernel, _make_codec
 
 DEFAULT_CAP = 1 << 24
 # A round of the coset closure that could pass the cap goes in parts of the
@@ -239,32 +239,50 @@ def _closure(group, cap):
 
 def _classes(rec):
     """Conjugacy classes of a group, kept in its record: the least index of
-    each class (ascending), each element's class, and the class sizes."""
+    each class (ascending), each element's class, and the class sizes.  Where
+    key and index fit a uint64 word, sorting the words (key << ib) | index in
+    place gives each conjugation's inverse permutation (low bits) and the keys
+    (high bits); else _lookup gives the forward one, with the same orbits."""
     if rec.classes is not None:
         return rec.classes
-    fld, keys = rec.field, rec.keys
-    kern = _kernel(fld, rec.dim)
+    fld, keys, n = rec.field, rec.keys, len(rec.keys)
+    kern, ib = _kernel(fld, rec.dim), (n - 1).bit_length()
+    by_sort = _bits(fld) * rec.dim ** 2 + ib <= 64
     perms = []
     for g, g_inv in zip(rec.generators, _eliminate(fld, _stack(rec.generators, rec.dim)).inverse):
         pk = kern.left(g, kern.right(keys, g_inv))
-        # conjugation permutes the group, so sorting its keys gives the keys
-        # back, and the sorting order is the inverse permutation (same orbits)
-        inv = np.argsort(pk).astype(np.int32)
-        if not np.array_equal(pk[inv], keys):
+        if by_sort:
+            pk <<= ib
+            pk |= np.arange(n, dtype=np.uint64)
+            pk.sort()
+            perms.append((pk & (1 << ib) - 1).astype(np.int32))
+            inside = np.array_equal(np.right_shift(pk, ib, out=pk), keys)
+        else:  # conjugation is injective: finding every conjugate proves a permutation
+            pos, found = _lookup(keys, pk)
+            perms.append(pos.astype(np.int32))
+            inside = found.all()
+        if not inside:
             raise RuntimeError("conjugate left the set")
-        perms.append(inv)
-    # label propagation: each element takes the least label along its
-    # conjugates, and pointer jumping shortcuts the chains
-    lab, old = np.arange(len(keys), dtype=np.int32), None
+    # each element takes the least label along its conjugates, pointer
+    # jumping shortcuts the chains, and a running count numbers the classes
+    lab, old = np.arange(n, dtype=np.int32), None
     while not np.array_equal(lab, old):
         old = lab
         for P in perms:
-            lab = np.minimum(lab, lab[P])
-        lab = lab[lab]
-    reps = np.flatnonzero(lab == np.arange(len(keys)))
-    label = np.searchsorted(reps, lab).astype(np.int32)
-    rec.classes = _Classes(reps, label, np.bincount(label))
+            lab = np.minimum(lab, _gather(lab, P))
+        lab = _gather(lab, lab)
+    first = lab == np.arange(n, dtype=np.int32)
+    label = _gather(np.cumsum(first, dtype=np.int32) - 1, lab)
+    rec.classes = _Classes(np.flatnonzero(first), label, np.bincount(label))
     return rec.classes
+
+
+def _gather(a, idx):
+    """a[idx] for int32 idx in range, in blocks: numpy's intp copy of idx is one block."""
+    out = np.empty(len(idx), dtype=a.dtype)
+    for lo in range(0, len(idx), _PACKED_CHUNK):
+        a.take(idx[lo:lo + _PACKED_CHUNK], out=out[lo:lo + _PACKED_CHUNK], mode="clip")
+    return out
 
 
 def _least_powers(rec, target):

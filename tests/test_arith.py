@@ -7,6 +7,7 @@ from omega.arith import (
     Factored,
     _factor,
     _jacobi,
+    _sieve,
     cyclotomic_value,
     divisors,
     factorize,
@@ -92,6 +93,12 @@ def test_is_prime_matches_sieve():
                 flags[j] = False
     for n in range(5000):
         assert is_prime(n) == flags[n], n
+
+
+@pytest.mark.parametrize("bound", [100, 10_000])
+def test_sieve_matches_trial_division(bound):
+    want = [n for n in range(2, bound + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert _sieve(bound) == want
 
 
 def test_r_part_frozen():
