@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 _SIEVE_BOUND = 10_000
@@ -16,7 +17,8 @@ def _sieve(bound):
     return [*itertools.compress(range(bound + 1), flags)]
 
 
-SMALL_PRIMES = _sieve(_SIEVE_BOUND)
+_PM1_PRIMES = _sieve(100_000)
+SMALL_PRIMES = _PM1_PRIMES[:bisect_right(_PM1_PRIMES, _SIEVE_BOUND)]
 _SMALL_SET = set(SMALL_PRIMES)
 
 # Miller-Rabin with these bases is a proof of primality below this bound.
@@ -113,9 +115,6 @@ def is_prime(n):
     if r * r == n:
         return False
     return _strong_lucas(n)
-
-
-_PM1_PRIMES = _sieve(100_000)
 
 
 def _pminus1(n, bound):

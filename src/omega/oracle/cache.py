@@ -8,12 +8,11 @@ from pathlib import Path
 import numpy as np
 
 from ..groups import parse_group_spec
-from .kernel import _make_codec
+from .kernel import _are_keys, _make_codec
 from .matgroup import (DEFAULT_CAP, ElementTable, GroupRecord, _TABLE_MEMO, _memoize,
                        classical_generators, spectrum_table)
 
-MAGIC = b"OMEGA1"
-_SAVE_BLOCK = 1 << 16
+MAGIC = b"OMEGA2"
 
 
 def _stem(spec_str, cap):
@@ -31,7 +30,6 @@ def save_table(table, cache_dir, spec_str, cap):
     if not isinstance(rec, GroupRecord):
         raise ValueError("only directly enumerated tables are cached, not quotients")
     fld = rec.field
-    item = np.dtype(fld.code_dtype).itemsize
     spec_b = spec_str.encode()
     head = [
         MAGIC,
@@ -39,17 +37,13 @@ def save_table(table, cache_dir, spec_str, cap):
         spec_b,
         struct.pack("<III", fld.p, fld.k, len(fld.modulus)),
         struct.pack(f"<{len(fld.modulus)}I", *fld.modulus),
-        struct.pack("<IQB", rec.dim, table.size, item),
+        struct.pack("<IQ", rec.dim, table.size),
     ]
     tbl_path, json_path = cache_paths(cache_dir, spec_str, cap)
     tbl_path.parent.mkdir(parents=True, exist_ok=True)
-    # the file holds the code stack, which the table itself does not keep:
-    # decode it a block of keys at a time
-    codec = _make_codec(fld, rec.dim)
     with tbl_path.open("wb") as fh:
         fh.writelines(head)
-        for lo in range(0, len(rec.keys), _SAVE_BLOCK):
-            fh.write(codec.decode(rec.keys[lo:lo + _SAVE_BLOCK]).data)
+        fh.write(rec.keys.astype(rec.keys.dtype.newbyteorder("<"), copy=False).data)
     sidecar = {
         "spec": spec_str,
         "cap": cap,
@@ -70,38 +64,34 @@ def load_table(cache_dir, spec_str, cap, group):
         return None
     raw = tbl_path.read_bytes()
     if raw[:6] != MAGIC:
-        raise ValueError(f"{tbl_path}: bad magic")
-    off = 6
-    (slen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    got_spec = raw[off:off + slen].decode()
-    off += slen
+        raise ValueError(f"{tbl_path}: bad magic {raw[:6]!r}, not {MAGIC!r}: a file of "
+                         "an older format must be deleted")
+    try:
+        (slen,) = struct.unpack_from("<I", raw, 6)
+        p, k, modlen = struct.unpack_from("<III", raw, 10 + slen)
+        *mod, got_dim, count = struct.unpack_from(f"<{modlen}IIQ", raw, 22 + slen)
+    except struct.error:
+        raise ValueError(f"{tbl_path}: truncated header") from None
+    got_spec, off = raw[10:10 + slen].decode(errors="replace"), 34 + slen + 4 * modlen
     if got_spec != spec_str:
         raise ValueError(f"{tbl_path}: stores {got_spec!r}, wanted {spec_str!r}")
-    p, k, modlen = struct.unpack_from("<III", raw, off)
-    off += 12
-    mod = struct.unpack_from(f"<{modlen}I", raw, off)
-    off += 4 * modlen
-    if (p, k, mod) != (fld.p, fld.k, fld.modulus):
+    if (p, k, tuple(mod)) != (fld.p, fld.k, fld.modulus):
         raise ValueError(f"{tbl_path}: field mismatch")
-    got_dim, count, item = struct.unpack_from("<IQB", raw, off)
-    off += 13
     if got_dim != dim:
         raise ValueError(f"{tbl_path}: dimension mismatch")
-    if item != np.dtype(fld.code_dtype).itemsize:
-        raise ValueError(f"{tbl_path}: code width mismatch")
     if count > cap:
         raise ValueError(f"{tbl_path}: cached table of {count} elements exceeds the cap {cap}")
-    if len(raw) - off != count * dim * dim * item:
+    dtype = _make_codec(fld, dim).keys(np.eye(dim, dtype=fld.code_dtype)[None]).dtype
+    if len(raw) - off != count * dtype.itemsize:
         raise ValueError(f"{tbl_path}: truncated body")
-    stack = np.frombuffer(raw, dtype=fld.code_dtype, offset=off).reshape(count, dim, dim)
-    if int(stack.max(initial=0)) >= fld.q:
-        raise ValueError(f"{tbl_path}: entry out of field range")
-    keys = _make_codec(fld, dim).keys(stack)
-    if not np.array_equal(np.sort(keys), keys) or (keys[1:] == keys[:-1]).any():
-        raise ValueError(f"{tbl_path}: keys not strictly sorted")
-    side = json.loads(json_path.read_text())
-    hist = {int(m): int(c) for m, c in side["order_histogram"].items()}
+    keys = np.frombuffer(raw, dtype.newbyteorder("<"), offset=off).astype(dtype, copy=False)
+    if not _are_keys(fld, dim, keys):
+        raise ValueError(f"{tbl_path}: keys not strictly sorted, or not keys of matrices")
+    try:
+        side = json.loads(json_path.read_text())
+        hist = {int(m): int(c) for m, c in side["order_histogram"].items()}
+    except (LookupError, TypeError, AttributeError, ValueError) as e:
+        raise ValueError(f"{json_path}: malformed sidecar ({e!r})") from None
     if side.get("size") != count:
         raise ValueError(f"{json_path}: size disagrees with binary table")
     return ElementTable(

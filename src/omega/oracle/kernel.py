@@ -90,6 +90,19 @@ def _make_codec(fld, dim):
     return _VoidCodec(dim, fld.code_dtype)
 
 
+def _are_keys(fld, dim, keys):
+    """Whether keys strictly increase and are keys of dim x dim matrices over
+    fld: the last, and so every, packed word has no bit above its entries,
+    and no entry is q or more, which no packed entry is when q = 2^bits."""
+    codec, bits = _make_codec(fld, dim), _bits(fld)
+    packed = isinstance(codec, _U64Codec)
+    if not np.array_equal(np.sort(keys), keys) or (keys[1:] == keys[:-1]).any():
+        return False
+    if packed and int(keys[-1:].max(initial=0)) >> bits * dim * dim:
+        return False
+    return packed and fld.q == 1 << bits or codec.decode(keys).max(initial=0) < fld.q
+
+
 def _chunks(fn, A, B, ndim, size):
     """fn(A, B), size matrices at a time of the stacked (ndim-D) operands."""
     n = max(len(X) if X.ndim == ndim else 0 for X in (A, B))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from omega.arith import (
+    SMALL_PRIMES,
     Factored,
     _factor,
     _jacobi,
@@ -99,6 +100,8 @@ def test_is_prime_matches_sieve():
 def test_sieve_matches_trial_division(bound):
     want = [n for n in range(2, bound + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
     assert _sieve(bound) == want
+    if bound == 10_000:
+        assert SMALL_PRIMES == want
 
 
 def test_r_part_frozen():

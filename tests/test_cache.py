@@ -1,5 +1,5 @@
 import json
-from unittest import mock
+import re
 
 import pytest
 
@@ -12,7 +12,6 @@ from omega.oracle import (
     save_table,
     spectrum_table,
 )
-from omega.oracle import cache
 from omega.oracle.cache import cache_paths
 from omega.oracle.kernel import _Packed, _U64Codec, _VoidCodec, _Wide, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, _classes, classical_generators
@@ -183,9 +182,12 @@ def test_save_load_save_writes_the_same_files(name, make, kernel, codec, tmp_pat
         group = make()
         assert type(_kernel(group.field, group.dim)) is kernel
         assert type(_make_codec(group.field, group.dim)) is codec
-        # the first file is written in blocks of 7 keys, the second in one
-        with mock.patch.object(cache, "_SAVE_BLOCK", 7):
-            save_table(enumerate_group(group), tmp_path / "first", name, 1 << 24)
+        table = enumerate_group(group)
+        save_table(table, tmp_path / "first", name, 1 << 24)
+        # the body is the sorted keys as they are in memory
+        keys = table.payload.keys
+        body = cache_paths(tmp_path / "first", name, 1 << 24)[0].read_bytes()[-keys.nbytes:]
+        assert body == keys.tobytes()
         loaded = load_table(tmp_path / "first", name, 1 << 24, group)
         save_table(loaded, tmp_path / "second", name, 1 << 24)
         for a, b in zip(cache_paths(tmp_path / "first", name, 1 << 24),
@@ -193,6 +195,63 @@ def test_save_load_save_writes_the_same_files(name, make, kernel, codec, tmp_pat
             assert a.read_bytes() == b.read_bytes()
     finally:
         restore_memo(saved)
+
+
+def _cache_files(tmp_path, name, group):
+    save_table(enumerate_group(group), tmp_path, name, 1 << 24)
+    return cache_paths(tmp_path, name, 1 << 24)
+
+
+# each sets bits of the greatest key, which stays the greatest: its last
+# 2-bit entry over GF(3) to 3, a bit above its 32 bits of entries, and its
+# last code byte over GF(3) to 3
+@pytest.mark.parametrize("name, make, at, bits", [
+    ("C(2,3)u", lambda: classical_generators("C(2,3)u"), -8, 0x03),
+    ("C(2,3)u", lambda: classical_generators("C(2,3)u"), -1, 0x80),
+    ("sym6-mod3", _sym6_mod3, -1, 0x03),
+], ids=["packed-entry-3", "packed-high-bit", "byte-entry-3"])
+def test_sorted_non_keys_are_rejected(name, make, at, bits, tmp_path):
+    saved = fresh_memo()
+    try:
+        group = make()
+        tbl, _ = _cache_files(tmp_path, name, group)
+        raw = bytearray(tbl.read_bytes())
+        raw[at] |= bits
+        tbl.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="not keys of matrices"):
+            load_table(tmp_path, name, 1 << 24, group)
+    finally:
+        restore_memo(saved)
+
+
+def test_older_format_is_named(tmp_path):
+    group = classical_generators("A(1,4)u")
+    tbl, _ = _cache_files(tmp_path, "A(1,4)u", group)
+    tbl.write_bytes(b"OMEGA1" + tbl.read_bytes()[6:])
+    with pytest.raises(ValueError, match="bad magic .*older format"):
+        load_table(tmp_path, "A(1,4)u", 1 << 24, group)
+
+
+def _drop_histogram(raw):
+    meta = json.loads(raw)
+    del meta["order_histogram"]
+    return json.dumps(meta).encode()
+
+
+# a table cut inside its header, one whose spec is not UTF-8, a sidecar
+# without a histogram, and one that is a list
+@pytest.mark.parametrize("which, spoil, message", [
+    (0, lambda raw: raw[:20], "truncated header"),
+    (0, lambda raw: raw[:10] + b"\xff" + raw[11:], "stores"),
+    (1, _drop_histogram, "malformed sidecar"),
+    (1, lambda raw: json.dumps(list(json.loads(raw))).encode(), "malformed sidecar"),
+], ids=["header-cut", "spec-not-utf8", "no-histogram", "sidecar-list"])
+def test_malformed_cache_files_raise_value_error(which, spoil, message, tmp_path):
+    group = classical_generators("A(1,4)u")
+    path = _cache_files(tmp_path, "A(1,4)u", group)[which]
+    path.write_bytes(spoil(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_table(tmp_path, "A(1,4)u", 1 << 24, group)
 
 
 def test_no_cache_dir_means_no_files(tmp_path):

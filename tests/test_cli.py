@@ -3,6 +3,7 @@
 import json
 
 from omega.cli import main
+from omega.oracle.matgroup import _TABLE_MEMO
 from omega.spectra import e6_semisimple_spectrum
 
 
@@ -82,9 +83,33 @@ def test_enumerate_cache_env(capsys, tmp_path, monkeypatch):
     assert rc == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["A_1_4_u.cap16777216.json", "A_1_4_u.cap16777216.tbl"]
-    # warm read hands back the same payload
-    rc, out2, _ = run(capsys, ["enumerate", "--group", "A(1,4)u", "--json"])
+    # warm read hands back the same payload, from the file, not the memo
+    saved = dict(_TABLE_MEMO)
+    _TABLE_MEMO.clear()
+    try:
+        rc, out2, _ = run(capsys, ["enumerate", "--group", "A(1,4)u", "--json"])
+    finally:
+        _TABLE_MEMO.clear()
+        _TABLE_MEMO.update(saved)
     assert out2 == out
+
+
+
+def test_enumerate_truncated_cache_header_exits_2(capsys, tmp_path):
+    argv = ["enumerate", "--group", "A(1,4)u", "--json", "--cache", str(tmp_path)]
+    tbl = tmp_path / "A_1_4_u.cap16777216.tbl"
+    saved = dict(_TABLE_MEMO)
+    _TABLE_MEMO.clear()
+    try:
+        assert run(capsys, argv)[0] == 0
+        tbl.write_bytes(tbl.read_bytes()[:20])
+        _TABLE_MEMO.clear()
+        rc, out, err = run(capsys, argv)
+    finally:
+        _TABLE_MEMO.clear()
+        _TABLE_MEMO.update(saved)
+    assert rc == 2 and out == ""
+    assert f"error: {tbl}: truncated header" in err
 
 
 def test_semidirect(capsys):
