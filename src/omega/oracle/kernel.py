@@ -1,20 +1,22 @@
 """Products, sums and elimination for matrices over GF(p^k).
 
-_kernel(fld, d) multiplies d x d matrices given by their codec keys: left(g, K)
-= g @ K[i] and right(K, g) = K[i] @ g for a fixed code matrix g, and pair(A, B)
-= A[i] @ B[i], each returning keys.  When bits * d^2 <= 64 (bits =
-bit_length(q - 1)) and the scalar-times-row table (2^bits x 2^(bits d) words)
-fits _PACK_TABLE_LIMIT, a key is the uint64 word of its matrix, and a product
-adds rows looked up in that table by an intp view of the row words (a uint64
-index costs a cast copy): by XOR for p = 2, and for odd p chunk by chunk, c
-entries at a time (c the largest with 2 bits c <= 16), in a table of sums of
-two chunks.  So GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5)
-and GF(7) up to d = 4, and GF(9) to GF(13) up to d = 3.  Other shapes decode
-the keys, multiply the code stacks with _Codes and encode the product.  _Codes
-is plain code-stack arithmetic: sums by Field.add_many, and products by int64
-matmul mod p for prime fields, else by log/exp lookups.  A codec maps code
-stacks to keys and back (decode), and takes the least key of each row of a key
-array.  _eliminate runs one Gauss-Jordan over a stack, a pivot per matrix.
+_kernel(fld, d) multiplies d x d matrices given by their codec keys by a fixed
+code matrix g: left(g, K) = g @ K[i] and right(K, g) = K[i] @ g, each returning
+keys.  When bits * d^2 <= 64 (bits = bit_length(q - 1)) and the
+scalar-times-row table (2^bits x 2^(bits d) words) fits _PACK_TABLE_LIMIT, a
+key is the uint64 word of its matrix, and a product adds rows looked up in that
+table by an intp view of the row words (a uint64 index costs a cast copy): by
+XOR for p = 2, and for odd p chunk by chunk, c entries at a time (c the
+largest with 2 bits c <= 16), in a table of sums of two chunks.  Both tables
+are q x q tables broadcast over the entry axes.  So GF(2^k) packs while its
+table fits, GF(3) up to d = 5, GF(5) and GF(7) up to d = 4, and GF(9) to
+GF(13) up to d = 3.  Other shapes decode the keys, multiply the code stacks
+with _Codes and encode the product.  _Codes is plain code-stack arithmetic:
+sums by Field.add_many, and products of two stacks or of a stack and one
+matrix by int64 matmul mod p for prime fields, else by log/exp lookups.  A
+codec maps code stacks to keys and back (decode), and takes the least key of
+each row of a key array.  _eliminate runs one Gauss-Jordan over a stack, a
+pivot per matrix.
 """
 
 import operator
@@ -93,14 +95,24 @@ def _make_codec(fld, dim):
 def _are_keys(fld, dim, keys):
     """Whether keys strictly increase and are keys of dim x dim matrices over
     fld: the last, and so every, packed word has no bit above its entries,
-    and no entry is q or more, which no packed entry is when q = 2^bits."""
+    and no entry is q or more, which no packed entry is when q = 2^bits.
+    Packed rows of at most 16 bits are looked up in a table that says, for
+    every row, whether it holds such an entry; other keys are decoded."""
     codec, bits = _make_codec(fld, dim), _bits(fld)
-    packed = isinstance(codec, _U64Codec)
+    packed, width = isinstance(codec, _U64Codec), bits * dim
     if not np.array_equal(np.sort(keys), keys) or (keys[1:] == keys[:-1]).any():
         return False
-    if packed and int(keys[-1:].max(initial=0)) >> bits * dim * dim:
+    if packed and int(keys[-1:].max(initial=0)) >> width * dim:
         return False
-    return packed and fld.q == 1 << bits or codec.decode(keys).max(initial=0) < fld.q
+    if packed and fld.q == 1 << bits:
+        return True
+    if not packed or width > 16:
+        return codec.decode(keys).max(initial=0) < fld.q
+    over = np.arange(1 << bits) >= fld.q
+    bad = reduce(operator.or_, (over[e] for e in _axes(bits, dim))).ravel()
+    mask = np.uint64((1 << width) - 1)
+    return not any(bad[((keys >> np.uint64(s)) & mask).view(np.intp)].any()
+                   for s in range(0, width * dim, width))
 
 
 def _chunks(fn, A, B, ndim, size):
@@ -154,9 +166,10 @@ class _Wide:
         """K[i] @ g for a fixed (d, d) code matrix g."""
         return self.codec.keys(self.codes.pair(self.codec.decode(K), g))
 
-    def pair(self, A, B):
-        """A[i] @ B[i] for key arrays of one length."""
-        return self.codec.keys(self.codes.pair(self.codec.decode(A), self.codec.decode(B)))
+
+def _axes(bits, n):
+    """Open index grids of n axes: on the flat grid, each word's n entries."""
+    return np.ix_(*[np.arange(1 << bits)] * n)
 
 
 class _Packed:
@@ -166,32 +179,28 @@ class _Packed:
     scalar and every width-bit row; entries q .. 2^bits - 1 never occur, and
     the table reduces them mod q so that every lookup is in range.  Rows add
     by XOR for p = 2 and otherwise by one lookup per chunk of c entries in a
-    2^(bits c) x 2^(bits c) chunk-sum table."""
+    2^(bits c) x 2^(bits c) chunk-sum table.  Each table broadcasts the q x q
+    product or sum table, padded to 2^bits, over its entry axes."""
 
     def __init__(self, fld, d):
-        self.fld, self.d = fld, d
-        self.codec = _make_codec(fld, d)
-        bits, width = _bits(fld), _bits(fld) * d
+        self.codec, self.d, self.bits = _make_codec(fld, d), d, _bits(fld)
+        bits, width = self.bits, self.bits * d
         self.width = np.uint64(width)
         self.row_mask = np.uint64((1 << width) - 1)
         self.row_shift = [np.uint64(width * (d - 1 - i)) for i in range(d)]
-        self.entry_shift = [np.uint64(bits * (d - 1 - j)) for j in range(d)]
-        # table[c, r] = c * r for every scalar c and row r, padding mod q,
-        # built one entry position at a time
-        rows, shifts = np.arange(1 << width, dtype=np.uint64), np.array(self.entry_shift)
-        entries = ((rows[:, None] >> shifts) & self.codec.mask).astype(np.int64) % fld.q
-        scalars = np.arange(1 << bits)[:, None] % fld.q
-        self.table = np.zeros((1 << bits, 1 << width), dtype=np.uint64)
-        for e, s in zip(entries.T, shifts):
-            self.table |= fld.mul_many(scalars, e).astype(np.uint64) << s
-        self.flat = self.table.ravel()
-        # sums[(x << cw) | y] = x + y for chunks x, y of c entries, built one
-        # entry position at a time; _kernel's limits keep a row to two chunks
+        self.eye = np.eye(d, dtype=int).tolist()
+        shifts, pad = [np.uint64(bits * (d - 1 - j)) for j in range(d)], np.arange(1 << bits) % fld.q
+        # table[c, r] = c * r for every scalar c and row r
+        mul, ix = fld.mul_many(pad[:, None], pad).astype(np.uint64), _axes(bits, d + 1)
+        self.table = reduce(operator.or_, (mul[ix[0], e] << s for e, s in zip(ix[1:], shifts))
+                            ).reshape(1 << bits, -1)
+        # sums[(x << cw) | y] = x + y for chunks x, y of c entries; _kernel's
+        # limits keep a row to two chunks
         c = min(max(8 // bits, 1), d)
         self.cw, self.chunk_mask = np.uint64(bits * c), np.uint64((1 << bits * c) - 1)
+        add, ix = fld.add_many(pad[:, None], pad).astype(np.uint64), _axes(bits, 2 * c)
         self.sums = None if fld.p == 2 else reduce(operator.or_, (
-            fld.add_table[e[:, None], e[None, :]].astype(np.uint64).ravel() << s
-            for e, s in zip(entries[:1 << bits * c, d - c:].T, shifts[d - c:])))
+            add[x, y] << s for x, y, s in zip(ix[:c], ix[c:], shifts[d - c:]))).ravel()
 
     def _add(self, x, y):
         """Sums of packed rows: one chunk-sum lookup, or two when a row is
@@ -204,46 +213,49 @@ class _Packed:
         lo, hi = ((x & m) << cw) | (y & m), ((x >> cw) << cw) | (y >> cw)
         return self.sums[lo.view(np.intp)] | self.sums[hi.view(np.intp)] << cw
 
-    def _rows(self, K):
-        return [(K >> s) & self.row_mask for s in self.row_shift]
-
     def left(self, g, K):
         """g @ K[i] for a fixed (d, d) code matrix g."""
         return _chunks(self._left, g, K, 1, _PACKED_CHUNK)
 
     def _left(self, g, K):
-        rows = self._rows(K)
-        out = np.zeros(len(K), dtype=np.uint64)
-        for i, grow in enumerate(g.tolist()):
+        """Rows where g is the identity are copied under one mask; each other
+        row adds the rows of K it names, times their scalars."""
+        grows = g.tolist()
+        moved = [i for i, grow in enumerate(grows) if grow != self.eye[i]]
+        out = K & np.uint64(sum(int(self.row_mask) << int(s)
+                                for i, s in enumerate(self.row_shift) if i not in moved))
+        rows = {j: (K >> self.row_shift[j]) & self.row_mask
+                for i in moved for j, c in enumerate(grows[i]) if c}
+        for i in moved:
             terms = [rows[j] if c == 1 else self.table[c][rows[j].view(np.intp)]
-                     for j, c in enumerate(grow) if c]
+                     for j, c in enumerate(grows[i]) if c]
             if terms:
                 out |= reduce(self._add, terms) << self.row_shift[i]
         return out
 
     def right(self, K, g):
-        """K[i] @ g for a fixed (d, d) code matrix g: one lookup per row in
-        the table of r @ g over every packed row r."""
-        top = self.row_shift[0]
-        every_row = np.arange(1 << int(self.width), dtype=np.uint64) << top
-        table = self._pair(every_row, self.codec.keys(g[None])) >> top
-
-        def gather(part, _):
-            rows = zip(self._rows(part), self.row_shift)
-            return reduce(operator.or_, (table[r.view(np.intp)] << s for r, s in rows))
-        return _chunks(gather, K, g, 1, _PACKED_CHUNK)
-
-    def pair(self, A, B):
-        """A[i] @ B[i]; either side may be one packed matrix."""
-        return _chunks(self._pair, A, B, 1, _PACKED_CHUNK)
-
-    def _pair(self, A, B):
-        rows = self._rows(B)
-        out = np.zeros(np.broadcast(A, B).shape, dtype=np.uint64)
-        for si in self.row_shift:
-            a = [(A >> (si + sj)) & self.codec.mask for sj in self.entry_shift]
-            out |= reduce(self._add, (self.flat[((a[j] << self.width) | rows[j]).view(np.intp)]
-                                      for j in range(self.d))) << si
+        """K[i] @ g for a fixed (d, d) code matrix g.  The table of r @ g over
+        every packed row r is the sum over j of entry j of r times row j of
+        g, d lookups broadcast over the entry axes.  Where two rows fit 16
+        bits, K is read two rows per lookup in a uint16 table of row pairs."""
+        w, gk = int(self.width), int(self.codec.keys(g[None])[0])
+        rt = reduce(self._add, (self.table[e, (gk >> int(s)) & int(self.row_mask)]
+                                for e, s in zip(_axes(self.bits, self.d), self.row_shift)))
+        # a row is at most 16 bits (_kernel's table limit), so uint16 holds it
+        rt, span = rt.astype(np.uint16).ravel(), 2 * w if 2 * w <= 16 else w
+        rt = (rt[:, None] << w | rt).ravel() if span > w else rt
+        # for odd d the top lookup reads one row, and the pairs table gives
+        # it back as it is: its index is below 2^width
+        lookups = [np.uint64(s) for s in range(0, w * self.d, span)]
+        # blocks of K write into one output: no list of blocks to join
+        mask, out = np.uint64((1 << span) - 1), np.zeros(len(K), dtype=np.uint64)
+        for lo in range(0, len(K), _PACKED_CHUNK):
+            part, res = K[lo:lo + _PACKED_CHUNK], out[lo:lo + _PACKED_CHUNK]
+            for s in lookups:
+                idx = part >> s
+                idx &= mask
+                np.left_shift(rt[idx.view(np.intp)], s, out=idx, dtype=np.uint64)
+                res |= idx
         return out
 
 

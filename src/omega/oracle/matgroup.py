@@ -286,19 +286,19 @@ def _gather(a, idx):
 
 
 def _least_powers(rec, target):
-    """Per element x, the least m >= 1 with x^m among the sorted keys target,
-    a central subset; this is a class function, so it is found once per class."""
+    """Per element x, the least m >= 1 with x^m among the sorted keys target, a
+    central subset: a class function, so stepped once per class, on codes."""
     c = _classes(rec)
-    kern = _kernel(rec.field, rec.dim)
-    R = rec.keys[c.reps]
+    codec, codes = _make_codec(rec.field, rec.dim), _Codes(rec.field)
+    R = codec.decode(rec.keys[c.reps])
     m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
     for _ in range(len(rec.keys)):
-        out = ~_lookup(target, cur)[1]
+        out = ~_lookup(target, codec.keys(cur))[1]
         if not out.any():
             return m[c.label]
         idx, cur = idx[out], cur[out]
         m[idx] += 1
-        cur = kern.pair(cur, R[idx])
+        cur = codes.pair(cur, R[idx])
     raise RuntimeError("order runaway: an element's order exceeds the group's")
 
 

@@ -224,6 +224,25 @@ def test_sorted_non_keys_are_rejected(name, make, at, bits, tmp_path):
         restore_memo(saved)
 
 
+# an entry equal to q at each entry position of the greatest key: raising an
+# entry keeps that key the greatest, so the body stays sorted
+@pytest.mark.parametrize("name", ["C(2,3)u", "2A(2,3)u"])
+def test_an_entry_equal_to_q_is_rejected_at_every_position(name, tmp_path):
+    saved = fresh_memo()
+    try:
+        group = classical_generators(name)
+        tbl, _ = _cache_files(tmp_path, name, group)
+        raw, q = tbl.read_bytes(), group.field.q
+        bits, last = (q - 1).bit_length(), int.from_bytes(raw[-8:], "little")
+        for at in range(0, bits * group.dim ** 2, bits):
+            key = last & ~(((1 << bits) - 1) << at) | q << at
+            tbl.write_bytes(raw[:-8] + key.to_bytes(8, "little"))
+            with pytest.raises(ValueError, match="not keys of matrices"):
+                load_table(tmp_path, name, 1 << 24, group)
+    finally:
+        restore_memo(saved)
+
+
 def test_older_format_is_named(tmp_path):
     group = classical_generators("A(1,4)u")
     tbl, _ = _cache_files(tmp_path, "A(1,4)u", group)

@@ -59,7 +59,16 @@ def problems(draw, max_d=4, max_w=None):
             a = np.where(rng.random(shape) < 0.6, rng.integers(0, 2, size=shape), a)
         return a.astype(fld.code_dtype)
 
-    return fld, d, codes(d, d), codes(n, d, w), codes(n, d, d)
+    # g is also the identity with one or two rows replaced, or a monomial
+    # matrix: a left product copies identity rows and computes the others
+    g, shape = codes(d, d), draw(st.sampled_from(["codes", "rows", "monomial"]))
+    if shape == "rows":
+        kept = rng.permutation(d)[draw(st.integers(1, 2)):]
+        g[kept] = np.eye(d, dtype=g.dtype)[kept]
+    elif shape == "monomial":
+        g = np.zeros((d, d), dtype=fld.code_dtype)
+        g[np.arange(d), rng.permutation(d)] = rng.integers(1, fld.q, size=d)
+    return fld, d, g, codes(n, d, w), codes(n, d, d)
 
 
 def kernels(fld, d):
@@ -115,21 +124,36 @@ def check_kernels(fld, d, g, X, Y, chunk):
     for kern in kernels(fld, d):
         # chunk = 2 splits every stack of more than two matrices
         with mock.patch.multiple(kernel, _CHUNK=chunk, _PACKED_CHUNK=chunk):
-            L, R, P = kern.left(g, KX), kern.right(KX, g), kern.pair(KX, KY)
-        for got in (L, R, P):
+            L, R = kern.left(g, KX), kern.right(KX, g)
+        for got in (L, R):
             assert got.dtype == KX.dtype and got.shape == KX.shape
-        L, R, P = codec.decode(L), codec.decode(R), codec.decode(P)
+        L, R = codec.decode(L), codec.decode(R)
         for i in range(len(X)):
             assert (L[i] == ref_product(fld, g, X[i])).all()
             assert (R[i] == ref_product(fld, X[i], g)).all()
-            assert (P[i] == ref_product(fld, X[i], Y[i])).all()
+
+
+# right reads two rows per lookup where two rows fit 16 bits, else one; an
+# odd d leaves its top lookup one row
+@pytest.mark.parametrize("p, k, d, two", [
+    (2, 1, 8, True), (2, 2, 3, True), (3, 1, 4, True), (5, 1, 2, True), (2, 1, 1, True),
+    (3, 1, 5, False), (3, 2, 3, False), (7, 1, 3, False), (2, 3, 3, False)])
+def test_right_reads_one_or_two_rows_per_lookup(p, k, d, two):
+    fld = build_field(p, k)
+    kern = _kernel(fld, d)
+    assert isinstance(kern, _Packed) and (kern.width <= 8) == two
+    rng = np.random.default_rng(p * k * d)
+    g, X, Y = (rng.integers(0, fld.q, size=s).astype(fld.code_dtype)
+               for s in ((d, d), (5, d, d), (5, d, d)))
+    for chunk in (2, 1 << 20):
+        check_kernels(fld, d, g, X, Y, chunk)
 
 
 def test_kernels_take_and_return_keys_only():
     # the packed and the wide kernel share one keyed interface, and the
     # code-stack arithmetic has no keys, codec or fixed-operand products
     for cls in (_Packed, _Wide):
-        assert {n for n in vars(cls) if not n.startswith("_")} == {"left", "right", "pair"}
+        assert {n for n in vars(cls) if not n.startswith("_")} == {"left", "right"}
     assert {n for n in vars(_Codes) if not n.startswith("_")} == {"add", "pair"}
     assert not hasattr(_Codes(build_field(3, 2)), "codec")
 
@@ -163,12 +187,14 @@ def test_packed_words_are_codec_keys(problem, chunk):
     assert (kern.left(eye, keys) == keys).all() and (kern.right(keys, eye) == keys).all()
 
 
+# at most 64 bits and a scalar-times-row table of at most 2^18 words; odd p
+# whatever the size of its whole-row sums
+PACKED = [(2, 2, 4), (2, 1, 8), (2, 3, 3), (3, 1, 4), (3, 1, 5), (3, 2, 2),
+          (3, 2, 3), (7, 1, 3), (5, 1, 4), (7, 1, 4), (5, 2, 2)]
+
+
 def test_packing_applies_where_promised():
-    # at most 64 bits and a scalar-times-row table of at most 2^18 words;
-    # odd p whatever the size of its whole-row sums
-    packed = [(2, 2, 4), (2, 1, 8), (2, 3, 3), (3, 1, 4), (3, 1, 5), (3, 2, 2),
-              (3, 2, 3), (7, 1, 3), (5, 1, 4), (7, 1, 4), (5, 2, 2)]
-    for p, k, d in packed:
+    for p, k, d in PACKED:
         kern = _kernel(build_field(p, k), d)
         assert isinstance(kern, _Packed), (p, k, d)
         assert kern.table.size <= 1 << 18
@@ -181,6 +207,34 @@ def test_packing_applies_where_promised():
     # more than 64 bits, or a scalar-times-row table too large
     for p, k, d in [(2, 1, 9), (3, 1, 6), (3, 2, 4), (7, 1, 5), (5, 2, 3), (2, 12, 2)]:
         assert not isinstance(_kernel(build_field(p, k), d), _Packed), (p, k, d)
+
+
+@pytest.mark.parametrize("p, k, d", PACKED)
+def test_packed_tables_match_field_arithmetic(p, k, d):
+    # every entry of every word, against Field.mul and Field.add on the
+    # entries reduced mod q (codes q .. 2^bits - 1 never occur in a key)
+    fld = build_field(p, k)
+    kern, q, bits = _kernel(fld, d), fld.q, kernel._bits(fld)
+    mul = np.array([[fld.mul(a % q, b % q) for b in range(1 << bits)] for a in range(1 << bits)])
+    add = np.array([[fld.add(a % q, b % q) for b in range(1 << bits)] for a in range(1 << bits)])
+    mask = (1 << bits) - 1
+
+    def entry(words, j, n):
+        return (np.asarray(words, dtype=np.uint64) >> np.uint64(bits * (n - 1 - j))) & np.uint64(mask)
+
+    scalars, rows = np.indices(kern.table.shape)
+    assert kern.table.shape == (1 << bits, 1 << bits * d)
+    for j in range(d):
+        assert (entry(kern.table, j, d) == mul[scalars, entry(rows, j, d).astype(np.intp)]).all()
+    if p == 2:
+        assert kern.sums is None
+        return
+    c = int(kern.cw) // bits
+    x, y = np.indices((1 << bits * c, 1 << bits * c))
+    sums = kern.sums.reshape(x.shape)
+    for j in range(c):
+        want = add[entry(x, j, c).astype(np.intp), entry(y, j, c).astype(np.intp)]
+        assert (entry(sums, j, c) == want).all()
 
 
 @SETTINGS
