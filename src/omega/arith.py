@@ -337,22 +337,26 @@ def _e6_rows(q):
 
 
 def _sp_rows(q):
-    p = is_prime_power(q)
-    if p is None or p == 2:
+    (p, k), *others = _factor(q).items()
+    if others or p == 2:
         return
-    k = _factor(q)[p]
     for n in range(2, 13):
         eps = 1 if (k * (n - 1)) % 2 == 1 else -1
         lhs = math.gcd(q ** (n - 1) - eps, p + 1)
         yield {"id": "sp-gcd", "q": q, "n": n, "lhs": lhs, "rhs": 2, "ok": lhs == 2}
 
 
-def gcd_identity_suite(q_range):
-    """Evaluate every catalogued gcd identity at each applicable q; list of rows."""
+# row id -> the rows of that identity at one q
+_GCD_ROWS = {"e6-gcd": _e6_rows, "sp-gcd": _sp_rows}
+
+
+def gcd_identity_suite(q_range, ids=tuple(_GCD_ROWS)):
+    """Evaluate the catalogued gcd identities named by ids, by default all of
+    them, at each applicable q; list of rows."""
     rows = []
     for q in q_range:
         if q < 2:
             raise ValueError(f"gcd identities want q >= 2, got {q}")
-        rows.extend(_e6_rows(q))
-        rows.extend(_sp_rows(q))
+        for row_id in ids:
+            rows.extend(_GCD_ROWS[row_id](q))
     return rows

@@ -156,7 +156,7 @@ def _check_c1(params):
 def _gcd_rows(params, row_id, lo_floor):
     lo = _want_int(params, "q_lo", lo_floor)
     hi = _want_int(params, "q_hi", lo)
-    rows = [r for r in gcd_identity_suite(range(lo, hi + 1)) if r["id"] == row_id]
+    rows = gcd_identity_suite(range(lo, hi + 1), (row_id,))
     if not rows:
         raise ValueError(f"no q in [{lo}, {hi}] feeds the {row_id} identity")
     bad = [r for r in rows if not r["ok"]]

@@ -1,5 +1,6 @@
 """Module actions, fixed spaces, minimal polynomials, split-extension spectra."""
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +64,15 @@ class ModuleAction:
         return self.image_group.field
 
     def _spot_check_relators(self):
-        """Random generator words that are trivial on points must act trivially."""
-        rng = np.random.default_rng(2024)
+        """Random generator words that are trivial on points must act trivially.
+        The words come from stdlib random, which numpy already imports: the
+        first use of numpy.random costs more than the whole check."""
+        rng = random.Random(2024)
         perms = self.source_perms
         mats = self.image_group.generators
         deg = len(perms[0])
         for _ in range(25):
-            word = rng.integers(0, len(perms), rng.integers(1, 7))
+            word = rng.choices(range(len(perms)), k=rng.randint(1, 6))
             pt = list(range(deg))
             for w in word:
                 pt = [perms[w][i] for i in pt]

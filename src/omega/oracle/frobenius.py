@@ -9,8 +9,8 @@ import numpy as np
 from ..arith import _factor, is_prime_power, r_part
 from .field import build_field
 from .kernel import _eliminate, _kernel, _make_codec
-from .matgroup import (Matrix, MatrixGroup, _elementary, _lookup, classical_generators,
-                       enumerate_group)
+from .matgroup import (Matrix, MatrixGroup, _closure, _elementary, _lookup,
+                       classical_generators, enumerate_group)
 
 VERIFY_CAP = 1 << 20
 
@@ -184,25 +184,28 @@ def frobenius_witness(kind, params):
 
 def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     """Exhaustive Frobenius check: trivial intersection, normalization, and a
-    fixed-point-free complement action. Returns a verdict with counterexample."""
+    fixed-point-free complement action. Returns a verdict with counterexample.
+    It reads only the two groups' key sets: no classes or orders are built."""
     fld = kernel_gens[0].field
     dim = kernel_gens[0].dim
-    kg = MatrixGroup(fld, dim, tuple(kernel_gens))
-    cg = MatrixGroup(fld, dim, tuple(complement_gens))
-    kt = enumerate_group(kg, cap)
-    ct = enumerate_group(cg, cap)
-    k_keys = kt.payload.keys
-    kern = _kernel(fld, dim)
-    _, both = _lookup(k_keys, ct.payload.keys)
+    k_keys = _closure(MatrixGroup(fld, dim, tuple(kernel_gens)), cap)[0]
+    c_keys = _closure(MatrixGroup(fld, dim, tuple(complement_gens)), cap)[0]
+    ko, co = len(k_keys), len(c_keys)
+    codec, kern = _make_codec(fld, dim), _kernel(fld, dim)
+
+    def nontrivial(keys):
+        return next(m for m in (Matrix(fld, a) for a in codec.decode(keys))
+                    if not m.is_identity())
+
+    _, both = _lookup(k_keys, c_keys)
     if int(both.sum()) != 1:
-        shared = next(m for m in map(ct.element, np.flatnonzero(both).tolist())
-                      if not m.is_identity())
+        shared = nontrivial(c_keys[both])
         return FrobeniusVerdict(
-            ok=False, kernel_order=kt.size, complement_order=ct.size,
+            ok=False, kernel_order=ko, complement_order=co,
             reason="kernel and complement intersect beyond the identity",
             counterexample=(shared, shared),
         )
-    C = _make_codec(fld, dim).decode(ct.payload.keys)
+    C = codec.decode(c_keys)
     for a, a_inv in zip(C, _eliminate(fld, C).inverse):
         c = Matrix(fld, a)
         if c.is_identity():
@@ -210,19 +213,16 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
         conj_keys = kern.right(kern.left(a, k_keys), a_inv)
         _, inside = _lookup(k_keys, conj_keys)
         if not inside.all():
-            bad = int(np.flatnonzero(~inside)[0])
             return FrobeniusVerdict(
-                ok=False, kernel_order=kt.size, complement_order=ct.size,
+                ok=False, kernel_order=ko, complement_order=co,
                 reason="complement element does not normalize the kernel",
-                counterexample=(c, kt.element(bad)),
+                counterexample=(c, nontrivial(k_keys[~inside])),
             )
         fixed = conj_keys == k_keys
         if int(fixed.sum()) > 1:
-            bad = next(m for m in map(kt.element, np.flatnonzero(fixed).tolist())
-                       if not m.is_identity())
             return FrobeniusVerdict(
-                ok=False, kernel_order=kt.size, complement_order=ct.size,
+                ok=False, kernel_order=ko, complement_order=co,
                 reason="complement element fixes a nontrivial kernel element",
-                counterexample=(c, bad),
+                counterexample=(c, nontrivial(k_keys[fixed])),
             )
-    return FrobeniusVerdict(ok=True, kernel_order=kt.size, complement_order=ct.size)
+    return FrobeniusVerdict(ok=True, kernel_order=ko, complement_order=co)

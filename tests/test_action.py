@@ -324,6 +324,17 @@ def test_relator_spot_check_catches_wrong_wiring():
         ModuleAction(bad_group, 3, source_perms=(swap, cyc))
 
 
+def test_relator_spot_check_rejects_a_moving_image_of_a_fixed_point():
+    # under the identity permutation every word is a relator, so an image of
+    # order 2 fails on the first word of odd length
+    f2 = build_field(2, 1)
+    swap = Matrix(f2, [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="image fails a relator"):
+        ModuleAction(MatrixGroup(f2, 2, (swap,)), 2, source_perms=((0, 1),))
+    act = permutation_module(((1, 0, 2), (1, 2, 0)), 3)
+    assert act.dim_V == 3 and act.field.q == 3
+
+
 def test_module_action_input_checks():
     act = permutation_module(((1, 0, 2), (1, 2, 0)), 2)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from omega.arith import (
     SMALL_PRIMES,
+    _GCD_ROWS,
     Factored,
     _factor,
     _jacobi,
@@ -225,3 +226,12 @@ def test_gcd_identity_rows():
     assert all(r["rhs"] == 2 for r in sp)
     with pytest.raises(ValueError):
         gcd_identity_suite([1])
+
+
+@pytest.mark.parametrize("row_id", sorted(_GCD_ROWS))
+def test_gcd_rows_of_one_identity(row_id):
+    every = gcd_identity_suite(range(2, 401))
+    assert gcd_identity_suite(range(2, 401), (row_id,)) == [
+        r for r in every if r["id"] == row_id]
+    with pytest.raises(ValueError):
+        gcd_identity_suite([1], (row_id,))

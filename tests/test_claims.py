@@ -48,6 +48,8 @@ def test_run_claim_rejects_junk():
         run_claim("C6", {"n": 3, "q": 4})  # n must be a 2-power
     with pytest.raises(ValueError):
         run_claim("C2", {"q_lo": 5, "q_hi": 4})
+    with pytest.raises(ValueError, match=r"no q in \[4, 4\] feeds the sp-gcd identity"):
+        run_claim("C3", {"q_lo": 4, "q_hi": 4})  # 4 is even
     with pytest.raises(ValueError):
         run_claim("C13", {"group": "C(3,2)u", "zorder": 6})  # (2,6) is the divisor gap
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 
 from omega.arith import r_part
 from omega.oracle import (
+    CapExceeded,
     FrobeniusVerdict,
     Matrix,
     WitnessSearchError,
@@ -15,11 +16,21 @@ from omega.oracle import (
     frobenius_witness,
     verify_frobenius,
 )
-from omega.oracle import frobenius
+from omega.oracle import frobenius, matgroup
 from omega.oracle.action import _moved_ranks
 from omega.oracle.frobenius import (_mult_order, _singer_block, _sl_hyperplane_witness,
                                     _sp_torus_witness)
 from omega.oracle.kernel import _eliminate
+from omega.oracle.matgroup import _TABLE_MEMO
+
+
+@pytest.fixture
+def fresh_memo():
+    saved = dict(_TABLE_MEMO)
+    _TABLE_MEMO.clear()
+    yield
+    _TABLE_MEMO.clear()
+    _TABLE_MEMO.update(saved)
 
 
 def test_singer_block_orders():
@@ -172,3 +183,24 @@ def test_verify_rejects_non_normalizing_complement():
 def test_verdict_shape():
     v = FrobeniusVerdict(True, 5, 4)
     assert v.ok and v.reason == "" and v.counterexample is None
+
+
+def _no_classes(rec):
+    raise AssertionError("verify_frobenius built conjugacy classes")
+
+
+@pytest.mark.parametrize("kind, params", [("sl-hyperplane", (3, 3)), ("gl-affine", (3, 2))])
+def test_verify_reads_key_sets_only(kind, params, monkeypatch, fresh_memo):
+    w = frobenius_witness(kind, params)
+    monkeypatch.setattr(matgroup, "_classes", _no_classes)
+    v = verify_frobenius(w.kernel_gens, w.complement_gens)
+    assert v == FrobeniusVerdict(True, w.kernel_order, w.complement_order)
+    assert not _TABLE_MEMO  # never written
+
+
+def test_verify_keeps_the_cap(fresh_memo):
+    w = frobenius_witness("sl-hyperplane", (3, 3))
+    with pytest.raises(CapExceeded) as err:
+        verify_frobenius(w.kernel_gens, w.complement_gens, cap=4)
+    assert 4 < err.value.found <= 4 + matgroup._CAP_CHUNK
+    assert err.value.cap == 4

@@ -1,6 +1,7 @@
 """Source rules the package keeps: no `assert` statement in any module,
-whose check would vanish under `python -O`, and no claim reaching into the
-private arithmetic kernel, so that the claims stay independent of it."""
+whose check would vanish under `python -O`; no claim reaching into the
+private arithmetic kernel, so that the claims stay independent of it; and no
+use of `numpy.random`, whose lazy import is paid on first use."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,27 @@ def test_claims_do_not_import_the_kernel():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
     assert not {m for m in imported if m.startswith("omega.oracle.kernel")}
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_numpy_random(path):
+    """numpy imports numpy.random lazily, and the first use costs 9.5-20 ms per
+    process, more than most claims; stdlib random, which numpy already
+    imports, draws the few numbers the package needs."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            hit = module[:2] == ["numpy", "random"] or (
+                module == ["numpy"] and any(a.name == "random" for a in node.names))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    assert lines == [], f"numpy.random used at lines {lines}"
