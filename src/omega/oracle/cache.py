@@ -98,7 +98,7 @@ def load_table(cache_dir, spec_str, cap, group):
         size=int(count),
         order_histogram=hist,
         spectrum=tuple(sorted(hist)),
-        payload=GroupRecord(fld, dim, keys, [g.a for g in group.generators]),
+        payload=GroupRecord(fld, dim, keys, [g.a for g in group.generators], group.inverses),
     )
 
 

@@ -2,9 +2,11 @@
 
 _kernel(fld, d) multiplies d x d matrices given by their codec keys by a fixed
 code matrix g: left(g, K) = g @ K[i] and right(K, g) = K[i] @ g, each returning
-keys.  When bits * d^2 <= 64 (bits = bit_length(q - 1)) and the
-scalar-times-row table (2^bits x 2^(bits d) words) fits _PACK_TABLE_LIMIT, a
-key is the uint64 word of its matrix, and a product adds rows looked up in that
+keys.  left also takes an (L, d, d) stack g and returns (L, len(K)) keys, one
+row per matrix, reading (or decoding) each block of K once for the whole stack.
+When bits * d^2 <= 64 (bits = bit_length(q - 1)) and the scalar-times-row
+table (2^bits x 2^(bits d) words) fits _PACK_TABLE_LIMIT, a key is the uint64
+word of its matrix, and a product adds rows looked up in that
 table by an intp view of the row words (a uint64 index costs a cast copy): by
 XOR for p = 2, and for odd p chunk by chunk, c entries at a time (c the
 largest with 2 bits c <= 16), in a table of sums of two chunks.  Both tables
@@ -159,8 +161,15 @@ class _Wide:
         self.codes, self.codec = _Codes(fld), _make_codec(fld, d)
 
     def left(self, g, K):
-        """g @ K[i] for a fixed (d, d) code matrix g."""
-        return self.codec.keys(self.codes.pair(g, self.codec.decode(K)))
+        """g @ K[i] for a (d, d) code matrix g, or for each matrix of an
+        (L, d, d) stack g as (L, len(K)) keys, decoding K once."""
+        X = self.codec.decode(K)
+        if g.ndim == 2:
+            return self.codec.keys(self.codes.pair(g, X))
+        out = np.empty((len(g), len(K)), dtype=K.dtype)
+        for res, m in zip(out, g):
+            res[:] = self.codec.keys(self.codes.pair(m, X))
+        return out
 
     def right(self, K, g):
         """K[i] @ g for a fixed (d, d) code matrix g."""
@@ -188,7 +197,7 @@ class _Packed:
         self.width = np.uint64(width)
         self.row_mask = np.uint64((1 << width) - 1)
         self.row_shift = [np.uint64(width * (d - 1 - i)) for i in range(d)]
-        self.eye = np.eye(d, dtype=int).tolist()
+        self.eye, self._last = np.eye(d, dtype=int).tolist(), (None, None)
         shifts, pad = [np.uint64(bits * (d - 1 - j)) for j in range(d)], np.arange(1 << bits) % fld.q
         # table[c, r] = c * r for every scalar c and row r
         mul, ix = fld.mul_many(pad[:, None], pad).astype(np.uint64), _axes(bits, d + 1)
@@ -202,36 +211,65 @@ class _Packed:
         self.sums = None if fld.p == 2 else reduce(operator.or_, (
             add[x, y] << s for x, y, s in zip(ix[:c], ix[c:], shifts[d - c:]))).ravel()
 
-    def _add(self, x, y):
-        """Sums of packed rows: one chunk-sum lookup, or two when a row is
-        wider than a chunk (its low c entries, then the rest)."""
-        if self.sums is None:
-            return x ^ y
+    def _add(self, x, y, own=False):
+        """Sums of packed rows of one shape: one chunk-sum lookup, its index
+        words built over x if own, or two lookups when a row is wider than a
+        chunk (its low c entries, then the rest)."""
         cw, m = self.cw, self.chunk_mask
+        if self.sums is None:
+            return np.bitwise_xor(x, y, out=x if own else None)
         if self.width <= cw:
-            return self.sums[((x << cw) | y).view(np.intp)]
+            w = np.left_shift(x, cw, out=x if own else None)
+            w |= y
+            return self.sums[w.view(np.intp)]
         lo, hi = ((x & m) << cw) | (y & m), ((x >> cw) << cw) | (y >> cw)
         return self.sums[lo.view(np.intp)] | self.sums[hi.view(np.intp)] << cw
 
     def left(self, g, K):
-        """g @ K[i] for a fixed (d, d) code matrix g."""
-        return _chunks(self._left, g, K, 1, _PACKED_CHUNK)
+        """g @ K[i] for a (d, d) code matrix g, or for each matrix of an
+        (L, d, d) stack g as (L, len(K)) keys.  Rows where a matrix is the
+        identity are copied under one mask; each other row adds the rows of
+        K it names, times their scalars.  A block of K has the rows that any
+        plan names extracted once for the whole stack, and each sum is
+        shifted into place over its own array."""
+        plans = self._plans(g)
+        named = {j for _, moved in plans for _, terms in moved for j, _ in terms}
+        out, rows = np.empty((len(plans), len(K)), dtype=np.uint64), {}
 
-    def _left(self, g, K):
-        """Rows where g is the identity are copied under one mask; each other
-        row adds the rows of K it names, times their scalars."""
-        grows = g.tolist()
-        moved = [i for i, grow in enumerate(grows) if grow != self.eye[i]]
-        out = K & np.uint64(sum(int(self.row_mask) << int(s)
-                                for i, s in enumerate(self.row_shift) if i not in moved))
-        rows = {j: (K >> self.row_shift[j]) & self.row_mask
-                for i in moved for j, c in enumerate(grows[i]) if c}
-        for i in moved:
-            terms = [rows[j] if c == 1 else self.table[c][rows[j].view(np.intp)]
-                     for j, c in enumerate(grows[i]) if c]
-            if terms:
-                out |= reduce(self._add, terms) << self.row_shift[i]
-        return out
+        def term(j, tab):
+            return rows[j] if tab is None else tab[rows[j].view(np.intp)]
+
+        for lo in range(0, len(K), _PACKED_CHUNK):
+            part = K[lo:lo + _PACKED_CHUNK]
+            for j in named:
+                rows[j] = row = part >> self.row_shift[j]
+                row &= self.row_mask
+            for res, (keep, moved) in zip(out[:, lo:lo + len(part)], plans):
+                np.bitwise_and(part, keep, out=res)
+                for shift, ((j, tab), *rest) in moved:
+                    acc, own = term(j, tab), tab is not None
+                    for j, tab in rest:
+                        acc, own = self._add(acc, term(j, tab), own), True
+                    res |= np.left_shift(acc, shift, out=acc if own else None)
+        return out if g.ndim == 3 else out[0]
+
+    def _plans(self, g):
+        """Per matrix of g: the mask of its identity rows, and per other
+        nonzero row its shift and its terms (row of K, scalar table or None
+        for 1), table terms first so that a sum starts on a fresh array.
+        Only the last stack's plans are kept."""
+        key = (g.dtype.str, g.tobytes())
+        if self._last[0] != key:
+            plans = []
+            for m in g.reshape(-1, self.d, self.d).tolist():
+                same = [row == e for row, e in zip(m, self.eye)]
+                keep = sum(int(self.row_mask) << int(s) for s, e in zip(self.row_shift, same) if e)
+                plans.append((np.uint64(keep), [
+                    (s, sorted([(j, self.table[c] if c > 1 else None) for j, c in enumerate(row) if c],
+                               key=lambda t: t[1] is None))
+                    for row, s, e in zip(m, self.row_shift, same) if not e and any(row)]))
+            self._last = (key, plans)
+        return self._last[1]
 
     def right(self, K, g):
         """K[i] @ g for a fixed (d, d) code matrix g.  The table of r @ g over
@@ -239,8 +277,9 @@ class _Packed:
         g, d lookups broadcast over the entry axes.  Where two rows fit 16
         bits, K is read two rows per lookup in a uint16 table of row pairs."""
         w, gk = int(self.width), int(self.codec.keys(g[None])[0])
-        rt = reduce(self._add, (self.table[e, (gk >> int(s)) & int(self.row_mask)]
-                                for e, s in zip(_axes(self.bits, self.d), self.row_shift)))
+        rt = reduce(self._add, np.broadcast_arrays(*(
+            self.table[e, (gk >> int(s)) & int(self.row_mask)]
+            for e, s in zip(_axes(self.bits, self.d), self.row_shift))))
         # a row is at most 16 bits (_kernel's table limit), so uint16 holds it
         rt, span = rt.astype(np.uint16).ravel(), 2 * w if 2 * w <= 16 else w
         rt = (rt[:, None] << w | rt).ravel() if span > w else rt

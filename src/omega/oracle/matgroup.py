@@ -20,12 +20,13 @@ _CAP_CHUNK = 1 << 12
 
 
 class CapExceeded(RuntimeError):
-    """Closure passed the cap; .found, a lower bound on |G|, is at most _CAP_CHUNK past it."""
+    """Closure passed the cap; .found, a lower bound on |G|, is at most _CAP_CHUNK past it.
+    From the closure, .cosets is the number of cosets of H named and .subgroup is |H|."""
 
-    def __init__(self, found, cap):
-        super().__init__(f"enumeration exceeded cap {cap}: at least {found} elements found")
-        self.found = found
-        self.cap = cap
+    def __init__(self, found, cap, cosets=None, subgroup=None):
+        at = "" if cosets is None else f" ({cosets} cosets of a subgroup of order {subgroup})"
+        super().__init__(f"enumeration exceeded cap {cap}: at least {found} elements found{at}")
+        self.found, self.cap, self.cosets, self.subgroup = found, cap, cosets, subgroup
 
 
 class Matrix:
@@ -112,10 +113,14 @@ class Matrix:
 
 @dataclass(frozen=True)
 class MatrixGroup:
+    """Generators of a matrix group, with the (n, dim, dim) code stack of
+    their inverses from the elimination that checks them."""
+
     field: Field
     dim: int
     generators: tuple
     name: GroupSpec = None
+    inverses: np.ndarray = dfield(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.dim <= 64:
@@ -123,9 +128,10 @@ class MatrixGroup:
         for g in self.generators:
             if g.field != self.field or g.dim != self.dim:
                 raise ValueError(f"generator is not a {self.dim}x{self.dim} matrix over {self.field}")
-        gens = _stack([g.a for g in self.generators], self.dim)
-        if (_eliminate(self.field, gens).rank < self.dim).any():
+        ech = _eliminate(self.field, _stack([g.a for g in self.generators], self.dim))
+        if (ech.rank < self.dim).any():
             raise ValueError("generator not invertible")
+        object.__setattr__(self, "inverses", ech.inverse)
 
     def key(self):
         gens = tuple(sorted(g.a.tobytes() for g in self.generators))
@@ -139,12 +145,14 @@ _Cosets = namedtuple("_Cosets", "orders")
 @dataclass(eq=False)
 class GroupRecord:
     """An enumerated group: its elements as sorted codec keys, code matrices
-    that generate it, and classes, orders and V x| G, filled in on first use."""
+    that generate it and their inverses, and classes, orders and V x| G,
+    filled in on first use."""
 
     field: Field
     dim: int
     keys: np.ndarray
     generators: list
+    inverses: np.ndarray
     classes: _Classes = None
     orders: np.ndarray = None
     semidirect: "ElementTable" = None
@@ -196,45 +204,42 @@ def _lookup(keys, pk):
 
 
 def _closure(group, cap):
-    """Sorted keys of <generators>, and the generators adopted (those not in
-    the group H of the ones before).  Adopting g enumerates the left cosets
-    of H in <H, g>, which left multiplication permutes: a coset is named by
-    its least key, so membership is tested once per candidate coset."""
+    """Sorted keys of <generators>, and the indices of the generators adopted
+    (those not in the group H of the ones before).  Adopting g enumerates the
+    left cosets of H in <H, g>, which left multiplication permutes: a coset
+    is named by its least key, so membership is tested once per candidate
+    coset.  Each part of a round is multiplied by the whole adopted stack in
+    one left call; in the first round, whose frontier is H, the products by
+    the earlier generators are H again, which the lookup drops."""
     fld, d = group.field, group.dim
     kern, codec = _kernel(fld, d), _make_codec(fld, d)
     keys = codec.keys(np.eye(d, dtype=fld.code_dtype)[None])
-    gens, mults = _stack([g.a for g in group.generators], d), []
-    for g, gk in zip(gens, codec.keys(gens)):
-        _, known = _lookup(keys, gk[None])
-        if known[0]:
+    gens, adopted = _stack([g.a for g in group.generators], d), []
+    for i, gk in enumerate(codec.keys(gens)):
+        if _lookup(keys, gk[None])[1][0]:
             continue
-        mults.append(g)
-        # H is closed under the earlier generators, so the first round takes
-        # gH alone; leads holds the least key of each coset found, sorted
-        n, frontier, level = len(keys), keys[None], [g]
+        adopted.append(i)
+        # leads holds the least key of each coset found, sorted
+        stack, n, frontier = gens[adopted], len(keys), keys[None]
         blocks, leads = [frontier], keys[:1]
         while len(frontier):
             fresh, lo = [], 0
             while lo < len(frontier):
                 room = max(cap - n * len(leads), _CAP_CHUNK)
-                part = frontier[lo:lo + max(1, room // (len(level) * n))]
+                part = frontier[lo:lo + max(1, room // (len(stack) * n))]
                 lo += len(part)
-                rows = [kern.left(m, part.ravel()).reshape(-1, n) for m in level]
-                lead = np.concatenate([codec.least(r) for r in rows])
-                lead, first = np.unique(lead, return_index=True)
+                rows = kern.left(stack, part.ravel()).reshape(-1, n)
+                lead, first = np.unique(codec.least(rows), return_index=True)
                 new = ~_lookup(leads, lead)[1]
-                # the fresh rows, taken from each generator's block: joining
-                # the blocks first would copy every product
-                block, row = np.divmod(first[new], len(part))
-                fresh += [r[row[block == i]] for i, r in enumerate(rows)]
+                fresh.append(rows[first[new]])
                 leads = np.sort(np.concatenate([leads, lead[new]]))
                 if n * len(leads) > cap:
-                    raise CapExceeded(min(n * len(leads), cap + _CAP_CHUNK), cap)
-            frontier, level = np.concatenate(fresh), mults
+                    raise CapExceeded(min(n * len(leads), cap + _CAP_CHUNK), cap, len(leads), n)
+            frontier = np.concatenate(fresh)
             blocks.append(frontier)
         keys = np.concatenate(blocks).ravel()
         keys.sort()
-    return keys, mults
+    return keys, adopted
 
 
 def _classes(rec):
@@ -249,7 +254,7 @@ def _classes(rec):
     kern, ib = _kernel(fld, rec.dim), (n - 1).bit_length()
     by_sort = _bits(fld) * rec.dim ** 2 + ib <= 64
     perms = []
-    for g, g_inv in zip(rec.generators, _eliminate(fld, _stack(rec.generators, rec.dim)).inverse):
+    for g, g_inv in zip(rec.generators, rec.inverses):
         pk = kern.left(g, kern.right(keys, g_inv))
         if by_sort:
             pk <<= ib
@@ -344,7 +349,9 @@ def enumerate_group(group, cap=DEFAULT_CAP):
     """Exhaustive closure of the generators, coset by coset, with exact orders."""
     table = _TABLE_MEMO.get(group.key())
     if table is None:
-        rec = GroupRecord(group.field, group.dim, *_closure(group, cap))
+        keys, adopted = _closure(group, cap)
+        rec = GroupRecord(group.field, group.dim, keys, [group.generators[i].a for i in adopted],
+                          group.inverses[adopted])
         table = _table(_orders(rec), rec)
     return _memoize(group, table, cap)
 

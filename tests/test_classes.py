@@ -200,7 +200,8 @@ def test_classes_match_a_reference(name, fresh_memo):
     path, make = CLASS_CASES[name]
     group = make()
     table = enumerate_group(group)
-    rec = GroupRecord(group.field, group.dim, table.payload.keys, table.payload.generators)
+    rec = GroupRecord(group.field, group.dim, table.payload.keys, table.payload.generators,
+                      table.payload.inverses)
     assert rec.keys.dtype.kind == ("V" if path == "bytes" else "u")
     with mock.patch.object(matgroup, "_lookup", wraps=matgroup._lookup) as lookup:
         got = _classes(rec)
@@ -216,7 +217,8 @@ def test_conjugate_outside_the_table_raises():
     # of Sym3 takes _lookup on 64-bit words and on byte keys
     for group in (classical_generators("A(1,3)u"), _sym(3, 8, 2), _sym(3, 6, 3)):
         sub = enumerate_group(MatrixGroup(group.field, group.dim, group.generators[:1]))
-        rec = GroupRecord(group.field, group.dim, sub.payload.keys, [g.a for g in group.generators])
+        rec = GroupRecord(group.field, group.dim, sub.payload.keys, [g.a for g in group.generators],
+                          group.inverses)
         with pytest.raises(RuntimeError, match="conjugate left the set"):
             _classes(rec)
 
@@ -226,7 +228,7 @@ def test_classes_memory_budget(fresh_memo):
     argsort per generator, 50.9 with the packed sort, 58.9 with a persistent
     uint64 index array and 62.9 with intp permutations."""
     rec = enumerate_group(classical_generators("C(2,3)u")).payload
-    fresh = GroupRecord(rec.field, rec.dim, rec.keys, rec.generators)
+    fresh = GroupRecord(rec.field, rec.dim, rec.keys, rec.generators, rec.inverses)
     _kernel(rec.field, rec.dim)
     tracemalloc.start()
     try:
@@ -318,8 +320,9 @@ def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
 
 
 def test_one_elimination_per_stack(fresh_memo):
-    """Generators, conjugating inverses, N(rep) ranks and complement inverses
-    are each eliminated as one stack, and the witness's Singer power once."""
+    """Generators (whose elimination also gives the conjugating inverses),
+    N(rep) ranks and complement inverses are each eliminated as one stack,
+    and the witness's Singer power once."""
     def counted(module):
         return mock.patch.object(module, "_eliminate", wraps=module._eliminate)
 
@@ -327,10 +330,11 @@ def test_one_elimination_per_stack(fresh_memo):
         group = classical_generators("2A(3,2)u")
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == 45
     rec = GroupRecord(group.field, group.dim, enumerate_group(group).payload.keys,
-                      list(np.array([g.a for g in group.generators])))
+                      list(np.array([g.a for g in group.generators])), group.inverses)
+    # the classes conjugate with the inverses the group's elimination gave
     with counted(matgroup) as elim:
         _classes(rec)
-        assert elim.call_count == 1
+        assert elim.call_count == 0
     with counted(action) as elim:
         semidirect_spectrum(_sym3(3))
         assert elim.call_count == 1
@@ -341,3 +345,28 @@ def test_one_elimination_per_stack(fresh_memo):
     with counted(frobenius) as elim:
         assert verify_frobenius(w.kernel_gens, w.complement_gens).ok
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == w.complement_order
+
+
+def test_one_elimination_per_group(tmp_path, fresh_memo, monkeypatch):
+    """The group's validating elimination gives the inverses that the classes
+    conjugate with, for enumerated and for cache-loaded records."""
+    with mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
+        group = classical_generators("C(2,3)u")
+        fresh = enumerate_group(group)
+        assert elim.call_count == 1
+    # spectrum_table builds its group again; given this one, the center and
+    # the quotient eliminate nothing
+    with monkeypatch.context() as m, \
+            mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
+        m.setattr(matgroup, "classical_generators", lambda spec: group)
+        spectrum_table("C(2,3)s")
+        assert elim.call_count == 0
+    cached_spectrum_table("C(2,3)u", cache_dir=tmp_path)
+    _TABLE_MEMO.clear()
+    loaded = cached_spectrum_table("C(2,3)u", cache_dir=tmp_path)
+    assert loaded is not fresh
+    codes = _Codes(group.field)
+    for rec in (fresh.payload, loaded.payload):
+        gens = np.stack(rec.generators)
+        assert rec.inverses.shape == gens.shape
+        assert (codes.pair(rec.inverses, gens) == np.eye(group.dim, dtype=gens.dtype)).all()

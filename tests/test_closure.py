@@ -173,6 +173,50 @@ def test_membership_tests_are_per_coset(spec, monkeypatch):
     assert 0 < sum(needles) < len(keys) / 50
 
 
+def test_cap_exceeded_names_the_cosets_and_the_subgroup():
+    cap = 5000
+    with pytest.raises(CapExceeded) as e:
+        _closure(classical_generators("A(2,4)u"), cap)
+    err = e.value
+    assert err.found == min(err.cosets * err.subgroup, cap + matgroup._CAP_CHUNK)
+    assert err.cosets * err.subgroup > cap and 60480 % err.subgroup == 0
+    assert f"{err.cosets} cosets of a subgroup of order {err.subgroup}" in str(err)
+
+
+@pytest.mark.parametrize("spec, chunk", [("A(2,2)u", 5), ("A(1,9)u", 5), ("A(2,4)u", 64),
+                                         ("2A(3,2)u", 64)])
+def test_one_left_call_per_part(spec, chunk, monkeypatch):
+    # each part of a round makes one membership test and one left call, by
+    # the whole stack adopted so far; a cap of exactly |G| splits the late
+    # rounds into more parts
+    group = classical_generators(spec)
+    kern, gens = matgroup._kernel(group.field, group.dim), np.stack([g.a for g in group.generators])
+    left, lookup = type(kern).left, matgroup._lookup
+    stacks, lookups = [], []
+
+    def counted_left(self, g, K):
+        stacks.append(g)
+        return left(self, g, K)
+
+    def counted_lookup(keys, pk):
+        lookups.append(len(pk))
+        return lookup(keys, pk)
+
+    monkeypatch.setattr(type(kern), "left", counted_left)
+    monkeypatch.setattr(matgroup, "_lookup", counted_lookup)
+    calls = []
+    for stepped in (False, True):
+        if stepped:
+            monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
+        stacks.clear()
+        lookups.clear()
+        keys, adopted = _closure(group, len(keys) if stepped else matgroup.DEFAULT_CAP)
+        assert len(stacks) == len(lookups) - len(gens) > 0
+        assert all(g.ndim == 3 for g in stacks) and (stacks[-1] == gens[adopted]).all()
+        calls.append(len(stacks))
+    assert calls[1] > calls[0]
+
+
 def test_wrong_name_raises_even_under_memo():
     right = classical_generators("A(1,3)u")
     wrong = MatrixGroup(right.field, right.dim, right.generators,

@@ -1,5 +1,6 @@
 """The product kernel against a scalar triple loop over Field.mul and Field.add."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omega.oracle import build_field, kernel
+from omega.oracle import build_field, classical_generators, enumerate_group, kernel
 from omega.oracle.kernel import _Codes, _Packed, _Wide, _eliminate, _kernel, _make_codec
 
 # Every field shape: p = 2 with k = 1 and k > 1, odd p with k = 1 and k > 1,
@@ -147,6 +148,48 @@ def test_right_reads_one_or_two_rows_per_lookup(p, k, d, two):
                for s in ((d, d), (5, d, d), (5, d, d)))
     for chunk in (2, 1 << 20):
         check_kernels(fld, d, g, X, Y, chunk)
+
+
+@SETTINGS
+@given(problems(), st.data(), st.sampled_from([2, 1 << 20]))
+def test_stacked_left_is_one_left_per_matrix(problem, data, chunk):
+    # g is a drawn, identity-with-rows-replaced or monomial matrix; the
+    # stack mixes it with the identity and the drawn Y, repeats included
+    fld, d, g, X, Y = problem
+    pool = [g, np.eye(d, dtype=fld.code_dtype), *Y]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+    stacks = [np.stack([pool[i] for i in picks]), np.stack([g, g, pool[picks[0]], g]), g[None]]
+    keys = _make_codec(fld, d).keys(X)
+    for kern in kernels(fld, d):
+        with mock.patch.object(kernel, "_PACKED_CHUNK", chunk):
+            for stack in stacks:
+                got = kern.left(stack, keys)
+                assert got.dtype == keys.dtype and got.shape == (len(stack), len(keys))
+                for row, m in zip(got, stack):
+                    assert (row == kern.left(m, keys)).all()
+            assert (kern.left(g, keys) == kern.left(g[None], keys)[0]).all()
+
+
+def test_left_memory_budget():
+    """Traced peak of left on C(2,3)u's 51840 keys: one generator took 1.31 MB
+    (25.3 bytes per key) with a list of blocks joined at the end, and 1.20 MB
+    with one output and sums built in place; the stack of the four generators
+    adds only their outputs, 8 bytes per key each."""
+    group = classical_generators("C(2,3)u")
+    keys = enumerate_group(group).payload.keys
+    kern, stack = _kernel(group.field, group.dim), np.stack([g.a for g in group.generators])
+
+    def peak(g):
+        kern.left(g, keys)
+        tracemalloc.start()
+        try:
+            kern.left(g, keys)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert max(peak(g) for g in stack) <= 25.3 * len(keys)
+    assert peak(stack) <= (8 * (len(stack) - 1) + 25.3) * len(keys)
 
 
 def test_kernels_take_and_return_keys_only():
