@@ -1,20 +1,23 @@
 """Integer arithmetic: factoring, part-extraction, primitive prime divisors."""
 
-import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+
+import numpy as np
+
+from .record import Record
 
 _SIEVE_BOUND = 10_000
 
 
 def _sieve(bound):
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, int(bound**0.5) + 1):
+    """The primes up to bound, as a list of ints."""
+    flags = np.ones(bound + 1, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(bound) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [*itertools.compress(range(bound + 1), flags)]
+            flags[i * i :: i] = False
+    return np.flatnonzero(flags).tolist()
 
 
 _PM1_PRIMES = _sieve(100_000)
@@ -191,18 +194,17 @@ def _factor(n):
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class Factored:
+class Factored(Record):
     """An integer together with its prime factorization."""
 
-    n: int
-    factors: dict = field(compare=False)
+    _fields, _extra = ("n",), ("factors",)
 
-    def __post_init__(self):
-        if any(e < 1 for e in self.factors.values()):
-            raise ValueError(f"exponents must be positive: {self.factors}")
-        if math.prod(p**e for p, e in self.factors.items()) != self.n:
+    def __init__(self, n, factors):
+        if any(e < 1 for e in factors.values()):
+            raise ValueError(f"exponents must be positive: {factors}")
+        if math.prod(p**e for p, e in factors.items()) != n:
             raise ValueError("factorization does not multiply back")
+        vars(self).update(n=n, factors=factors)
 
     def primes(self):
         return tuple(sorted(self.factors))

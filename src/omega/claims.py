@@ -7,7 +7,6 @@ recorded reason).  Evidence dicts are JSON-friendly and deterministic.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,35 +28,30 @@ from .oracle import (
     verify_frobenius,
 )
 from .oracle.action import _cover_witness
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    statement: str
-    strategy: str
-    grid: tuple = ()
-    skip_reason: str = ""
+class Claim(Record):
+    _fields = ("id", "statement", "strategy", "grid", "skip_reason")
 
-    def __post_init__(self):
-        if self.strategy not in ("arithmetic", "descriptor", "oracle", "skipped"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "skipped" and not self.skip_reason:
-            raise ValueError(f"skipped claim {self.id} needs a skip reason")
-        if self.strategy != "skipped" and not self.grid:
-            raise ValueError(f"claim {self.id} needs a grid")
+    def __init__(self, id, statement, strategy, grid=(), skip_reason=""):
+        if strategy not in ("arithmetic", "descriptor", "oracle", "skipped"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy == "skipped" and not skip_reason:
+            raise ValueError(f"skipped claim {id} needs a skip reason")
+        if strategy != "skipped" and not grid:
+            raise ValueError(f"claim {id} needs a grid")
+        vars(self).update(id=id, statement=statement, strategy=strategy, grid=grid,
+                          skip_reason=skip_reason)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    params: dict
-    verdict: str
-    evidence: dict
+class ClaimResult(Record):
+    _fields = ("claim_id", "params", "verdict", "evidence")
 
-    def __post_init__(self):
-        if self.verdict not in ("pass", "fail", "skipped"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
+    def __init__(self, claim_id, params, verdict, evidence):
+        if verdict not in ("pass", "fail", "skipped"):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        vars(self).update(claim_id=claim_id, params=params, verdict=verdict, evidence=evidence)
 
     def as_dict(self):
         return {

@@ -30,6 +30,17 @@ GRAMMAR = (
 )
 
 
+def _cap(text):
+    """An enumeration cap: an integer of at least 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"wants an integer of at least 1, got {text!r}")
+    return cap
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="omega",
@@ -49,7 +60,7 @@ def build_parser():
             p.add_argument("--q", type=int, required=True)
             p.add_argument("--n", type=int, required=True)
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+            p.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
                            help="enumeration abort threshold")
         if cache:
             p.add_argument("--cache", help="cache directory (default: $OMEGA_CACHE)")

@@ -2,9 +2,9 @@
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .arith import Factored, _factor, cyclotomic_value, divisors, is_prime_power
+from .record import Record
 
 FAMILIES = ("A", "2A", "B", "C", "D", "2D", "3D4", "G2", "F4", "E6", "2E6", "E7")
 
@@ -12,30 +12,25 @@ _FIXED_RANK = {"3D4": 4, "G2": 2, "F4": 4, "E6": 6, "2E6": 6, "E7": 7}
 _MIN_RANK = {"A": 1, "2A": 1, "B": 2, "C": 2, "D": 4, "2D": 4}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    family: str
-    rank: int
-    q: int
-    version: str = "simple"
-    p: int = field(init=False, compare=False)
-    k: int = field(init=False, compare=False)
+class GroupSpec(Record):
+    """A family, rank, q and version; p and k, with q = p^k, are derived."""
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.version not in ("universal", "simple"):
-            raise ValueError(f"unknown version {self.version!r}")
-        fixed = _FIXED_RANK.get(self.family)
-        if fixed is not None and self.rank != fixed:
-            raise ValueError(f"{self.family} has rank {fixed}, got {self.rank}")
-        if fixed is None and self.rank < _MIN_RANK[self.family]:
-            raise ValueError(f"family {self.family} wants rank >= {_MIN_RANK[self.family]}")
-        p = is_prime_power(self.q)
+    _fields, _extra = ("family", "rank", "q", "version"), ("p", "k")
+
+    def __init__(self, family, rank, q, version="simple"):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if version not in ("universal", "simple"):
+            raise ValueError(f"unknown version {version!r}")
+        fixed = _FIXED_RANK.get(family)
+        if fixed is not None and rank != fixed:
+            raise ValueError(f"{family} has rank {fixed}, got {rank}")
+        if fixed is None and rank < _MIN_RANK[family]:
+            raise ValueError(f"family {family} wants rank >= {_MIN_RANK[family]}")
+        p = is_prime_power(q)
         if p is None:
-            raise ValueError(f"q must be a prime power >= 2, got {self.q}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", _factor(self.q)[p])
+            raise ValueError(f"q must be a prime power >= 2, got {q}")
+        vars(self).update(family=family, rank=rank, q=q, version=version, p=p, k=_factor(q)[p])
 
     @property
     def eps(self):

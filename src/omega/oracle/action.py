@@ -1,11 +1,11 @@
 """Module actions, fixed spaces, minimal polynomials, split-extension spectra."""
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..arith import _factor, is_prime_power
+from ..record import Record
 from .field import build_field
 from .kernel import _Codes, _eliminate, _make_codec
 from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, enumerate_group
@@ -41,21 +41,19 @@ def min_poly_degree(g, action=None):
     return deg
 
 
-@dataclass(frozen=True)
-class ModuleAction:
+class ModuleAction(Record):
     """A group acting on V = field^dim_V through one image matrix per generator."""
 
-    image_group: MatrixGroup
-    dim_V: int
-    source_perms: tuple = None
-    label: str = ""
+    _fields = ("image_group", "dim_V", "source_perms", "label")
 
-    def __post_init__(self):
-        if self.dim_V != self.image_group.dim:
-            raise ValueError(f"dim_V = {self.dim_V}, but the image group has dimension "
-                             f"{self.image_group.dim}")
-        if self.source_perms is not None:
-            if len(self.source_perms) != len(self.image_group.generators):
+    def __init__(self, image_group, dim_V, source_perms=None, label=""):
+        if dim_V != image_group.dim:
+            raise ValueError(f"dim_V = {dim_V}, but the image group has dimension "
+                             f"{image_group.dim}")
+        vars(self).update(image_group=image_group, dim_V=dim_V, source_perms=source_perms,
+                          label=label)
+        if source_perms is not None:
+            if len(source_perms) != len(image_group.generators):
                 raise ValueError("one source permutation per generator is needed")
             self._spot_check_relators()
 

@@ -2,7 +2,6 @@
 
 import json
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from ..groups import parse_group_spec
 from .kernel import _are_keys, _make_codec
 from .matgroup import (DEFAULT_CAP, ElementTable, GroupRecord, _TABLE_MEMO, _memoize,
-                       classical_generators, spectrum_table)
+                       _version_table, classical_generators, spectrum_table)
 
 MAGIC = b"OMEGA2"
 
@@ -108,14 +107,15 @@ def cached_spectrum_table(spec, cap=DEFAULT_CAP, cache_dir=None):
         spec = parse_group_spec(spec)
     if cache_dir is None:
         return spectrum_table(spec, cap)
-    uni = replace(spec, version="universal")
-    group = classical_generators(uni)
+    # one group, built and eliminated once, serves the load and the table
+    group = classical_generators(spec)
+    uni = str(group.name)
     if group.key() not in _TABLE_MEMO:
-        loaded = load_table(cache_dir, str(uni), cap, group)
+        loaded = load_table(cache_dir, uni, cap, group)
         if loaded is not None:
             _memoize(group, loaded, cap)
-    out = spectrum_table(spec, cap)
+    out = _version_table(group, spec.version, cap)
     # a memo warmed by a cache-less call still owes the directory its files
-    if not cache_paths(cache_dir, str(uni), cap)[0].exists():
-        save_table(_TABLE_MEMO.get(group.key()), cache_dir, str(uni), cap)
+    if not cache_paths(cache_dir, uni, cap)[0].exists():
+        save_table(_TABLE_MEMO.get(group.key()), cache_dir, uni, cap)
     return out

@@ -165,10 +165,6 @@ class Field:
             e >>= 1
         return out
 
-    def code(self, c):
-        """Code of the prime-field constant c."""
-        return c % self.p
-
     # Vectorized arithmetic on arrays of codes (any shape, broadcastable).
 
     def add_many(self, a, b):
@@ -188,9 +184,6 @@ class Field:
 
     def add(self, a, b):
         return int(self.add_many(np.int64(a), np.int64(b)))
-
-    def sub(self, a, b):
-        return self.add(a, int(self.neg_table[b]))
 
     def mul(self, a, b):
         return int(self.mul_many(a, b))

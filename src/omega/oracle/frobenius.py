@@ -2,11 +2,11 @@
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..arith import _factor, is_prime_power, r_part
+from ..record import Record
 from .field import build_field
 from .kernel import _eliminate, _kernel, _make_codec
 from .matgroup import (Matrix, MatrixGroup, _closure, _elementary, _lookup,
@@ -19,23 +19,23 @@ class WitnessSearchError(RuntimeError):
     """No element with the required normalizing behaviour exists."""
 
 
-@dataclass(frozen=True)
-class FrobeniusWitness:
-    kind: str
-    params: tuple
-    kernel_gens: tuple
-    complement_gens: tuple
-    kernel_order: int
-    complement_order: int
+class FrobeniusWitness(Record):
+    _fields = ("kind", "params", "kernel_gens", "complement_gens", "kernel_order",
+               "complement_order")
+
+    def __init__(self, kind, params, kernel_gens, complement_gens, kernel_order,
+                 complement_order):
+        vars(self).update(kind=kind, params=params, kernel_gens=kernel_gens,
+                          complement_gens=complement_gens, kernel_order=kernel_order,
+                          complement_order=complement_order)
 
 
-@dataclass(frozen=True)
-class FrobeniusVerdict:
-    ok: bool
-    kernel_order: int
-    complement_order: int
-    reason: str = ""
-    counterexample: tuple = None
+class FrobeniusVerdict(Record):
+    _fields = ("ok", "kernel_order", "complement_order", "reason", "counterexample")
+
+    def __init__(self, ok, kernel_order, complement_order, reason="", counterexample=None):
+        vars(self).update(ok=ok, kernel_order=kernel_order, complement_order=complement_order,
+                          reason=reason, counterexample=counterexample)
 
 
 def _singer_block(q, k):

@@ -1,14 +1,14 @@
 """Matrix groups over small fields: exhaustive enumeration, exact spectra, centers."""
 
 from collections import namedtuple
-from dataclasses import dataclass, field as dfield
 from functools import reduce
 
 import numpy as np
 
 from ..arith import _factor, divisors
-from ..groups import GroupSpec, group_order
-from .field import Field, build_field
+from ..groups import GroupSpec, group_order, parse_group_spec
+from ..record import Record
+from .field import build_field
 from .kernel import _PACKED_CHUNK, _Codes, _bits, _eliminate, _kernel, _make_codec
 
 DEFAULT_CAP = 1 << 24
@@ -78,15 +78,6 @@ class Matrix:
     def is_identity(self):
         return bool((self.a == np.eye(self.dim, dtype=np.uint16)).all())
 
-    def conj_entries(self, i=1):
-        """Entrywise p^i-power (field automorphism)."""
-        f = self.field
-        flat = [f.frob(int(x), i) for x in self.a.ravel()]
-        return Matrix(f, np.array(flat, dtype=np.uint16).reshape(self.a.shape))
-
-    def transpose(self):
-        return Matrix(self.field, self.a.T.copy())
-
     def order(self):
         m, g = 1, self
         while not g.is_identity():
@@ -111,27 +102,23 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.a.tolist()})"
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(Record):
     """Generators of a matrix group, with the (n, dim, dim) code stack of
     their inverses from the elimination that checks them."""
 
-    field: Field
-    dim: int
-    generators: tuple
-    name: GroupSpec = None
-    inverses: np.ndarray = dfield(init=False, repr=False, compare=False)
+    _fields = ("field", "dim", "generators", "name")
 
-    def __post_init__(self):
-        if not 1 <= self.dim <= 64:
-            raise ValueError(f"dimension {self.dim} is outside 1..64")
-        for g in self.generators:
-            if g.field != self.field or g.dim != self.dim:
-                raise ValueError(f"generator is not a {self.dim}x{self.dim} matrix over {self.field}")
-        ech = _eliminate(self.field, _stack([g.a for g in self.generators], self.dim))
-        if (ech.rank < self.dim).any():
+    def __init__(self, field, dim, generators, name=None):
+        if not 1 <= dim <= 64:
+            raise ValueError(f"dimension {dim} is outside 1..64")
+        for g in generators:
+            if g.field != field or g.dim != dim:
+                raise ValueError(f"generator is not a {dim}x{dim} matrix over {field}")
+        ech = _eliminate(field, _stack([g.a for g in generators], dim))
+        if (ech.rank < dim).any():
             raise ValueError("generator not invertible")
-        object.__setattr__(self, "inverses", ech.inverse)
+        vars(self).update(field=field, dim=dim, generators=generators, name=name,
+                          inverses=ech.inverse)
 
     def key(self):
         gens = tuple(sorted(g.a.tobytes() for g in self.generators))
@@ -142,47 +129,44 @@ _Classes = namedtuple("_Classes", "reps label sizes")
 _Cosets = namedtuple("_Cosets", "orders")
 
 
-@dataclass(eq=False)
 class GroupRecord:
     """An enumerated group: its elements as sorted codec keys, code matrices
     that generate it and their inverses, and classes, orders and V x| G,
-    filled in on first use."""
+    filled in on first use.  Equal only to itself."""
 
-    field: Field
-    dim: int
-    keys: np.ndarray
-    generators: list
-    inverses: np.ndarray
-    classes: _Classes = None
-    orders: np.ndarray = None
-    semidirect: "ElementTable" = None
+    def __init__(self, field, dim, keys, generators, inverses, classes=None, orders=None,
+                 semidirect=None):
+        self.field, self.dim, self.keys = field, dim, keys
+        self.generators, self.inverses = generators, inverses
+        self.classes, self.orders, self.semidirect = classes, orders, semidirect
 
 
-@dataclass
-class ElementTable:
+class ElementTable(Record):
     """Exhaustive element data: size, order histogram, spectrum of orders.  The
-    payload is the GroupRecord of an enumerated group, _Cosets for G/Z, else None."""
+    payload, left out of comparison and repr, is the GroupRecord of an
+    enumerated group, _Cosets for G/Z, else None.  A table may be assigned
+    to, so it has no hash."""
 
-    size: int
-    order_histogram: dict
-    spectrum: tuple
-    payload: GroupRecord = dfield(default=None, repr=False, compare=False)
+    _fields = ("size", "order_histogram", "spectrum")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __post_init__(self):
-        if sum(self.order_histogram.values()) != self.size:
-            raise ValueError(f"order histogram does not sum to the size {self.size}")
-        if list(self.spectrum) != sorted(set(self.order_histogram)):
+    def __init__(self, size, order_histogram, spectrum, payload=None):
+        if sum(order_histogram.values()) != size:
+            raise ValueError(f"order histogram does not sum to the size {size}")
+        if list(spectrum) != sorted(set(order_histogram)):
             raise ValueError("spectrum is not the sorted histogram keys")
-        if not self.spectrum or self.spectrum[0] != 1:
+        if not spectrum or spectrum[0] != 1:
             raise ValueError("1 is not the least order of the spectrum")
-        members = set(self.spectrum)
+        members = set(spectrum)
         for m in members:
             if any(m // p not in members for p in _factor(m)):
                 raise ValueError(f"spectrum not divisor-closed at {m}")
         # Frobenius: for n dividing |G|, n divides the count of x with x^n = 1
-        for n in divisors(self.size):
-            if sum(c for m, c in self.order_histogram.items() if n % m == 0) % n:
+        for n in divisors(size):
+            if sum(c for m, c in order_histogram.items() if n % m == 0) % n:
                 raise ValueError(f"elements of order dividing {n} are not a multiple of {n}")
+        self.size, self.order_histogram, self.spectrum = size, order_histogram, spectrum
+        self.payload = payload
 
     def element(self, i):
         rec = self.payload
@@ -347,6 +331,8 @@ def _memoize(group, table, cap):
 
 def enumerate_group(group, cap=DEFAULT_CAP):
     """Exhaustive closure of the generators, coset by coset, with exact orders."""
+    if cap < 1:
+        raise ValueError(f"the cap must be at least 1, got {cap}")
     table = _TABLE_MEMO.get(group.key())
     if table is None:
         keys, adopted = _closure(group, cap)
@@ -468,13 +454,9 @@ def _su_generators(fld2, dim, k_base):
 
 def classical_generators(spec):
     """Matrix generators realizing the universal version: SL, SU, or Sp."""
-    from dataclasses import replace
-
-    from ..groups import parse_group_spec
-
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    uni = replace(spec, version="universal")
+    uni = GroupSpec(spec.family, spec.rank, spec.q, "universal")
     if spec.family == "A":
         fld = build_field(spec.p, spec.k)
         return MatrixGroup(fld, spec.rank + 1, tuple(_sl_generators(fld, spec.rank + 1)), uni)
@@ -491,12 +473,13 @@ def classical_generators(spec):
 def spectrum_table(spec, cap=DEFAULT_CAP):
     """ElementTable for the named group; simple versions go through the
     universal matrix group and its central quotient."""
-    from ..groups import parse_group_spec
-
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    group = classical_generators(spec)
-    if spec.version == "universal":
+    return _version_table(classical_generators(spec), spec.version, cap)
+
+
+def _version_table(group, version, cap):
+    """The table of the universal group, or of its quotient by its center."""
+    if version == "universal":
         return enumerate_group(group, cap)
-    z = center_of(group, cap)
-    return quotient_spectrum(group, z, cap)
+    return quotient_spectrum(group, center_of(group, cap), cap)

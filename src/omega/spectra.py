@@ -1,35 +1,32 @@
 """Divisor-closed spectrum descriptors, closed-form spectra, prime graphs."""
 
 import math
-from dataclasses import dataclass
 
 from .arith import _factor
 from .groups import GroupSpec
+from .record import Record
 
 _SCOPES = ("full", "p_prime_only", "mixed_only")
 
 
-@dataclass(frozen=True)
-class SpectrumDescriptor:
+class SpectrumDescriptor(Record):
     """A divisor-closed set of integers, held by its maximal generators."""
 
-    generators: tuple
-    scope: str = "full"
-    context: GroupSpec = None
+    _fields = ("generators", "scope", "context")
 
-    def __post_init__(self):
-        if self.scope not in _SCOPES:
-            raise ValueError(f"scope {self.scope!r} is not one of {_SCOPES}")
-        gens = self.generators
-        if list(gens) != sorted(gens) or any(a < 1 for a in gens):
-            raise ValueError(f"generators must be sorted positive integers: {gens}")
-        for i, a in enumerate(gens):
-            for b in gens[i + 1 :]:
+    def __init__(self, generators, scope="full", context=None):
+        if scope not in _SCOPES:
+            raise ValueError(f"scope {scope!r} is not one of {_SCOPES}")
+        if list(generators) != sorted(generators) or any(a < 1 for a in generators):
+            raise ValueError(f"generators must be sorted positive integers: {generators}")
+        for i, a in enumerate(generators):
+            for b in generators[i + 1 :]:
                 if not b % a:
                     raise ValueError(f"not an antichain: {a} divides {b}")
-        if self.scope == "p_prime_only" and self.context is not None:
-            if any(g % self.context.p == 0 for g in gens):
-                raise ValueError(f"a generator is divisible by p = {self.context.p}")
+        if scope == "p_prime_only" and context is not None:
+            if any(g % context.p == 0 for g in generators):
+                raise ValueError(f"a generator is divisible by p = {context.p}")
+        vars(self).update(generators=generators, scope=scope, context=context)
 
     def __contains__(self, m):
         return contains(self, m)
@@ -61,38 +58,6 @@ def contains(desc, m):
     if m < 1:
         raise ValueError(f"membership wants m >= 1, got {m}")
     return any(g % m == 0 for g in desc.generators)
-
-
-def split_by_characteristic(desc, p):
-    """Split a full spectrum at the prime p.
-
-    Returns (largest p-power in the set, descriptor of the p-coprime part,
-    descriptor of the mixed part: elements divisible by p that are not p-powers).
-    """
-    if desc.scope != "full":
-        raise ValueError("split wants a full-scope descriptor")
-    f = _factor(p)
-    if list(f.values()) != [1]:
-        raise ValueError(f"{p} is not prime")
-    p_exp = 1
-    coprime = []
-    mixed = []
-    for g in desc.generators:
-        a = 1
-        m = g
-        while m % p == 0:
-            a *= p
-            m //= p
-        p_exp = max(p_exp, a)
-        coprime.append(m)
-        if a > 1 and m > 1:
-            mixed.append(g)
-    p_prime = canonicalize(coprime, "p_prime_only", desc.context)
-    if mixed:
-        mixed_desc = canonicalize(mixed, "mixed_only", desc.context)
-    else:
-        mixed_desc = SpectrumDescriptor((), "mixed_only", desc.context)
-    return p_exp, p_prime, mixed_desc
 
 
 def _sign(eps):
@@ -189,17 +154,16 @@ def symplectic_torus_spectrum(n, q):
     return canonicalize(vals, "p_prime_only", spec)
 
 
-@dataclass(frozen=True)
-class PrimeGraph:
-    vertices: tuple
-    edges: tuple
+class PrimeGraph(Record):
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        if list(self.vertices) != sorted(self.vertices):
-            raise ValueError(f"vertices {self.vertices} are not sorted")
-        for r, t in self.edges:
-            if not (r < t and r in self.vertices and t in self.vertices):
+    def __init__(self, vertices, edges):
+        if list(vertices) != sorted(vertices):
+            raise ValueError(f"vertices {vertices} are not sorted")
+        for r, t in edges:
+            if not (r < t and r in vertices and t in vertices):
                 raise ValueError(f"edge {(r, t)} is not an ordered pair of vertices")
+        vars(self).update(vertices=vertices, edges=edges)
 
     def adjacent(self, r, t):
         return (min(r, t), max(r, t)) in set(self.edges)

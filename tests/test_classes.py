@@ -370,3 +370,14 @@ def test_one_elimination_per_group(tmp_path, fresh_memo, monkeypatch):
         gens = np.stack(rec.generators)
         assert rec.inverses.shape == gens.shape
         assert (codes.pair(rec.inverses, gens) == np.eye(group.dim, dtype=gens.dtype)).all()
+
+
+@pytest.mark.parametrize("spec", ["2A(3,2)u", "A(2,4)s"])
+def test_one_elimination_per_cached_request(tmp_path, fresh_memo, spec):
+    """A cached request builds its group once: the load or the enumeration
+    and the save, and the table or the center and quotient, all use it."""
+    for _ in ("miss", "hit"):
+        _TABLE_MEMO.clear()
+        with mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
+            cached_spectrum_table(spec, cache_dir=tmp_path)
+        assert elim.call_count == 1

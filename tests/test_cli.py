@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from omega.cli import main
+from omega.oracle import classical_generators, enumerate_group
 from omega.oracle.matgroup import _TABLE_MEMO
 from omega.spectra import e6_semisimple_spectrum
 
@@ -75,6 +78,17 @@ def test_enumerate_cap_abort(capsys):
     rc, out, err = run(capsys, ["enumerate", "--group", "C(3,3)u", "--cap", "1000"])
     assert rc == 1 and out == ""
     assert "at least" in err and "cap 1000" in err
+
+
+def test_cap_below_one_is_a_usage_error(capsys):
+    for sub in ("enumerate", "semidirect"):
+        for cap in ("0", "-5"):
+            rc, out, err = run(capsys, [sub, "--group", "A(1,4)u", "--cap", cap])
+            assert rc == 2 and out == "" and "--cap" in err and "at least 1" in err
+    group = classical_generators("A(1,4)u")
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_group(group, cap)
 
 
 def test_enumerate_cache_env(capsys, tmp_path, monkeypatch):

@@ -37,7 +37,7 @@ def ref_det(fld, rows):
     for j, x in enumerate(rows[0]):
         minor = ref_det(fld, [row[:j] + row[j + 1:] for row in rows[1:]])
         term = fld.mul(x, minor)
-        det = fld.sub(det, term) if j % 2 else fld.add(det, term)
+        det = fld.add(det, fld.neg(term) if j % 2 else term)
     return det
 
 
@@ -88,7 +88,7 @@ def ref_rank(fld, rows):
         inv = fld.inv(rows[rank][col])
         for i in range(rank + 1, len(rows)):
             f = fld.mul(rows[i][col], inv)
-            rows[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+            rows[i] = [fld.add(x, fld.neg(fld.mul(f, y))) for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
@@ -287,7 +287,7 @@ def test_eliminate(problem, data):
     # make some of Y singular: the last row twice the first, or zero when d = 1
     for i in range(len(Y)):
         if data.draw(st.booleans()):
-            Y[i, -1] = fld.mul_many(fld.code(2), Y[i, 0]) if d > 1 else 0
+            Y[i, -1] = fld.mul_many(2 % fld.p, Y[i, 0]) if d > 1 else 0
     for A in (X, Y, g[None]):
         ech = _eliminate(fld, A)
         n, r, c = A.shape

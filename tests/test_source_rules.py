@@ -1,7 +1,8 @@
 """Source rules the package keeps: no `assert` statement in any module,
 whose check would vanish under `python -O`; no claim reaching into the
-private arithmetic kernel, so that the claims stay independent of it; and no
-use of `numpy.random`, whose lazy import is paid on first use."""
+private arithmetic kernel, so that the claims stay independent of it; no
+use of `numpy.random`, whose lazy import is paid on first use; and no
+generated code, which every fresh process would pay for at import."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,25 @@ def test_no_numpy_random(path):
         if hit:
             lines.append(node.lineno)
     assert lines == [], f"numpy.random used at lines {lines}"
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_generated_code(path):
+    """dataclasses exec the methods they generate each time their module is
+    imported: 7-13 ms of every fresh process for the package's twelve
+    records, which are plain classes on omega.record.Record instead; nor
+    does any module call exec or eval."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = not node.level and (node.module or "").split(".")[0] == "dataclasses"
+        elif isinstance(node, ast.Call):
+            hit = isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval")
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    assert lines == [], f"dataclasses, exec or eval used at lines {lines}"

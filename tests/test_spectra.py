@@ -15,7 +15,6 @@ from omega.spectra import (
     e7_semisimple_spectrum,
     pg_nonadjacency_witnesses,
     prime_graph,
-    split_by_characteristic,
     symplectic_torus_spectrum,
 )
 
@@ -66,38 +65,6 @@ def test_contains():
     assert 31 in d and 6 not in d
     with pytest.raises(ValueError):
         contains(d, 0)
-
-
-def test_split_examples():
-    p_exp, coprime, mixed = split_by_characteristic(canonicalize([12, 8, 5]), 2)
-    assert p_exp == 8
-    assert coprime.generators == (3, 5)
-    assert mixed.generators == (12,)
-    p_exp, coprime, mixed = split_by_characteristic(canonicalize([7]), 2)
-    assert p_exp == 1
-    assert coprime.generators == (7,)
-    assert mixed.generators == ()
-    with pytest.raises(ValueError):
-        split_by_characteristic(canonicalize([12]), 4)
-    with pytest.raises(ValueError):
-        split_by_characteristic(e6_semisimple_spectrum(2, 1), 2)
-
-
-def test_split_reassembles():
-    # The three parts carve up the divisor-closed set exactly.
-    rng = random.Random(9)
-    for _ in range(50):
-        desc = canonicalize([rng.randrange(1, 2000) for _ in range(6)])
-        p = rng.choice([2, 3, 5])
-        p_exp, coprime, mixed = split_by_characteristic(desc, p)
-        members = {m for g in desc.generators for m in range(1, g + 1) if g % m == 0}
-        for m in members:
-            if m % p != 0:
-                assert contains(coprime, m)
-            elif all(r == p for r in _factor(m)):
-                assert p_exp % m == 0
-            else:
-                assert contains(mixed, m), (desc, p, m)
 
 
 def test_e6_frozen():
