@@ -7,19 +7,19 @@ import numpy as np
 from ..arith import _factor, is_prime_power
 from ..record import Record
 from .field import build_field
-from .kernel import _Codes, _eliminate, _make_codec
+from .kernel import _eliminate, _make_codec
 from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, enumerate_group
 
 
 def field_rank(fld, rows):
-    return int(_eliminate(fld, np.asarray(rows)[None]).rank[0])
+    return int(_eliminate(fld, np.asarray(rows)[None])[0][0])
 
 
 def _moved_ranks(fld, stack):
     """rank(g - 1) for each matrix g of a code stack: the codimension of its
     fixed space."""
     minus_one = fld.neg_table[np.eye(stack.shape[-1], dtype=np.uint16)]
-    return _eliminate(fld, _Codes(fld).add(stack, minus_one)).rank
+    return _eliminate(fld, fld.add_many(stack, minus_one))[0]
 
 
 def fixed_space_dim(g, action=None):
@@ -115,13 +115,13 @@ def permutation_module(perm_gens, r):
 def _power_sums(rec, idx, orders):
     """The code stack of N(x) = 1 + x + ... + x^(m-1) for the elements x at
     indices idx of a group record, m their orders, all at once by Horner's rule."""
-    fld, codes = rec.field, _Codes(rec.field)
+    fld = rec.field
     R = _make_codec(fld, rec.dim).decode(rec.keys[idx])
     eye = np.eye(rec.dim, dtype=fld.code_dtype)
     N = np.broadcast_to(eye, R.shape).copy()
     for step in range(1, int(orders.max(initial=1))):
         on = orders > step
-        N[on] = codes.add(codes.pair(N[on], R[on]), eye)
+        N[on] = fld.add_many(fld.matmul(N[on], R[on]), eye)
     return N
 
 
@@ -135,11 +135,11 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
     if rec.semidirect is not None:
         return rec.semidirect
     fld, d = action.field, action.dim_V
-    c = _classes(rec)
-    orders = table.orders()[c.reps]
+    reps, _, sizes = _classes(rec)
+    orders = table.orders()[reps]
     vcount, hist = fld.q**d, {}
-    ranks = _eliminate(fld, _power_sums(rec, c.reps, orders)).rank
-    for m, size, rank in zip(orders.tolist(), c.sizes.tolist(), ranks.tolist()):
+    ranks, _, _ = _eliminate(fld, _power_sums(rec, reps, orders))
+    for m, size, rank in zip(orders.tolist(), sizes.tolist(), ranks.tolist()):
         pure = size * fld.q ** (d - rank)
         for order, count in ((m, pure), (m * fld.p, size * vcount - pure)):
             if count:
@@ -158,8 +158,8 @@ def _cover_witness(action, m):
     for a whole class or for none of it, and the first element that has it is
     its class's least index: a representative."""
     table = enumerate_group(action.image_group)
-    c = _classes(table.payload)
-    reps = c.reps[table.orders()[c.reps] == m]
+    reps, _, _ = _classes(table.payload)
+    reps = reps[table.orders()[reps] == m]
     N = _power_sums(table.payload, reps, np.full(len(reps), m))
     hit = np.flatnonzero(N.any(axis=(1, 2)))
     if not len(hit):

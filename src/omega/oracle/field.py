@@ -1,5 +1,7 @@
 """Exact arithmetic in GF(p^k) for p^k <= 2^16, table-driven for small fields."""
 
+from functools import reduce
+
 import numpy as np
 
 from ..arith import _factor, is_prime
@@ -168,17 +170,28 @@ class Field:
     # Vectorized arithmetic on arrays of codes (any shape, broadcastable).
 
     def add_many(self, a, b):
-        """a + b: XOR for p = 2, a lookup in the addition table of odd p
-        while q <= _TABLE_LIMIT, else digit by digit."""
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
+        """a + b as codes of code_dtype: XOR for p = 2, a lookup in the
+        addition table of odd p while q <= _TABLE_LIMIT, else digit by digit."""
         if self.add_table is not None:
             return self.add_table[a, b]
+        if self.p == 2:
+            return np.bitwise_xor(a, b).astype(self.code_dtype, copy=False)
         s = (self._digits[a] + self._digits[b]) % self.p
-        return s @ self._powers
+        return (s @ self._powers).astype(self.code_dtype)
 
     def mul_many(self, a, b):
         return self.mul_exp[self.mul_log[a] + self.mul_log[b]]
+
+    def matmul(self, A, B):
+        """A[i] @ B[i] for code stacks, either side possibly one 2-D matrix:
+        int matmul mod p for prime fields, else summed log/exp lookups."""
+        if self.k == 1:
+            # exact in uint16 while a sum of d products of codes < p stays below 2^16
+            wide = np.int64 if A.shape[-1] * (self.p - 1) ** 2 >= 1 << 16 else np.uint16
+            return (np.matmul(A.astype(wide), B.astype(wide)) % self.p).astype(self.code_dtype)
+        la, lb = self.mul_log[A], self.mul_log[B]
+        return reduce(self.add_many, (self.mul_exp[la[..., :, j, None] + lb[..., None, j, :]]
+                                      for j in range(A.shape[-1])))
 
     # Scalar convenience wrappers.
 

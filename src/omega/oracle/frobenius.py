@@ -93,7 +93,8 @@ def _sl_hyperplane_witness(n, q):
         raise WitnessSearchError(f"free complement degenerates for (n, q) = ({n}, {q})")
     t = singer ** (big_order // e)
     big = np.eye(n, dtype=np.uint16)
-    big[0, 0] = fld.inv(int(_eliminate(fld, t.a[None]).det[0]))
+    _, det, _ = _eliminate(fld, t.a[None])
+    big[0, 0] = fld.inv(int(det[0]))
     big[1:, 1:] = t.a
     return FrobeniusWitness(
         kind="sl-hyperplane",
@@ -206,7 +207,8 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
             counterexample=(shared, shared),
         )
     C = codec.decode(c_keys)
-    for a, a_inv in zip(C, _eliminate(fld, C).inverse):
+    _, _, inverses = _eliminate(fld, C)
+    for a, a_inv in zip(C, inverses):
         c = Matrix(fld, a)
         if c.is_identity():
             continue

@@ -1,35 +1,29 @@
-"""Products, sums and elimination for matrices over GF(p^k).
+"""Keyed products and elimination for matrices over GF(p^k); the field does
+all code-stack arithmetic (Field.add_many, Field.matmul).
 
 _kernel(fld, d) multiplies d x d matrices given by their codec keys by a fixed
 code matrix g: left(g, K) = g @ K[i] and right(K, g) = K[i] @ g, each returning
-keys.  left also takes an (L, d, d) stack g and returns (L, len(K)) keys, one
-row per matrix, reading (or decoding) each block of K once for the whole stack.
-When bits * d^2 <= 64 (bits = bit_length(q - 1)) and the scalar-times-row
-table (2^bits x 2^(bits d) words) fits _PACK_TABLE_LIMIT, a key is the uint64
-word of its matrix, and a product adds rows looked up in that
-table by an intp view of the row words (a uint64 index costs a cast copy): by
-XOR for p = 2, and for odd p chunk by chunk, c entries at a time (c the
-largest with 2 bits c <= 16), in a table of sums of two chunks.  Both tables
-are q x q tables broadcast over the entry axes.  So GF(2^k) packs while its
-table fits, GF(3) up to d = 5, GF(5) and GF(7) up to d = 4, and GF(9) to
-GF(13) up to d = 3.  Other shapes decode the keys, multiply the code stacks
-with _Codes and encode the product.  _Codes is plain code-stack arithmetic:
-sums by Field.add_many, and products of two stacks or of a stack and one
-matrix by int64 matmul mod p for prime fields, else by log/exp lookups.  A
+keys.  left also takes an (L, d, d) stack g and returns (L, len(K)) keys.  Both
+kernels walk K in blocks of _PACKED_CHUNK keys into one output, and left reads
+each block once for the whole stack.  When bits * d^2 <= 64 (bits =
+bit_length(q - 1)) and the scalar-times-row table fits _PACK_TABLE_LIMIT, a
+key is the uint64 word of its matrix and _Packed adds rows looked up in
+tables: GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5) and
+GF(7) up to d = 4, and GF(9) to GF(13) up to d = 3.  _Wide, for other shapes,
+decodes each block, multiplies it by Field.matmul and encodes the product.  A
 codec maps code stacks to keys and back (decode), and takes the least key of
 each row of a key array.  _eliminate runs one Gauss-Jordan over a stack, a
 pivot per matrix.
 """
 
 import operator
-from collections import namedtuple
 from functools import lru_cache, reduce
 
 import numpy as np
 
-# Matrices per product: bounds the temporaries of code stacks, and keeps
-# packed words in L2-sized blocks (half the time of a large pair).
-_CHUNK, _PACKED_CHUNK = 1 << 17, 1 << 14
+# Keys per block of a product or a codec pass: keeps packed words in L2-sized
+# blocks (half the time of a large pair) and bounds code-stack temporaries.
+_PACKED_CHUNK = 1 << 14
 # Largest scalar-times-row table the packed path builds, 2^bits x 2^(bits d);
 # a chunk-sum table has at most 2^16 words, or 2^18 for 1 x 1 over q > 256.
 _PACK_TABLE_LIMIT = 1 << 18
@@ -44,18 +38,23 @@ class _U64Codec:
         self.mask = np.uint64((1 << bits) - 1)
 
     def keys(self, stack):
-        """In blocks of matrices, so that no |stack| x d^2 uint64 temporary is built."""
-        def block(flat, shifts):
-            return np.bitwise_or.reduce(flat.astype(np.uint64) << shifts, axis=1)
-        return _chunks(block, stack.reshape(len(stack), -1), self.shifts, 2, _PACKED_CHUNK)
+        """The keys of a code stack, by shift and or, a block of matrices at a
+        time so that no |stack| x d^2 uint64 temporary is built."""
+        flat, out = stack.reshape(len(stack), -1), np.empty(len(stack), dtype=np.uint64)
+        for lo in range(0, len(flat), _PACKED_CHUNK):
+            part = flat[lo:lo + _PACKED_CHUNK].astype(np.uint64)
+            part <<= self.shifts
+            np.bitwise_or.reduce(part, axis=1, out=out[lo:lo + len(part)])
+        return out
 
     def decode(self, keys):
         """The code stack of keys, by shift and mask, a block of keys at a
         time so that no |keys| x d^2 uint64 temporary is built."""
         out = np.empty((len(keys), len(self.shifts)), dtype=self.dtype)
         for lo in range(0, len(keys), _PACKED_CHUNK):
-            part = keys[lo:lo + _PACKED_CHUNK, None]
-            out[lo:lo + len(part)] = (part >> self.shifts) & self.mask
+            part = keys[lo:lo + _PACKED_CHUNK, None] >> self.shifts
+            part &= self.mask
+            out[lo:lo + len(part)] = part
         return out.reshape(-1, self.d, self.d)
 
     def least(self, rows):
@@ -117,63 +116,31 @@ def _are_keys(fld, dim, keys):
                    for s in range(0, width * dim, width))
 
 
-def _chunks(fn, A, B, ndim, size):
-    """fn(A, B), size matrices at a time of the stacked (ndim-D) operands."""
-    n = max(len(X) if X.ndim == ndim else 0 for X in (A, B))
-    if n <= size:
-        return fn(A, B)
-    return np.concatenate([fn(*(X[lo:lo + size] if X.ndim == ndim else X for X in (A, B)))
-                           for lo in range(0, n, size)])
-
-
-class _Codes:
-    """Plain code-stack arithmetic: sums, and products where either side may
-    be one fixed matrix of any 2-D shape."""
-
-    def __init__(self, fld):
-        self.fld = fld
-        self.dtype = fld.code_dtype
-
-    def add(self, a, b):
-        return self.fld.add_many(a, b).astype(self.dtype, copy=False)
-
-    def _matmul(self, A, B):
-        # exact in uint16 while a sum of d products of codes < p stays below 2^16
-        wide = np.int64 if A.shape[-1] * (self.fld.p - 1) ** 2 >= 1 << 16 else np.uint16
-        return (np.matmul(A.astype(wide), B.astype(wide)) % self.fld.p).astype(self.dtype)
-
-    def pair(self, A, B):
-        """A[i] @ B[i]; either side may be one fixed matrix."""
-        return _chunks(self._matmul if self.fld.k == 1 else self._pair, A, B, 3, _CHUNK)
-
-    def _pair(self, A, B):
-        log, exp = self.fld.mul_log, self.fld.mul_exp
-        la, lb = log[A], log[B]
-        return reduce(self.add, (exp[la[..., :, j, None] + lb[..., None, j, :]]
-                                 for j in range(A.shape[-1])))
-
-
 class _Wide:
-    """Keyed products for shapes too wide to pack: decode the keys, multiply
-    the code stacks, encode the product."""
+    """Keyed products for shapes too wide to pack: per block of keys, decode,
+    multiply on the field and encode into one output, as _Packed does."""
 
     def __init__(self, fld, d):
-        self.codes, self.codec = _Codes(fld), _make_codec(fld, d)
+        self.fld, self.codec = fld, _make_codec(fld, d)
 
     def left(self, g, K):
         """g @ K[i] for a (d, d) code matrix g, or for each matrix of an
-        (L, d, d) stack g as (L, len(K)) keys, decoding K once."""
-        X = self.codec.decode(K)
-        if g.ndim == 2:
-            return self.codec.keys(self.codes.pair(g, X))
-        out = np.empty((len(g), len(K)), dtype=K.dtype)
-        for res, m in zip(out, g):
-            res[:] = self.codec.keys(self.codes.pair(m, X))
-        return out
+        (L, d, d) stack g as (L, len(K)) keys, decoding each block of K once."""
+        stack = g.reshape(-1, *g.shape[-2:])
+        out = np.empty((len(stack), len(K)), dtype=K.dtype)
+        for lo in range(0, len(K), _PACKED_CHUNK):
+            X = self.codec.decode(K[lo:lo + _PACKED_CHUNK])
+            for res, m in zip(out[:, lo:lo + len(X)], stack):
+                res[:] = self.codec.keys(self.fld.matmul(m, X))
+        return out if g.ndim == 3 else out[0]
 
     def right(self, K, g):
         """K[i] @ g for a fixed (d, d) code matrix g."""
-        return self.codec.keys(self.codes.pair(self.codec.decode(K), g))
+        out = np.empty_like(K)
+        for lo in range(0, len(K), _PACKED_CHUNK):
+            X = self.codec.decode(K[lo:lo + _PACKED_CHUNK])
+            out[lo:lo + len(X)] = self.codec.keys(self.fld.matmul(X, g))
+        return out
 
 
 def _axes(bits, n):
@@ -307,20 +274,17 @@ def _kernel(fld, d):
     return _Wide(fld, d)
 
 
-_Echelon = namedtuple("_Echelon", "rank det inverse")
-
-
 def _eliminate(fld, a):
     """Gauss-Jordan elimination of a stack of n r x c code matrices, all at
-    once with a pivot per matrix: per matrix the rank, and when r == c the
-    det and inverse (0 and zeros if singular), else None.  Pivot rows stay
-    where they are: each column records its own, a zero row r stands in for
-    a missing pivot, and the inverse reads its rows in pivot order."""
+    once with a pivot per matrix: the per-matrix arrays (rank, det, inverse),
+    det and inverse None unless r == c (0 and zeros if singular).  Pivot rows
+    stay where they are: each column records its own, a zero row r stands in
+    for a missing pivot, and the inverse reads its rows in pivot order."""
     n, r, c = np.shape(a)
     m = np.zeros((n, r + 1, c + r * (r == c)), dtype=fld.code_dtype)
     m[:, :r, :c] = a
     m[:, :r, c:] = np.eye(r, m.shape[2] - c, dtype=m.dtype)
-    free, idx, add = np.ones((n, r + 1), dtype=bool), np.arange(n), _Codes(fld).add
+    free, idx = np.ones((n, r + 1), dtype=bool), np.arange(n)
     pivots, values = [], []
     for col in range(c):
         at = m[:, :, col]
@@ -331,16 +295,16 @@ def _eliminate(fld, a):
         row = m[idx, p]
         unit = fld.mul_many(fld.inv_table[row[:, col]][:, None], row)
         # the pivot row cancels itself here and is set to its unit multiple
-        m = add(m, fld.mul_many(fld.neg_table[at][:, :, None], unit[:, None, :]))
+        m = fld.add_many(m, fld.mul_many(fld.neg_table[at][:, :, None], unit[:, None, :]))
         m[idx, p] = unit
         pivots.append(p)
         values.append(row[:, col])
     P = np.stack(pivots, axis=1)
     if r != c:
-        return _Echelon((P < r).sum(axis=1), None, None)
+        return (P < r).sum(axis=1), None, None
     det = reduce(fld.mul_many, values)
     if fld.p != 2:
         # det a = sign of the pivot-row permutation times the pivots
         odd = np.triu(P[:, :, None] > P[:, None, :]).sum(axis=(1, 2)) % 2 == 1
         det = np.where(odd, fld.neg_table[det], det)
-    return _Echelon((P < r).sum(axis=1), det, m[idx[:, None], P, c:])
+    return (P < r).sum(axis=1), det, m[idx[:, None], P, c:]

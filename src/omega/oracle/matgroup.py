@@ -1,7 +1,7 @@
 """Matrix groups over small fields: exhaustive enumeration, exact spectra, centers."""
 
-from collections import namedtuple
-from functools import reduce
+from functools import lru_cache, reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -9,7 +9,7 @@ from ..arith import _factor, divisors
 from ..groups import GroupSpec, group_order, parse_group_spec
 from ..record import Record
 from .field import build_field
-from .kernel import _PACKED_CHUNK, _Codes, _bits, _eliminate, _kernel, _make_codec
+from .kernel import _PACKED_CHUNK, _bits, _eliminate, _kernel, _make_codec
 
 DEFAULT_CAP = 1 << 24
 # A round of the coset closure that could pass the cap goes in parts of the
@@ -55,7 +55,7 @@ class Matrix:
     def __matmul__(self, other):
         if self.field != other.field or self.dim != other.dim:
             raise ValueError("matrices of different fields or sizes")
-        return Matrix(self.field, _Codes(self.field).pair(self.a, other.a))
+        return Matrix(self.field, self.field.matmul(self.a, other.a))
 
     def __pow__(self, e):
         if e < 0:
@@ -70,10 +70,10 @@ class Matrix:
         return out
 
     def inverse(self):
-        ech = _eliminate(self.field, self.a[None])
-        if ech.rank[0] < self.dim:
+        rank, _, inverse = _eliminate(self.field, self.a[None])
+        if rank[0] < self.dim:
             raise ValueError("matrix is singular")
-        return Matrix(self.field, ech.inverse[0])
+        return Matrix(self.field, inverse[0])
 
     def is_identity(self):
         return bool((self.a == np.eye(self.dim, dtype=np.uint16)).all())
@@ -114,19 +114,15 @@ class MatrixGroup(Record):
         for g in generators:
             if g.field != field or g.dim != dim:
                 raise ValueError(f"generator is not a {dim}x{dim} matrix over {field}")
-        ech = _eliminate(field, _stack([g.a for g in generators], dim))
-        if (ech.rank < dim).any():
+        rank, _, inverses = _eliminate(field, _stack([g.a for g in generators], dim))
+        if (rank < dim).any():
             raise ValueError("generator not invertible")
         vars(self).update(field=field, dim=dim, generators=generators, name=name,
-                          inverses=ech.inverse)
+                          inverses=inverses)
 
     def key(self):
         gens = tuple(sorted(g.a.tobytes() for g in self.generators))
         return (self.field.p, self.field.k, self.field.modulus, self.dim, gens)
-
-
-_Classes = namedtuple("_Classes", "reps label sizes")
-_Cosets = namedtuple("_Cosets", "orders")
 
 
 class GroupRecord:
@@ -144,8 +140,8 @@ class GroupRecord:
 class ElementTable(Record):
     """Exhaustive element data: size, order histogram, spectrum of orders.  The
     payload, left out of comparison and repr, is the GroupRecord of an
-    enumerated group, _Cosets for G/Z, else None.  A table may be assigned
-    to, so it has no hash."""
+    enumerated group, a namespace of the coset orders for G/Z, else None.  A
+    table may be assigned to, so it has no hash."""
 
     _fields = ("size", "order_histogram", "spectrum")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
@@ -227,11 +223,12 @@ def _closure(group, cap):
 
 
 def _classes(rec):
-    """Conjugacy classes of a group, kept in its record: the least index of
-    each class (ascending), each element's class, and the class sizes.  Where
-    key and index fit a uint64 word, sorting the words (key << ib) | index in
-    place gives each conjugation's inverse permutation (low bits) and the keys
-    (high bits); else _lookup gives the forward one, with the same orbits."""
+    """Conjugacy classes of a group, kept in its record: (reps, label, sizes),
+    the least index of each class (ascending), each element's class, and the
+    class sizes.  Where key and index fit a uint64 word, sorting the words
+    (key << ib) | index in place gives each conjugation's inverse permutation
+    (low bits) and the keys (high bits); else _lookup gives the forward one,
+    with the same orbits."""
     if rec.classes is not None:
         return rec.classes
     fld, keys, n = rec.field, rec.keys, len(rec.keys)
@@ -262,7 +259,7 @@ def _classes(rec):
         lab = _gather(lab, lab)
     first = lab == np.arange(n, dtype=np.int32)
     label = _gather(np.cumsum(first, dtype=np.int32) - 1, lab)
-    rec.classes = _Classes(np.flatnonzero(first), label, np.bincount(label))
+    rec.classes = np.flatnonzero(first), label, np.bincount(label)
     return rec.classes
 
 
@@ -277,17 +274,17 @@ def _gather(a, idx):
 def _least_powers(rec, target):
     """Per element x, the least m >= 1 with x^m among the sorted keys target, a
     central subset: a class function, so stepped once per class, on codes."""
-    c = _classes(rec)
-    codec, codes = _make_codec(rec.field, rec.dim), _Codes(rec.field)
-    R = codec.decode(rec.keys[c.reps])
+    reps, label, _ = _classes(rec)
+    codec = _make_codec(rec.field, rec.dim)
+    R = codec.decode(rec.keys[reps])
     m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
     for _ in range(len(rec.keys)):
         out = ~_lookup(target, codec.keys(cur))[1]
         if not out.any():
-            return m[c.label]
+            return m[label]
         idx, cur = idx[out], cur[out]
         m[idx] += 1
-        cur = codes.pair(cur, R[idx])
+        cur = rec.field.matmul(cur, R[idx])
     raise RuntimeError("order runaway: an element's order exceeds the group's")
 
 
@@ -345,8 +342,8 @@ def enumerate_group(group, cap=DEFAULT_CAP):
 def center_of(group, cap=DEFAULT_CAP):
     """The central elements, which are the singleton conjugacy classes."""
     table = enumerate_group(group, cap)
-    c = _classes(table.payload)
-    return [table.element(int(i)) for i in c.reps[c.sizes == 1]]
+    reps, _, sizes = _classes(table.payload)
+    return [table.element(int(i)) for i in reps[sizes == 1]]
 
 
 def quotient_spectrum(group, center, cap=DEFAULT_CAP):
@@ -364,8 +361,13 @@ def quotient_spectrum(group, center, cap=DEFAULT_CAP):
     zk = np.sort(_make_codec(group.field, group.dim).keys(np.stack([z.a for z in zs])))
     if not _lookup(rec.keys, zk)[1].all():
         raise ValueError("center not in group")
+    return _quotient_table(rec, zk)
+
+
+def _quotient_table(rec, zk):
+    """The table of G/Z for the sorted keys zk of a central subgroup Z."""
     qorders = _least_powers(rec, zk)
-    return _table(qorders, _Cosets(qorders), len(zs))
+    return _table(qorders, SimpleNamespace(orders=qorders), len(zk))
 
 
 def _elementary(fld, dim, *entries):
@@ -399,8 +401,8 @@ def _sp_generators(fld, n):
     for b in fld.basis():
         gens.append(_elementary(fld, dim, (n - 1, dim - 1, b)))
         gens.append(_elementary(fld, dim, (dim - 1, n - 1, b)))
-    omega, G, codes = _sp_form(fld, n).a, _stack([g.a for g in gens], dim), _Codes(fld)
-    if not (codes.pair(codes.pair(G.transpose(0, 2, 1), omega), G) == omega).all():
+    omega, G = _sp_form(fld, n).a, _stack([g.a for g in gens], dim)
+    if not (fld.matmul(fld.matmul(G.transpose(0, 2, 1), omega), G) == omega).all():
         raise RuntimeError("generator breaks the symplectic form")
     return gens
 
@@ -412,11 +414,10 @@ def _su_generators(fld2, dim, k_base):
     q2 = fld2.q
     form = np.eye(dim, dtype=np.uint16)[::-1]
     conj = np.array([fld2.frob(x, k_base) for x in range(q2)], dtype=fld2.code_dtype)
-    codes = _Codes(fld2)
 
     def unitary(ts):
         """Which t of the stack satisfy t^T F conj(t) = F."""
-        lhs = codes.pair(codes.pair(ts.transpose(0, 2, 1), form), conj[ts])
+        lhs = fld2.matmul(fld2.matmul(ts.transpose(0, 2, 1), form), conj[ts])
         return (lhs == form).all(axis=(1, 2))
 
     vs = np.array(list(itertools.product(range(q2), repeat=dim))[1:], dtype=fld2.code_dtype)
@@ -453,21 +454,23 @@ def _su_generators(fld2, dim, k_base):
 
 
 def classical_generators(spec):
-    """Matrix generators realizing the universal version: SL, SU, or Sp."""
+    """Matrix generators realizing the universal version: SL, SU, or Sp, one
+    group per (family, rank, q), searched for and eliminated once."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    uni = GroupSpec(spec.family, spec.rank, spec.q, "universal")
-    if spec.family == "A":
-        fld = build_field(spec.p, spec.k)
-        return MatrixGroup(fld, spec.rank + 1, tuple(_sl_generators(fld, spec.rank + 1)), uni)
-    if spec.family == "C":
-        fld = build_field(spec.p, spec.k)
-        return MatrixGroup(fld, 2 * spec.rank, tuple(_sp_generators(fld, spec.rank)), uni)
-    if spec.family == "2A":
-        fld2 = build_field(spec.p, 2 * spec.k)
-        dim = spec.rank + 1
-        return MatrixGroup(fld2, dim, tuple(_su_generators(fld2, dim, spec.k)), uni)
-    raise ValueError(f"no matrix model for family {spec.family}")
+    return _universal(GroupSpec(spec.family, spec.rank, spec.q, "universal"))
+
+
+@lru_cache(maxsize=None)
+def _universal(uni):
+    if uni.family not in ("A", "C", "2A"):
+        raise ValueError(f"no matrix model for family {uni.family}")
+    fld = build_field(uni.p, 2 * uni.k if uni.family == "2A" else uni.k)
+    if uni.family == "A":
+        return MatrixGroup(fld, uni.rank + 1, tuple(_sl_generators(fld, uni.rank + 1)), uni)
+    if uni.family == "C":
+        return MatrixGroup(fld, 2 * uni.rank, tuple(_sp_generators(fld, uni.rank)), uni)
+    return MatrixGroup(fld, uni.rank + 1, tuple(_su_generators(fld, uni.rank + 1, uni.k)), uni)
 
 
 def spectrum_table(spec, cap=DEFAULT_CAP):
@@ -479,7 +482,9 @@ def spectrum_table(spec, cap=DEFAULT_CAP):
 
 
 def _version_table(group, version, cap):
-    """The table of the universal group, or of its quotient by its center."""
+    """The universal group's table, or that of G/Z for Z its singleton classes."""
+    table = enumerate_group(group, cap)
     if version == "universal":
-        return enumerate_group(group, cap)
-    return quotient_spectrum(group, center_of(group, cap), cap)
+        return table
+    reps, _, sizes = _classes(table.payload)
+    return _quotient_table(table.payload, table.payload.keys[reps[sizes == 1]])

@@ -22,7 +22,7 @@ from omega.oracle import (
     semidirect_spectrum,
 )
 from omega.oracle.action import _cover_witness
-from omega.oracle.kernel import _Codes, _make_codec
+from omega.oracle.kernel import _make_codec
 
 
 def mat_vec(fld, g, v):
@@ -117,6 +117,16 @@ def test_semidirect_sym3_closed_form(q):
         1: 1, 2: 3 * q, 3: q**3 - 1 + 2 * q**2, 6: 3 * (q**3 - q), 9: 2 * (q**3 - q**2)}
 
 
+def test_semidirect_of_plus_minus_one_past_the_table_limit():
+    # GF(3^7) has no addition table, and its 1 x 1 keys take the wide kernel:
+    # (v, 1) has order 3 for v != 0, and N(-1) = 0 gives every (v, -1) order 2
+    fld = build_field(3, 7)
+    assert fld.add_table is None
+    group = MatrixGroup(fld, 1, (Matrix(fld, [[fld.neg(1)]]),))
+    table = semidirect_spectrum(natural_action(group))
+    assert table.order_histogram == {1: 1, 2: 2187, 3: 2186}
+
+
 def null_count_histogram(action, one_short=False):
     """Per element s of order m: the vectors v with N(s) v = 0, where
     N(s) = 1 + s + ... + s^(m-1), go to order m and the rest to p*m.  With
@@ -181,11 +191,10 @@ def per_element_cover_witness(action, m):
     rec = table.payload
     idx = np.flatnonzero(table.orders() == m)
     S = _make_codec(fld, rec.dim).decode(rec.keys[idx])
-    codes = _Codes(fld)
     tot = pw = np.broadcast_to(np.eye(rec.dim, dtype=S.dtype), S.shape)
     for _ in range(m - 1):
-        pw = codes.pair(pw, S)
-        tot = codes.add(tot, pw)
+        pw = fld.matmul(pw, S)
+        tot = fld.add_many(tot, pw)
     hit = np.flatnonzero(tot.any(axis=(1, 2)))
     if not len(hit):
         return None

@@ -1,12 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from omega.claims import (CATALOG, _BY_ID, _CHECKS, Claim, ClaimResult, _pair_order, run_claim,
                           run_suite)
-from omega.oracle import Matrix, build_field
-from omega.oracle.kernel import _Codes
+from omega.oracle import Matrix, build_field, classical_generators, matgroup
 
 
 def test_catalog_shape():
@@ -75,11 +75,10 @@ def test_claim_checks_hold_without_asserts():
 
 def step_pair_order(fld, s, v):
     """Order of (v, s) under (a, g)(b, h) = (a + g.b, g.h), one product at a time."""
-    codes = _Codes(fld)
     base = np.asarray(v, dtype=np.uint16)
     cur_v, cur_g, k = base.copy(), s, 1
     while cur_v.any() or not cur_g.is_identity():
-        cur_v = codes.add(cur_v, codes.pair(cur_g.a, base[:, None])[:, 0])
+        cur_v = fld.add_many(cur_v, fld.matmul(cur_g.a, base[:, None])[:, 0])
         cur_g = cur_g @ s
         k += 1
         if k > 4096:
@@ -238,3 +237,18 @@ def test_result_shape():
     d = r.as_dict()
     assert sorted(d) == ["evidence", "id", "params", "verdict"]
     assert d["id"] == "C2" and d["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("claim_id, params, spec", [
+    ("C6", {"n": 2, "q": 2}, "C(2,2)u"), ("C4", {"q": 4}, "C(2,4)u")])
+def test_one_group_build_per_claim(claim_id, params, spec):
+    """The witness search, the semidirect count and the spectrum table of a
+    claim share one universal group: one generator search and one
+    elimination of its generators (three and two without the memo)."""
+    matgroup._universal.cache_clear()
+    with mock.patch.object(matgroup, "_sp_generators", wraps=matgroup._sp_generators) as search, \
+            mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
+        assert run_claim(claim_id, params).verdict == "pass"
+    gens = np.stack([g.a for g in classical_generators(spec).generators])
+    assert search.call_count == 1
+    assert sum(np.array_equal(call.args[1], gens) for call in elim.call_args_list) == 1

@@ -24,14 +24,16 @@ from omega.oracle import (
     verify_frobenius,
 )
 from omega.oracle import action, frobenius, matgroup
-from omega.oracle.kernel import _Codes, _Packed, _Wide, _kernel, _make_codec
+from omega.oracle.kernel import _Packed, _Wide, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers
 
 
 @pytest.fixture
 def fresh_memo():
+    """No table and no universal group known, as in a fresh process."""
     saved = dict(_TABLE_MEMO)
     _TABLE_MEMO.clear()
+    matgroup._universal.cache_clear()
     yield
     _TABLE_MEMO.clear()
     _TABLE_MEMO.update(saved)
@@ -66,16 +68,16 @@ def test_orders_match_scalar_order(name):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_sl2_class_count(q):
     table = enumerate_group(classical_generators(f"A(1,{q})u"))
-    c = _classes(table.payload)
+    reps, label, sizes = _classes(table.payload)
     # SL2(q) has q + 1 classes for even q and q + 4 for odd q
-    assert len(c.reps) == (q + 1 if q % 2 == 0 else q + 4)
-    assert c.sizes.sum() == table.size
-    assert all(table.size % int(s) == 0 for s in c.sizes)
-    assert (np.bincount(c.label) == c.sizes).all()
+    assert len(reps) == (q + 1 if q % 2 == 0 else q + 4)
+    assert sizes.sum() == table.size
+    assert all(table.size % int(s) == 0 for s in sizes)
+    assert (np.bincount(label) == sizes).all()
     # each representative is the least index of its class
-    assert (c.label[c.reps] == np.arange(len(c.reps))).all()
-    by_class = np.argsort(c.label, kind="stable")
-    assert (by_class[np.r_[0, np.cumsum(c.sizes)[:-1]]] == c.reps).all()
+    assert (label[reps] == np.arange(len(reps))).all()
+    by_class = np.argsort(label, kind="stable")
+    assert (by_class[np.r_[0, np.cumsum(sizes)[:-1]]] == reps).all()
 
 
 def _codes_of(table):
@@ -88,10 +90,10 @@ def _codes_of(table):
 def test_center_matches_commuting_filter(spec):
     group = classical_generators(spec)
     table = enumerate_group(group)
-    stack, codes = _codes_of(table), _Codes(group.field)
+    stack, fld = _codes_of(table), group.field
     mask = np.ones(table.size, dtype=bool)
     for g in group.generators:
-        same = codes.pair(stack, g.a) == codes.pair(g.a, stack)
+        same = fld.matmul(stack, g.a) == fld.matmul(g.a, stack)
         mask &= same.reshape(table.size, -1).all(axis=1)
     want = [table.element(int(i)) for i in np.flatnonzero(mask)]
     assert center_of(group) == want
@@ -100,16 +102,16 @@ def test_center_matches_commuting_filter(spec):
 def naive_quotient_histogram(group, zs):
     """Orders of the cosets xZ, each coset named by its least key."""
     table = enumerate_group(group)
-    fld, stack, codes = group.field, _codes_of(table), _Codes(group.field)
+    fld, stack = group.field, _codes_of(table)
     codec = _make_codec(fld, group.dim)
     zk = codec.keys(np.stack([z.a.astype(fld.code_dtype) for z in zs]))
-    coset = np.min([codec.keys(codes.pair(stack, z.a)) for z in zs], axis=0)
+    coset = np.min([codec.keys(fld.matmul(stack, z.a)) for z in zs], axis=0)
     _, first = np.unique(coset, return_index=True)
     reps = stack[first]
     cur, m = reps.copy(), np.ones(len(reps), dtype=np.int64)
     alive = ~np.isin(codec.keys(cur), zk)
     while alive.any():
-        cur[alive] = codes.pair(cur[alive], reps[alive])
+        cur[alive] = fld.matmul(cur[alive], reps[alive])
         m[alive] += 1
         alive[alive] = ~np.isin(codec.keys(cur[alive]), zk)
     return dict(Counter(m.tolist()))
@@ -138,7 +140,7 @@ def test_cache_loaded_table_has_the_same_classes(tmp_path, fresh_memo):
     assert len(loaded.payload.generators) == 8 > len(fresh.payload.generators)
     assert (loaded.orders() == fresh.orders()).all()
     got = _classes(loaded.payload)
-    assert (got.label == want.label).all() and (got.reps == want.reps).all()
+    assert all((a == b).all() for a, b in zip(got, want))
 
 
 def test_simple_table_reuses_classes(fresh_memo):
@@ -282,10 +284,10 @@ def _oracle_run(make):
     _TABLE_MEMO.clear()
     group = make()
     table = enumerate_group(group)
-    rec, c = table.payload, _classes(table.payload)
+    rec, (reps, label, sizes) = table.payload, _classes(table.payload)
     center = center_of(group)
     quotient = quotient_spectrum(group, center)
-    arrays = [rec.keys, _codes_of(table), np.array(rec.generators), c.reps, c.label, c.sizes,
+    arrays = [rec.keys, _codes_of(table), np.array(rec.generators), reps, label, sizes,
               table.orders(), np.array([z.a for z in center]), quotient.orders()]
     return arrays, (table.order_histogram, quotient.order_histogram)
 
@@ -347,29 +349,26 @@ def test_one_elimination_per_stack(fresh_memo):
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == w.complement_order
 
 
-def test_one_elimination_per_group(tmp_path, fresh_memo, monkeypatch):
+def test_one_elimination_per_group(tmp_path, fresh_memo):
     """The group's validating elimination gives the inverses that the classes
     conjugate with, for enumerated and for cache-loaded records."""
     with mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
         group = classical_generators("C(2,3)u")
         fresh = enumerate_group(group)
         assert elim.call_count == 1
-    # spectrum_table builds its group again; given this one, the center and
-    # the quotient eliminate nothing
-    with monkeypatch.context() as m, \
-            mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
-        m.setattr(matgroup, "classical_generators", lambda spec: group)
+    # spectrum_table finds the same group built; the center and the
+    # quotient eliminate nothing
+    with mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
         spectrum_table("C(2,3)s")
         assert elim.call_count == 0
     cached_spectrum_table("C(2,3)u", cache_dir=tmp_path)
     _TABLE_MEMO.clear()
     loaded = cached_spectrum_table("C(2,3)u", cache_dir=tmp_path)
     assert loaded is not fresh
-    codes = _Codes(group.field)
     for rec in (fresh.payload, loaded.payload):
         gens = np.stack(rec.generators)
         assert rec.inverses.shape == gens.shape
-        assert (codes.pair(rec.inverses, gens) == np.eye(group.dim, dtype=gens.dtype)).all()
+        assert (group.field.matmul(rec.inverses, gens) == np.eye(group.dim, dtype=gens.dtype)).all()
 
 
 @pytest.mark.parametrize("spec", ["2A(3,2)u", "A(2,4)s"])
@@ -378,6 +377,7 @@ def test_one_elimination_per_cached_request(tmp_path, fresh_memo, spec):
     and the save, and the table or the center and quotient, all use it."""
     for _ in ("miss", "hit"):
         _TABLE_MEMO.clear()
+        matgroup._universal.cache_clear()
         with mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
             cached_spectrum_table(spec, cache_dir=tmp_path)
         assert elim.call_count == 1

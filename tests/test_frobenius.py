@@ -64,7 +64,8 @@ def test_sl_hyperplane_witnesses():
 def _action_powers(fld, lam, t, e):
     """act^1 .. act^e for act = lam (t^-1)^T, the action of diag(lam, t) on
     the translation rows."""
-    act = Matrix(fld, fld.mul_many(_eliminate(fld, t[None]).inverse[0].T, lam))
+    _, _, inverse = _eliminate(fld, t[None])
+    act = Matrix(fld, fld.mul_many(inverse[0].T, lam))
     return list(itertools.accumulate([act] * e, operator.matmul))
 
 
@@ -84,7 +85,8 @@ def _searched_complement(n, q):
         if math.gcd(big_order, u) != big_order // e:
             continue
         t = (singer**u).a
-        lam = fld.inv(int(_eliminate(fld, t[None]).det[0]))
+        _, det, _ = _eliminate(fld, t[None])
+        lam = fld.inv(int(det[0]))
         powers = _action_powers(fld, lam, t, e)
         if powers[-1].is_identity() and (
                 _moved_ranks(fld, np.array([g.a for g in powers[:-1]])) == n - 1).all():

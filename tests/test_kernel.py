@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omega.oracle import build_field, classical_generators, enumerate_group, kernel
-from omega.oracle.kernel import _Codes, _Packed, _Wide, _eliminate, _kernel, _make_codec
+from omega.oracle.kernel import _Packed, _Wide, _eliminate, _kernel, _make_codec
 
 # Every field shape: p = 2 with k = 1 and k > 1, odd p with k = 1 and k > 1,
 # and q > 2048, where the field has no full multiplication or addition table.
@@ -114,20 +114,21 @@ def test_chunked_row_sums(p, k, d):
 
 def check_kernels(fld, d, g, X, Y, chunk):
     # one pair of plain matrices, as Matrix.__matmul__ multiplies them
-    codes = _Codes(fld)
-    assert (codes.pair(X[0], Y[0]) == ref_product(fld, X[0], Y[0])).all()
-    S = codes.add(X, Y)
+    assert (fld.matmul(X[0], Y[0]) == ref_product(fld, X[0], Y[0])).all()
+    S = fld.add_many(X, Y)
+    assert S.dtype == fld.code_dtype
     for i in range(len(X)):
         want = [[fld.add(int(a), int(b)) for a, b in zip(ra, rb)] for ra, rb in zip(X[i], Y[i])]
         assert (S[i] == np.array(want)).all()
     codec = _make_codec(fld, d)
     KX, KY = codec.keys(X), codec.keys(Y)
     for kern in kernels(fld, d):
-        # chunk = 2 splits every stack of more than two matrices
-        with mock.patch.multiple(kernel, _CHUNK=chunk, _PACKED_CHUNK=chunk):
+        # chunk = 2 splits every stack of more than two keys into blocks
+        with mock.patch.object(kernel, "_PACKED_CHUNK", chunk):
             L, R = kern.left(g, KX), kern.right(KX, g)
-        for got in (L, R):
+        for got, whole in ((L, kern.left(g, KX)), (R, kern.right(KX, g))):
             assert got.dtype == KX.dtype and got.shape == KX.shape
+            assert (got == whole).all()
         L, R = codec.decode(L), codec.decode(R)
         for i in range(len(X)):
             assert (L[i] == ref_product(fld, g, X[i])).all()
@@ -170,6 +171,17 @@ def test_stacked_left_is_one_left_per_matrix(problem, data, chunk):
             assert (kern.left(g, keys) == kern.left(g[None], keys)[0]).all()
 
 
+def traced_peak(fn):
+    """Traced peak bytes of a second call of fn."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_left_memory_budget():
     """Traced peak of left on C(2,3)u's 51840 keys: one generator took 1.31 MB
     (25.3 bytes per key) with a list of blocks joined at the end, and 1.20 MB
@@ -178,37 +190,38 @@ def test_left_memory_budget():
     group = classical_generators("C(2,3)u")
     keys = enumerate_group(group).payload.keys
     kern, stack = _kernel(group.field, group.dim), np.stack([g.a for g in group.generators])
+    assert max(traced_peak(lambda: kern.left(g, keys)) for g in stack) <= 25.3 * len(keys)
+    assert traced_peak(lambda: kern.left(stack, keys)) <= (8 * (len(stack) - 1) + 25.3) * len(keys)
 
-    def peak(g):
-        kern.left(g, keys)
-        tracemalloc.start()
-        try:
-            kern.left(g, keys)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert max(peak(g) for g in stack) <= 25.3 * len(keys)
-    assert peak(stack) <= (8 * (len(stack) - 1) + 25.3) * len(keys)
+def test_wide_memory_budget():
+    """Traced peak of the wide kernel on C(2,3)u's 51840 keys: its outputs
+    plus two uint64 copies of one block's entries, whatever the number of
+    keys.  Decoding all the keys at once took 6.2 MB for one matrix, 7.8 MB
+    for the stack of four generators and 5.4 MB for right; in blocks, 3.2,
+    4.5 and 3.2 MB."""
+    group = classical_generators("C(2,3)u")
+    keys = enumerate_group(group).payload.keys
+    wide, stack = _Wide(group.field, group.dim), np.stack([g.a for g in group.generators])
+    block = 2 * 8 * group.dim ** 2 * kernel._PACKED_CHUNK
+    assert traced_peak(lambda: wide.left(stack[0], keys)) <= 8 * len(keys) + block
+    assert traced_peak(lambda: wide.left(stack, keys)) <= 8 * len(stack) * len(keys) + block
+    assert traced_peak(lambda: wide.right(keys, stack[0])) <= 8 * len(keys) + block
 
 
 def test_kernels_take_and_return_keys_only():
-    # the packed and the wide kernel share one keyed interface, and the
-    # code-stack arithmetic has no keys, codec or fixed-operand products
+    # the packed and the wide kernel share one keyed interface
     for cls in (_Packed, _Wide):
         assert {n for n in vars(cls) if not n.startswith("_")} == {"left", "right"}
-    assert {n for n in vars(_Codes) if not n.startswith("_")} == {"add", "pair"}
-    assert not hasattr(_Codes(build_field(3, 2)), "codec")
 
 
 @SETTINGS
 @given(problems(max_w=6))
 def test_rectangular_operands(problem):
     fld, d, g, X, Y = problem
-    codes = _Codes(fld)
-    left = codes.pair(g, X)
-    right = codes.pair(np.transpose(X, (0, 2, 1)), g)
-    wide = codes.pair(Y, X[0])
+    left = fld.matmul(g, X)
+    right = fld.matmul(np.transpose(X, (0, 2, 1)), g)
+    wide = fld.matmul(Y, X[0])
     for i in range(len(X)):
         assert (left[i] == ref_product(fld, g, X[i])).all()
         assert (right[i] == ref_product(fld, X[i].T, g)).all()
@@ -289,20 +302,20 @@ def test_eliminate(problem, data):
         if data.draw(st.booleans()):
             Y[i, -1] = fld.mul_many(2 % fld.p, Y[i, 0]) if d > 1 else 0
     for A in (X, Y, g[None]):
-        ech = _eliminate(fld, A)
+        rank, det, inverse = _eliminate(fld, A)
         n, r, c = A.shape
-        assert ech.rank.shape == (n,)
+        assert rank.shape == (n,)
         for i, a in enumerate(A):
-            one = _eliminate(fld, A[i:i + 1])
-            assert ech.rank[i] == one.rank[0] == ref_rank(fld, a)
+            one_rank, one_det, one_inverse = _eliminate(fld, A[i:i + 1])
+            assert rank[i] == one_rank[0] == ref_rank(fld, a)
             if r != c:
-                assert ech.det is None and ech.inverse is None
+                assert det is None and inverse is None
                 continue
-            assert ech.det[i] == one.det[0] == ref_det(fld, a.tolist())
-            assert (ech.det[i] == 0) == (ech.rank[i] < r)
-            if ech.rank[i] == r:
-                assert (ech.inverse[i] == one.inverse[0]).all()
-                assert (ref_product(fld, a, ech.inverse[i]) == np.eye(r)).all()
+            assert det[i] == one_det[0] == ref_det(fld, a.tolist())
+            assert (det[i] == 0) == (rank[i] < r)
+            if rank[i] == r:
+                assert (inverse[i] == one_inverse[0]).all()
+                assert (ref_product(fld, a, inverse[i]) == np.eye(r)).all()
 
 
 @pytest.mark.parametrize("p, d", [(127, 4), (131, 4), (251, 1), (257, 1), (257, 2)])
@@ -313,8 +326,8 @@ def test_prime_field_products_near_the_uint16_bound(p, d):
     rng = np.random.default_rng(p * d)
     for X in (np.full((3, d, d), p - 1), rng.integers(0, p, size=(3, d, d))):
         X = X.astype(fld.code_dtype)
-        g, Y, codes = X[1], X[::-1], _Codes(fld)
-        L, R, P = codes.pair(g, X), codes.pair(X, g), codes.pair(X, Y)
+        g, Y = X[1], X[::-1]
+        L, R, P = fld.matmul(g, X), fld.matmul(X, g), fld.matmul(X, Y)
         for i in range(len(X)):
             assert (L[i] == ref_product(fld, g, X[i])).all()
             assert (R[i] == ref_product(fld, X[i], g)).all()

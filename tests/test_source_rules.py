@@ -2,7 +2,8 @@
 whose check would vanish under `python -O`; no claim reaching into the
 private arithmetic kernel, so that the claims stay independent of it; no
 use of `numpy.random`, whose lazy import is paid on first use; and no
-generated code, which every fresh process would pay for at import."""
+generated code (dataclasses, namedtuples, exec or eval), which every fresh
+process would pay for at import."""
 
 import ast
 from pathlib import Path
@@ -60,19 +61,27 @@ def test_no_numpy_random(path):
 def test_no_generated_code(path):
     """dataclasses exec the methods they generate each time their module is
     imported: 7-13 ms of every fresh process for the package's twelve
-    records, which are plain classes on omega.record.Record instead; nor
+    records, which are plain classes on omega.record.Record instead;
+    namedtuple (and typing.NamedTuple, built on it) evals its class source,
+    0.22-0.27 ms per process for three, so results are plain tuples; nor
     does any module call exec or eval."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    tuple_factories = ("namedtuple", "NamedTuple")
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             hit = any(a.name.split(".")[0] == "dataclasses" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            hit = not node.level and (node.module or "").split(".")[0] == "dataclasses"
+            hit = (not node.level and (node.module or "").split(".")[0] == "dataclasses"
+                   or any(a.name in tuple_factories for a in node.names))
         elif isinstance(node, ast.Call):
             hit = isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval")
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in tuple_factories
+        elif isinstance(node, ast.Name):
+            hit = node.id in tuple_factories
         else:
             continue
         if hit:
             lines.append(node.lineno)
-    assert lines == [], f"dataclasses, exec or eval used at lines {lines}"
+    assert lines == [], f"dataclasses, namedtuple, exec or eval used at lines {lines}"
