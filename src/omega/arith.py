@@ -1,13 +1,16 @@
 """Integer arithmetic: factoring, part-extraction, primitive prime divisors."""
 
 import math
-from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 
 from .record import Record
 
 _SIEVE_BOUND = 10_000
+# Squarings the first rho walk of a split may take: rounds up to a cycle
+# bound of 2^11, which splits Phi_17(10) = 2071723 * 5363222357.
+_RHO_BUDGET = 1 << 13
 
 
 def _sieve(bound):
@@ -20,9 +23,17 @@ def _sieve(bound):
     return np.flatnonzero(flags).tolist()
 
 
-_PM1_PRIMES = _sieve(100_000)
-SMALL_PRIMES = _PM1_PRIMES[:bisect_right(_PM1_PRIMES, _SIEVE_BOUND)]
+SMALL_PRIMES = _sieve(_SIEVE_BOUND)
 _SMALL_SET = set(SMALL_PRIMES)
+
+
+@lru_cache(maxsize=None)
+def _pm1_primes():
+    """The primes up to 10^5 that Pollard p-1 raises to, built on first use
+    (1 ms): p-1 runs only where the budgeted rho fails, which it does
+    nowhere on the claim catalog's grids."""
+    return _sieve(100_000)
+
 
 # Miller-Rabin with these bases is a proof of primality below this bound.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -123,7 +134,7 @@ def is_prime(n):
 def _pminus1(n, bound):
     # Pollard p-1 first stage; cheap and effective when some p-1 is smooth.
     a = 2
-    for p in _PM1_PRIMES:
+    for p in _pm1_primes():
         if p > bound:
             break
         a = pow(a, p ** int(math.log(bound, p)), n)
@@ -133,15 +144,18 @@ def _pminus1(n, bound):
     return g if 1 < g < n else None
 
 
-def _brent(n):
-    # Pollard rho, Brent's cycle finding. n must be odd composite, not a prime power
-    # issue either way: returns some nontrivial factor. Deterministic parameter walk.
+def _brent(n, budget=math.inf):
+    # Pollard rho with Brent's cycle finding, c = 1, 2, ... in turn: some
+    # proper factor of an odd composite n, or None once the next round of
+    # the walk would take it past budget squarings.
     if n % 2 == 0:
         return 2
-    c = 1
+    c, steps = 1, 0
     while True:
         y, m, g, r, q = 2, 128, 1, 1, 1
         while g == 1:
+            if steps + 2 * r > budget:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -153,6 +167,7 @@ def _brent(n):
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += r + min(k, r)
             r *= 2
         if g == n:
             g = 1
@@ -164,30 +179,54 @@ def _brent(n):
         c += 1
 
 
+@lru_cache(maxsize=None)
+def _primorial():
+    """The product of SMALL_PRIMES, built on first use (0.6 ms)."""
+    return math.prod(SMALL_PRIMES)
+
+
+def _small_primes_of(n):
+    """The primes of SMALL_PRIMES dividing n, ascending: trial division of
+    g = gcd(n, their product), or of n itself up to _SIEVE_BOUND, where the
+    gcd costs more than the loop; none when g = 1, and only until p^2 > g,
+    where the rest of g is one prime or 1."""
+    g = n if n <= _SIEVE_BOUND else math.gcd(n, _primorial())
+    for p in SMALL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            yield p
+            while g % p == 0:
+                g //= p
+    if g > 1:
+        yield g
+
+
 def _factor(n):
-    """Unbounded engine: prime -> exponent dict, smallest primes first."""
+    """Unbounded engine: prime -> exponent dict, smallest primes first.
+    After the primes of SMALL_PRIMES, a part with none of them is prime if
+    it is at most _SIEVE_BOUND^2; otherwise a budgeted rho, Pollard p-1 at
+    two bounds, and an unbounded rho split it in turn."""
     if n < 1:
         raise ValueError(f"factoring wants n >= 1, got {n}")
     out = {}
-    for p in SMALL_PRIMES:
-        if p * p > n:
-            break
+    for p in _small_primes_of(n):
+        out[p] = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+            out[p] += 1
             n //= p
-    if n == 1:
-        return out
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m <= _SIEVE_BOUND**2 or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         r = math.isqrt(m)
         if r * r == m:
             stack += [r, r]
             continue
-        d = _pminus1(m, 10_000) or _pminus1(m, 100_000) or _brent(m)
+        d = (_brent(m, _RHO_BUDGET) or _pminus1(m, 10_000) or _pminus1(m, 100_000)
+             or _brent(m))
         if not 1 < d < m:
             raise RuntimeError(f"no proper split of {m}: got {d}")
         stack += [d, m // d]
@@ -285,12 +324,10 @@ def cyclotomic_value(n, q):
 def smallest_prime_factor(n):
     if n < 2:
         raise ValueError(f"smallest_prime_factor wants n >= 2, got {n}")
-    for p in SMALL_PRIMES:
-        if n % p == 0:
-            return p
-        if p * p > n:
-            return n
-    if is_prime(n):
+    small = next(_small_primes_of(n), None)
+    if small is not None:
+        return small
+    if n <= _SIEVE_BOUND**2 or is_prime(n):
         return n
     return min(_factor(n))
 

@@ -13,6 +13,9 @@ from .matgroup import (Matrix, MatrixGroup, _closure, _elementary, _lookup,
                        classical_generators, enumerate_group)
 
 VERIFY_CAP = 1 << 20
+# Keyed products per block of verify_frobenius: each of aK and Ka has about
+# this many keys.
+_VERIFY_BLOCK = 1 << 20
 
 
 class WitnessSearchError(RuntimeError):
@@ -186,7 +189,12 @@ def frobenius_witness(kind, params):
 def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     """Exhaustive Frobenius check: trivial intersection, normalization, and a
     fixed-point-free complement action. Returns a verdict with counterexample.
-    It reads only the two groups' key sets: no classes or orders are built."""
+    It reads only the two groups' key sets: no classes or orders are built.
+    A complement element a normalizes K iff aK = Ka, and fixes k iff ak = ka,
+    so no inverse is taken: per block of complement elements, the rows aK
+    and Ka of keyed products are compared as sorted rows and entrywise.  The
+    first non-identity element in key order that fails is reported, a
+    normalization failure before a fixed point."""
     fld = kernel_gens[0].field
     dim = kernel_gens[0].dim
     k_keys = _closure(MatrixGroup(fld, dim, tuple(kernel_gens)), cap)[0]
@@ -198,6 +206,12 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
         return next(m for m in (Matrix(fld, a) for a in codec.decode(keys))
                     if not m.is_identity())
 
+    def refuted(reason, a_keys, k_mask):
+        return FrobeniusVerdict(
+            ok=False, kernel_order=ko, complement_order=co, reason=reason,
+            counterexample=(Matrix(fld, codec.decode(a_keys)[0]), nontrivial(k_keys[k_mask])),
+        )
+
     _, both = _lookup(k_keys, c_keys)
     if int(both.sum()) != 1:
         shared = nontrivial(c_keys[both])
@@ -206,25 +220,22 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
             reason="kernel and complement intersect beyond the identity",
             counterexample=(shared, shared),
         )
-    C = codec.decode(c_keys)
-    _, _, inverses = _eliminate(fld, C)
-    for a, a_inv in zip(C, inverses):
-        c = Matrix(fld, a)
-        if c.is_identity():
+    K = codec.decode(k_keys)
+    one = codec.keys(np.eye(dim, dtype=fld.code_dtype)[None])[0]
+    step = max(1, _VERIFY_BLOCK // ko)
+    for lo in range(0, co, step):
+        part = c_keys[lo:lo + step]
+        aK, Ka = kern.left(codec.decode(part), k_keys), kern.left(K, part).T
+        fixed = aK == Ka
+        normal = (np.sort(aK, axis=1) == np.sort(Ka, axis=1)).all(axis=1)
+        bad = np.flatnonzero((~normal | (fixed.sum(axis=1) > 1)) & (part != one))
+        if not len(bad):
             continue
-        conj_keys = kern.right(kern.left(a, k_keys), a_inv)
-        _, inside = _lookup(k_keys, conj_keys)
-        if not inside.all():
-            return FrobeniusVerdict(
-                ok=False, kernel_order=ko, complement_order=co,
-                reason="complement element does not normalize the kernel",
-                counterexample=(c, nontrivial(k_keys[~inside])),
-            )
-        fixed = conj_keys == k_keys
-        if int(fixed.sum()) > 1:
-            return FrobeniusVerdict(
-                ok=False, kernel_order=ko, complement_order=co,
-                reason="complement element fixes a nontrivial kernel element",
-                counterexample=(c, nontrivial(k_keys[fixed])),
-            )
+        i = bad[0]
+        if not normal[i]:
+            # a k a^-1 lies in K iff a k lies in K a
+            return refuted("complement element does not normalize the kernel",
+                           part[i:i + 1], ~np.isin(aK[i], Ka[i]))
+        return refuted("complement element fixes a nontrivial kernel element",
+                       part[i:i + 1], fixed[i])
     return FrobeniusVerdict(ok=True, kernel_order=ko, complement_order=co)

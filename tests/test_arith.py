@@ -6,9 +6,12 @@ import pytest
 from omega.arith import (
     SMALL_PRIMES,
     _GCD_ROWS,
+    _RHO_BUDGET,
     Factored,
+    _brent,
     _factor,
     _jacobi,
+    _pminus1,
     _sieve,
     cyclotomic_value,
     divisors,
@@ -205,6 +208,32 @@ def test_smallest_prime_factor():
     for _ in range(100):
         n = rng.randrange(2, 10**8)
         assert smallest_prime_factor(n) == min(ref_factor(n))
+
+
+# One number per stage of _factor: the budgeted rho (Phi_17(7), Phi_17(10)),
+# the first semiprime past the prime shortcut at 10^8 with no factor below
+# 10^4, a prime below it, the square test and a prime cube, and a semiprime
+# that passes the rho budget and both p-1 bounds.  Near 10^6 every rho walk
+# splits within the budget, so its factors are near 2 * 10^6.
+PAST_BUDGET = (2013653, 2053757)
+STAGE_CASES = [cyclotomic_value(17, 7), cyclotomic_value(17, 10), 10007 * 10009, 99999989,
+               10007**2, 10007**3, math.prod(PAST_BUDGET)]
+
+
+@pytest.mark.parametrize("n", STAGE_CASES)
+def test_factoring_stages_match_reference(n):
+    want = ref_factor(n)
+    assert _factor(n) == want
+    assert smallest_prime_factor(n) == min(want)
+
+
+def test_factoring_stage_reached():
+    assert _brent(cyclotomic_value(17, 7), _RHO_BUDGET) == 14009
+    assert _brent(cyclotomic_value(17, 10), _RHO_BUDGET) == 2071723
+    n = math.prod(PAST_BUDGET)
+    assert _brent(n, _RHO_BUDGET) is None
+    assert _pminus1(n, 10_000) is None and _pminus1(n, 100_000) is None
+    assert _brent(n) in PAST_BUDGET
 
 
 def test_is_prime_power():

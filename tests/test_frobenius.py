@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from omega.arith import r_part
+from omega.claims import CATALOG
 from omega.oracle import (
     CapExceeded,
     FrobeniusVerdict,
@@ -18,10 +19,10 @@ from omega.oracle import (
 )
 from omega.oracle import frobenius, matgroup
 from omega.oracle.action import _moved_ranks
-from omega.oracle.frobenius import (_mult_order, _singer_block, _sl_hyperplane_witness,
-                                    _sp_torus_witness)
-from omega.oracle.kernel import _eliminate
-from omega.oracle.matgroup import _TABLE_MEMO
+from omega.oracle.frobenius import (VERIFY_CAP, _mult_order, _singer_block,
+                                    _sl_hyperplane_witness, _sp_torus_witness)
+from omega.oracle.kernel import _eliminate, _kernel, _make_codec
+from omega.oracle.matgroup import _TABLE_MEMO, MatrixGroup, _closure, _lookup
 
 
 @pytest.fixture
@@ -206,3 +207,100 @@ def test_verify_keeps_the_cap(fresh_memo):
         verify_frobenius(w.kernel_gens, w.complement_gens, cap=4)
     assert 4 < err.value.found <= 4 + matgroup._CAP_CHUNK
     assert err.value.cap == 4
+
+
+def looped_verify(kernel_gens, complement_gens, cap=VERIFY_CAP):
+    """The Frobenius check one complement element at a time, as a plain
+    reference: each non-identity element a, in key order, conjugates the
+    kernel by its inverse from an elimination; a k a^-1 outside K refutes
+    normalization, a k a^-1 = k for k != 1 a free action."""
+    fld, dim = kernel_gens[0].field, kernel_gens[0].dim
+    k_keys = _closure(MatrixGroup(fld, dim, tuple(kernel_gens)), cap)[0]
+    c_keys = _closure(MatrixGroup(fld, dim, tuple(complement_gens)), cap)[0]
+    ko, co = len(k_keys), len(c_keys)
+    codec, kern = _make_codec(fld, dim), _kernel(fld, dim)
+
+    def nontrivial(keys):
+        return next(m for m in (Matrix(fld, a) for a in codec.decode(keys))
+                    if not m.is_identity())
+
+    def refuted(reason, example):
+        return FrobeniusVerdict(False, ko, co, reason, example)
+
+    _, both = _lookup(k_keys, c_keys)
+    if int(both.sum()) != 1:
+        shared = nontrivial(c_keys[both])
+        return refuted("kernel and complement intersect beyond the identity", (shared, shared))
+    C = codec.decode(c_keys)
+    _, _, inverses = _eliminate(fld, C)
+    for a, a_inv in zip(C, inverses):
+        c = Matrix(fld, a)
+        if c.is_identity():
+            continue
+        conj_keys = kern.right(kern.left(a, k_keys), a_inv)
+        _, inside = _lookup(k_keys, conj_keys)
+        if not inside.all():
+            return refuted("complement element does not normalize the kernel",
+                           (c, nontrivial(k_keys[~inside])))
+        fixed = conj_keys == k_keys
+        if int(fixed.sum()) > 1:
+            return refuted("complement element fixes a nontrivial kernel element",
+                           (c, nontrivial(k_keys[fixed])))
+    return FrobeniusVerdict(True, ko, co)
+
+
+def _rejected_cases():
+    """The three rejecting cases above; the unitriangular 3 x 3 group over
+    GF(2) with the swap of coordinates 0 and 1, which keeps the elements
+    with no (0, 1) entry in it, the first non-identity ones in key order,
+    and moves the others out; and two over GF(2) in dimension 9, whose keys
+    are too wide to pack: the translations of the affine line over GF(2^8)
+    with a swap that moves row 0 (no normalizer), and with one that swaps
+    coordinates 1 and 2 (fixes w with w1 = w2)."""
+    f3, f2 = build_field(3, 1), build_field(2, 1)
+    k = Matrix(f3, [[1, 1], [0, 1]])
+    translations = frobenius_witness("gl-affine", (2, 8)).kernel_gens
+
+    def swap(n, i, j):
+        m = np.eye(n, dtype=np.uint16)
+        m[[i, j]] = m[[j, i]]
+        return Matrix(f2, m)
+
+    upper = (Matrix(f2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+             Matrix(f2, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]))
+    return {
+        "intersect": ((k,), (k,)),
+        "central": ((k,), (Matrix(f3, [[2, 0], [0, 2]]),)),
+        "non-normalizing": ((k,), (Matrix(f3, [[0, 1], [2, 0]]),)),
+        "partly-normalizing": (upper, (swap(3, 0, 1),)),
+        "wide-non-normalizing": (translations, (swap(9, 0, 1),)),
+        "wide-fixing": (translations, (swap(9, 1, 2),)),
+    }
+
+
+C15_POINTS = [(p["kind"], tuple(p["args"]))
+              for p in next(c for c in CATALOG if c.id == "C15").grid]
+WITNESSES = C15_POINTS + [("sp-torus", (2, 2)), ("gl-affine", (2, 8))]
+
+
+@pytest.mark.parametrize("kind, params", WITNESSES, ids=str)
+def test_stacked_verify_matches_loop_on_witnesses(kind, params, monkeypatch):
+    w = frobenius_witness(kind, params)
+    want = looped_verify(w.kernel_gens, w.complement_gens)
+    assert want.ok
+    assert verify_frobenius(w.kernel_gens, w.complement_gens) == want
+    # blocks of three complement elements: gl-affine (2, 8)'s 255 x 256
+    # products take 85 blocks
+    monkeypatch.setattr(frobenius, "_VERIFY_BLOCK", 3 * w.kernel_order)
+    assert verify_frobenius(w.kernel_gens, w.complement_gens) == want
+
+
+@pytest.mark.parametrize("case", sorted(_rejected_cases()))
+def test_stacked_verify_matches_loop_on_rejections(case, monkeypatch):
+    kernel_gens, complement_gens = _rejected_cases()[case]
+    want = looped_verify(kernel_gens, complement_gens)
+    assert not want.ok and want.counterexample is not None
+    assert verify_frobenius(kernel_gens, complement_gens) == want
+    # one complement element per block: the failing one is in a later block
+    monkeypatch.setattr(frobenius, "_VERIFY_BLOCK", 1)
+    assert verify_frobenius(kernel_gens, complement_gens) == want
