@@ -193,6 +193,18 @@ class Field:
         return reduce(self.add_many, (self.mul_exp[la[..., :, j, None] + lb[..., None, j, :]]
                                       for j in range(A.shape[-1])))
 
+    def matpow(self, A, e):
+        """A[i]^e for a code stack A, or one matrix, and e >= 0: square and
+        multiply along the bits of e from the top."""
+        if not e:
+            return np.broadcast_to(np.eye(A.shape[-1], dtype=self.code_dtype), A.shape).copy()
+        out = A.astype(self.code_dtype)
+        for bit in bin(e)[3:]:
+            out = self.matmul(out, out)
+            if bit == "1":
+                out = self.matmul(out, A)
+        return out
+
     # Scalar convenience wrappers.
 
     def add(self, a, b):

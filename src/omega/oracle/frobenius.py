@@ -1,6 +1,5 @@
 """Frobenius subgroup witnesses and an exhaustive pass/fail verifier."""
 
-import itertools
 import math
 
 import numpy as np
@@ -9,13 +8,15 @@ from ..arith import _factor, is_prime_power, r_part
 from ..record import Record
 from .field import build_field
 from .kernel import _eliminate, _kernel, _make_codec
-from .matgroup import (Matrix, MatrixGroup, _closure, _elementary, _lookup,
-                       classical_generators, enumerate_group)
+from .matgroup import (Matrix, _closure, _elementary, _lookup, _stack, classical_generators,
+                       enumerate_group)
 
 VERIFY_CAP = 1 << 20
 # Keyed products per block of verify_frobenius: each of aK and Ka has about
 # this many keys.
 _VERIFY_BLOCK = 1 << 20
+# Companion matrices per code stack of the Singer cycle search.
+_SINGER_BLOCK = 512
 
 
 class WitnessSearchError(RuntimeError):
@@ -43,26 +44,29 @@ class FrobeniusVerdict(Record):
 
 def _singer_block(q, k):
     """Multiplication by a generator of GF(q^k)* as a k x k matrix over GF(q):
-    the companion matrix of a primitive polynomial, found by direct search."""
+    the companion matrix of a primitive polynomial, the first in
+    lexicographic order of the coefficients (constant term nonzero).  The
+    candidates go in blocks of _SINGER_BLOCK, each one code stack raised to
+    q^k - 1 and, for its survivors, to (q^k - 1)/r for each prime r."""
     p = is_prime_power(q)
     if p is None:
         raise ValueError(f"{q} is not a prime power")
     fld = build_field(p, _factor(q)[p])
-    total = q**k - 1
-    fac = sorted(_factor(total))
-    for coeffs in itertools.product(range(q), repeat=k):
-        if coeffs[0] == 0:
-            continue
-        comp = np.zeros((k, k), dtype=np.uint16)
-        for i in range(1, k):
-            comp[i, i - 1] = 1
-        for i in range(k):
-            comp[i, k - 1] = fld.neg(coeffs[i])
-        m = Matrix(fld, comp)
-        if not (m**total).is_identity():
-            continue
-        if all(not (m ** (total // r)).is_identity() for r in fac):
-            return m, fld
+    total, eye = q**k - 1, np.eye(k, dtype=fld.code_dtype)
+
+    def is_one(stack, e):
+        return (fld.matpow(stack, e) == eye).all(axis=(1, 2))
+
+    for lo in range(q ** (k - 1), q**k, _SINGER_BLOCK):
+        coeffs = np.arange(lo, min(lo + _SINGER_BLOCK, q**k))[:, None] // q ** np.arange(k)[::-1] % q
+        comp = np.zeros((len(coeffs), k, k), dtype=fld.code_dtype)
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1
+        comp[:, :, k - 1] = fld.neg_table[coeffs]
+        hit = np.flatnonzero(is_one(comp, total))
+        for r in sorted(_factor(total)):
+            hit = hit[~is_one(comp[hit], total // r)]
+        if len(hit):
+            return Matrix(fld, comp[hit[0]]), fld
     raise WitnessSearchError(f"no primitive degree-{k} polynomial over GF({q})")
 
 
@@ -189,16 +193,23 @@ def frobenius_witness(kind, params):
 def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     """Exhaustive Frobenius check: trivial intersection, normalization, and a
     fixed-point-free complement action. Returns a verdict with counterexample.
-    It reads only the two groups' key sets: no classes or orders are built.
+    One elimination checks that every generator is invertible; then it reads
+    only the two groups' key sets: no classes or orders are built.
     A complement element a normalizes K iff aK = Ka, and fixes k iff ak = ka,
     so no inverse is taken: per block of complement elements, the rows aK
     and Ka of keyed products are compared as sorted rows and entrywise.  The
     first non-identity element in key order that fails is reported, a
     normalization failure before a fixed point."""
-    fld = kernel_gens[0].field
-    dim = kernel_gens[0].dim
-    k_keys = _closure(MatrixGroup(fld, dim, tuple(kernel_gens)), cap)[0]
-    c_keys = _closure(MatrixGroup(fld, dim, tuple(complement_gens)), cap)[0]
+    fld, dim, nk = kernel_gens[0].field, kernel_gens[0].dim, len(kernel_gens)
+    gens = (*kernel_gens, *complement_gens)
+    if any(g.field != fld or g.dim != dim for g in gens):
+        raise ValueError(f"generator is not a {dim}x{dim} matrix over {fld}")
+    gens = _stack([g.a for g in gens], dim)
+    singular = np.flatnonzero(_eliminate(fld, gens)[0] < dim)
+    if len(singular):
+        raise ValueError(f"{'kernel' if singular[0] < nk else 'complement'} generator not invertible")
+    k_keys = _closure(fld, dim, gens[:nk], cap)[0]
+    c_keys = _closure(fld, dim, gens[nk:], cap)[0]
     ko, co = len(k_keys), len(c_keys)
     codec, kern = _make_codec(fld, dim), _kernel(fld, dim)
 

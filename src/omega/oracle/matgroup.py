@@ -60,14 +60,7 @@ class Matrix:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = Matrix.identity(self.field, self.dim)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
+        return Matrix(self.field, self.field.matpow(self.a, e))
 
     def inverse(self):
         rank, _, inverse = _eliminate(self.field, self.a[None])
@@ -183,22 +176,25 @@ def _lookup(keys, pk):
     return pos, keys[np.minimum(pos, len(keys) - 1)] == pk
 
 
-def _closure(group, cap):
-    """Sorted keys of <generators>, and the indices of the generators adopted
-    (those not in the group H of the ones before).  Adopting g enumerates the
-    left cosets of H in <H, g>, which left multiplication permutes: a coset
-    is named by its least key, so membership is tested once per candidate
-    coset.  Each part of a round is multiplied by the whole adopted stack in
-    one left call; in the first round, whose frontier is H, the products by
-    the earlier generators are H again, which the lookup drops."""
-    fld, d = group.field, group.dim
+def _closure(fld, d, gens, cap):
+    """Sorted keys of the group generated by the (n, d, d) code stack gens,
+    and the indices of the generators adopted (those not in the group H of
+    the ones before).  The first lists its powers by doubling.  Adopting a
+    later g enumerates the left cosets of H in <H, g>, which left
+    multiplication permutes: a coset is named by its least key, so
+    membership is tested once per candidate coset.  Each part of a round is
+    multiplied by the whole adopted stack in one left call; in the first
+    round, whose frontier is H, the products by the earlier generators are
+    H again, which the lookup drops."""
     kern, codec = _kernel(fld, d), _make_codec(fld, d)
-    keys = codec.keys(np.eye(d, dtype=fld.code_dtype)[None])
-    gens, adopted = _stack([g.a for g in group.generators], d), []
+    keys, adopted = codec.keys(np.eye(d, dtype=fld.code_dtype)[None]), []
     for i, gk in enumerate(codec.keys(gens)):
         if _lookup(keys, gk[None])[1][0]:
             continue
         adopted.append(i)
+        if len(adopted) == 1:
+            keys = _powers(fld, kern, codec, gens[i], keys, cap)
+            continue
         # leads holds the least key of each coset found, sorted
         stack, n, frontier = gens[adopted], len(keys), keys[None]
         blocks, leads = [frontier], keys[:1]
@@ -220,6 +216,25 @@ def _closure(group, cap):
         keys = np.concatenate(blocks).ravel()
         keys.sort()
     return keys, adopted
+
+
+def _powers(fld, kern, codec, g, one, cap):
+    """Sorted keys of <g>, one holding the identity's key: with g^0 ..
+    g^(L-1) known, one left call by g^L gives the next L powers, or as many
+    as the cap leaves room for, as in a closure round, up to the identity.
+    Order m takes ceil(log2 m) calls."""
+    powers, gl, eye = one, g, np.eye(len(g), dtype=g.dtype)
+    while not (gl == eye).all():
+        new = kern.left(gl, powers[:max(cap - len(powers), _CAP_CHUNK)])
+        end = np.flatnonzero(new == one[0])
+        powers = np.concatenate([powers, new[:end[0]] if len(end) else new])
+        if len(powers) > cap:
+            raise CapExceeded(len(powers), cap, len(powers), 1)
+        if len(end):
+            break
+        gl = fld.matmul(codec.decode(powers[-1:])[0], g)
+    powers.sort()
+    return powers
 
 
 def _classes(rec):
@@ -299,12 +314,13 @@ def _orders(rec):
 def _table(orders, payload, zn=1):
     """ElementTable of per-element orders; with zn > 1, of the cosets of a
     central subgroup of order zn."""
-    vals, counts = np.unique(orders, return_counts=True)
+    counts = np.bincount(orders)
+    vals = np.flatnonzero(counts)
     if len(orders) % zn or (counts % zn).any():
         raise RuntimeError(f"an order count is not divisible by |Z| = {zn}")
     return ElementTable(
         size=len(orders) // zn,
-        order_histogram={int(v): int(c) // zn for v, c in zip(vals, counts)},
+        order_histogram={int(v): int(counts[v]) // zn for v in vals},
         spectrum=tuple(int(v) for v in vals),
         payload=payload,
     )
@@ -332,7 +348,8 @@ def enumerate_group(group, cap=DEFAULT_CAP):
         raise ValueError(f"the cap must be at least 1, got {cap}")
     table = _TABLE_MEMO.get(group.key())
     if table is None:
-        keys, adopted = _closure(group, cap)
+        gens = _stack([g.a for g in group.generators], group.dim)
+        keys, adopted = _closure(group.field, group.dim, gens, cap)
         rec = GroupRecord(group.field, group.dim, keys, [group.generators[i].a for i in adopted],
                           group.inverses[adopted])
         table = _table(_orders(rec), rec)

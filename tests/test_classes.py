@@ -324,7 +324,8 @@ def test_packed_semidirect_and_frobenius_match_code_stacks(q, fresh_memo):
 def test_one_elimination_per_stack(fresh_memo):
     """Generators (whose elimination also gives the conjugating inverses)
     and N(rep) ranks are each eliminated as one stack, the witness's Singer
-    power once, and a passing Frobenius check eliminates nothing: it
+    power once, and a passing Frobenius check eliminates its kernel and
+    complement generators together, once, and builds no MatrixGroup: it
     compares aK with Ka, with no inverse of a."""
     def counted(module):
         return mock.patch.object(module, "_eliminate", wraps=module._eliminate)
@@ -345,9 +346,11 @@ def test_one_elimination_per_stack(fresh_memo):
         w = frobenius_witness("sl-hyperplane", (3, 3))
         # the Singer power's det, and no power of its action
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == 1
-    with counted(frobenius) as elim:
+    with counted(frobenius) as elim, counted(matgroup) as group_elim, \
+            mock.patch.object(matgroup.MatrixGroup, "__init__", side_effect=AssertionError):
         assert verify_frobenius(w.kernel_gens, w.complement_gens).ok
-        assert elim.call_count == 0
+        assert elim.call_count == 1 and group_elim.call_count == 0
+        assert len(elim.call_args[0][1]) == len(w.kernel_gens) + len(w.complement_gens)
 
 
 def test_one_elimination_per_group(tmp_path, fresh_memo):

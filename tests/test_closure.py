@@ -26,6 +26,11 @@ from omega.oracle.kernel import _make_codec
 from omega.oracle.matgroup import _closure, _su_generators
 
 
+def closure(group, cap):
+    """_closure on the generators of a MatrixGroup."""
+    return _closure(group.field, group.dim, np.stack([g.a for g in group.generators]), cap)
+
+
 def naive_closure(group):
     """Every generator applied to every element, level by level, with a dict
     of raw bytes for the known set; stack and keys sorted by the codec key."""
@@ -118,7 +123,7 @@ def generator_lists(draw):
 @given(generator_lists())
 def test_closure_matches_naive_bfs(drawn):
     name, group, (want_stack, want_keys) = drawn
-    keys, _ = _closure(group, matgroup.DEFAULT_CAP)
+    keys, _ = closure(group, matgroup.DEFAULT_CAP)
     stack = _make_codec(group.field, group.dim).decode(keys)
     assert stack.dtype == want_stack.dtype, name
     assert (keys == want_keys).all() and (stack == want_stack).all(), name
@@ -129,7 +134,7 @@ def test_redundant_generators_change_no_table():
     gens = group.generators
     padded = MatrixGroup(group.field, group.dim,
                          (gens[0] @ gens[1], Matrix.identity(group.field, 3)) + gens + gens[:2])
-    a, b = _closure(group, matgroup.DEFAULT_CAP), _closure(padded, matgroup.DEFAULT_CAP)
+    a, b = closure(group, matgroup.DEFAULT_CAP), closure(padded, matgroup.DEFAULT_CAP)
     assert (a[0] == b[0]).all()
     assert enumerate_group(padded).order_histogram == enumerate_group(group).order_histogram
 
@@ -140,7 +145,7 @@ def test_cap_overshoot_is_at_most_one_chunk(spec, cap, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
     with pytest.raises(CapExceeded) as e:
-        _closure(classical_generators(spec), cap)
+        closure(classical_generators(spec), cap)
     assert e.value.cap == cap
     assert cap < e.value.found <= cap + matgroup._CAP_CHUNK
 
@@ -149,11 +154,11 @@ def test_cap_overshoot_is_at_most_one_chunk(spec, cap, chunk, monkeypatch):
     ("A(2,2)u", 5), ("2A(2,2)u", 5), ("A(1,9)u", 5), ("A(2,4)u", None), ("2A(3,2)u", 64)])
 def test_stepped_levels_build_the_same_table(spec, chunk, monkeypatch):
     group = classical_generators(spec)
-    keys, _ = _closure(group, matgroup.DEFAULT_CAP)
+    keys, _ = closure(group, matgroup.DEFAULT_CAP)
     # a cap of exactly |G| sends the late levels through ever smaller steps
     if chunk is not None:
         monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
-    k2, _ = _closure(group, len(keys))
+    k2, _ = closure(group, len(keys))
     assert (k2 == keys).all()
 
 
@@ -169,14 +174,14 @@ def test_membership_tests_are_per_coset(spec, monkeypatch):
         return lookup(keys, pk)
 
     monkeypatch.setattr(matgroup, "_lookup", counted)
-    keys, _ = _closure(classical_generators(spec), matgroup.DEFAULT_CAP)
+    keys, _ = closure(classical_generators(spec), matgroup.DEFAULT_CAP)
     assert 0 < sum(needles) < len(keys) / 50
 
 
 def test_cap_exceeded_names_the_cosets_and_the_subgroup():
     cap = 5000
     with pytest.raises(CapExceeded) as e:
-        _closure(classical_generators("A(2,4)u"), cap)
+        closure(classical_generators("A(2,4)u"), cap)
     err = e.value
     assert err.found == min(err.cosets * err.subgroup, cap + matgroup._CAP_CHUNK)
     assert err.cosets * err.subgroup > cap and 60480 % err.subgroup == 0
@@ -186,9 +191,11 @@ def test_cap_exceeded_names_the_cosets_and_the_subgroup():
 @pytest.mark.parametrize("spec, chunk", [("A(2,2)u", 5), ("A(1,9)u", 5), ("A(2,4)u", 64),
                                          ("2A(3,2)u", 64)])
 def test_one_left_call_per_part(spec, chunk, monkeypatch):
-    # each part of a round makes one membership test and one left call, by
-    # the whole stack adopted so far; a cap of exactly |G| splits the late
-    # rounds into more parts
+    # the first generator's m powers take ceil(log2 m) left calls, by one
+    # matrix each and with no membership test; after that, each part of a
+    # round makes one membership test and one left call, by the whole stack
+    # adopted so far; a cap of exactly |G| splits the late rounds into more
+    # parts
     group = classical_generators(spec)
     kern, gens = matgroup._kernel(group.field, group.dim), np.stack([g.a for g in group.generators])
     left, lookup = type(kern).left, matgroup._lookup
@@ -210,11 +217,29 @@ def test_one_left_call_per_part(spec, chunk, monkeypatch):
             monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
         stacks.clear()
         lookups.clear()
-        keys, adopted = _closure(group, len(keys) if stepped else matgroup.DEFAULT_CAP)
-        assert len(stacks) == len(lookups) - len(gens) > 0
-        assert all(g.ndim == 3 for g in stacks) and (stacks[-1] == gens[adopted]).all()
-        calls.append(len(stacks))
+        keys, adopted = closure(group, len(keys) if stepped else matgroup.DEFAULT_CAP)
+        first = (group.generators[adopted[0]].order() - 1).bit_length()
+        assert all(g.ndim == 2 for g in stacks[:first])
+        later = stacks[first:]
+        assert len(later) == len(lookups) - len(gens) > 0
+        assert all(g.ndim == 3 for g in later) and (later[-1] == gens[adopted]).all()
+        calls.append(len(later))
     assert calls[1] > calls[0]
+
+
+@pytest.mark.parametrize("cap", [3, 5, 7])
+@pytest.mark.parametrize("chunk", [2, 4096])
+def test_first_generator_powers_keep_the_cap(cap, chunk, monkeypatch):
+    # a complement of order 8, whose powers go 1, 2, 4, then as the cap
+    # allows: at cap 7 with chunk 2 the identity comes in the part that
+    # passes the cap
+    (c,) = frobenius_witness("gl-affine", (3, 2)).complement_gens
+    assert len(_closure(c.field, c.dim, c.a[None], 8)[0]) == 8
+    monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
+    with pytest.raises(CapExceeded) as e:
+        _closure(c.field, c.dim, c.a[None], cap)
+    assert cap < e.value.found <= cap + chunk
+    assert e.value.cap == cap and e.value.subgroup == 1
 
 
 def test_wrong_name_raises_even_under_memo():

@@ -6,7 +6,7 @@ import operator
 import numpy as np
 import pytest
 
-from omega.arith import r_part
+from omega.arith import _factor, is_prime_power, r_part
 from omega.claims import CATALOG
 from omega.oracle import (
     CapExceeded,
@@ -22,7 +22,7 @@ from omega.oracle.action import _moved_ranks
 from omega.oracle.frobenius import (VERIFY_CAP, _mult_order, _singer_block,
                                     _sl_hyperplane_witness, _sp_torus_witness)
 from omega.oracle.kernel import _eliminate, _kernel, _make_codec
-from omega.oracle.matgroup import _TABLE_MEMO, MatrixGroup, _closure, _lookup
+from omega.oracle.matgroup import _TABLE_MEMO, _closure, _lookup
 
 
 @pytest.fixture
@@ -43,6 +43,50 @@ def test_singer_block_orders():
         for d in range(1, total):
             if total % d == 0 and d < total:
                 assert not (m**d).is_identity()
+
+
+def looped_singer(q, k):
+    """The Singer cycle search one companion matrix at a time, as a plain
+    reference: the first in itertools.product order whose power q^k - 1 is
+    the identity and whose power (q^k - 1)/r is not, for each prime r."""
+    fld = build_field(is_prime_power(q), _factor(q)[is_prime_power(q)])
+    total = q**k - 1
+    for coeffs in itertools.product(range(q), repeat=k):
+        if coeffs[0] == 0:
+            continue
+        comp = np.zeros((k, k), dtype=np.uint16)
+        for i in range(1, k):
+            comp[i, i - 1] = 1
+        for i in range(k):
+            comp[i, k - 1] = fld.neg(coeffs[i])
+        m = Matrix(fld, comp)
+        if (m**total).is_identity() and all(
+                not (m ** (total // r)).is_identity() for r in _factor(total)):
+            return m, fld
+    return None
+
+
+SMALL_SINGER = [(q, k) for q in range(2, 82) if is_prime_power(q)
+                for k in range(1, 7) if q**k <= 81]
+
+
+@pytest.mark.parametrize("block", [None, 2])
+def test_stacked_singer_matches_loop(block, monkeypatch):
+    # blocks of two candidates put most first hits past a block boundary
+    if block is not None:
+        monkeypatch.setattr(frobenius, "_SINGER_BLOCK", block)
+    for q, k in SMALL_SINGER:
+        assert _singer_block(q, k) == looped_singer(q, k), (q, k)
+
+
+@pytest.mark.parametrize("q, k, column", [
+    (9, 3, (8, 0, 8)), (7, 4, (4, 0, 6, 6)), (8, 4, (2, 0, 0, 1)), (9, 4, (8, 0, 0, 2))])
+def test_singer_block_pins(q, k, column):
+    # the one-at-a-time search's hits, as field codes of the last column;
+    # the companion's subdiagonal is all ones
+    m, fld = _singer_block(q, k)
+    assert tuple(m.a[:, -1]) == column
+    assert (m.a[:, :-1] == np.eye(k, k - 1, -1, dtype=np.uint16)).all()
 
 
 def test_sl_hyperplane_witnesses():
@@ -201,6 +245,16 @@ def test_verify_reads_key_sets_only(kind, params, monkeypatch, fresh_memo):
     assert not _TABLE_MEMO  # never written
 
 
+def test_verify_rejects_singular_generators():
+    f3 = build_field(3, 1)
+    k, c = Matrix(f3, [[1, 1], [0, 1]]), Matrix(f3, [[2, 0], [0, 1]])
+    singular = Matrix(f3, [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="kernel generator not invertible"):
+        verify_frobenius((k, singular), (c,))
+    with pytest.raises(ValueError, match="complement generator not invertible"):
+        verify_frobenius((k,), (c, singular))
+
+
 def test_verify_keeps_the_cap(fresh_memo):
     w = frobenius_witness("sl-hyperplane", (3, 3))
     with pytest.raises(CapExceeded) as err:
@@ -215,8 +269,8 @@ def looped_verify(kernel_gens, complement_gens, cap=VERIFY_CAP):
     kernel by its inverse from an elimination; a k a^-1 outside K refutes
     normalization, a k a^-1 = k for k != 1 a free action."""
     fld, dim = kernel_gens[0].field, kernel_gens[0].dim
-    k_keys = _closure(MatrixGroup(fld, dim, tuple(kernel_gens)), cap)[0]
-    c_keys = _closure(MatrixGroup(fld, dim, tuple(complement_gens)), cap)[0]
+    k_keys = _closure(fld, dim, np.stack([g.a for g in kernel_gens]), cap)[0]
+    c_keys = _closure(fld, dim, np.stack([g.a for g in complement_gens]), cap)[0]
     ko, co = len(k_keys), len(c_keys)
     codec, kern = _make_codec(fld, dim), _kernel(fld, dim)
 
