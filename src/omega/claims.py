@@ -196,7 +196,7 @@ def _check_c6(params):
     )
     target = 2 * (2 * n)
     fld = w.kernel_gens[0].field
-    sub = MatrixGroup(fld, 2 * n, w.kernel_gens + w.complement_gens)
+    sub = MatrixGroup(fld, 2 * n, [g.a for g in w.kernel_gens + w.complement_gens])
     small = semidirect_spectrum(natural_action(sub))
     in_small = target in set(small.spectrum)
     group = classical_generators(spec)

@@ -9,7 +9,7 @@ import sys
 from . import spectra
 from .arith import zsigmondy
 from .claims import run_suite
-from .groups import group_order, parse_group_spec
+from .groups import GroupSpec, group_order, parse_group_spec
 from .oracle import (
     DEFAULT_CAP,
     CapExceeded,
@@ -283,8 +283,11 @@ def main(argv=None):
         print(f"witness search failed: {e}", file=sys.stderr)
         return 1
     except CapExceeded as e:
-        print(f"enumeration aborted: at least {e.found} elements, cap {e.cap}",
-              file=sys.stderr)
+        print(f"enumeration aborted: {e}", file=sys.stderr)
+        if getattr(args, "cap", None):
+            spec = parse_group_spec(args.group)
+            uni = GroupSpec(spec.family, spec.rank, spec.q, "universal")
+            print(f"the universal group {uni} has order {group_order(uni).n}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))

@@ -3,7 +3,6 @@
 from .action import (
     ModuleAction,
     field_rank,
-    fixed_space_dim,
     min_poly_degree,
     natural_action,
     permutation_module,
@@ -24,10 +23,8 @@ from .matgroup import (
     ElementTable,
     Matrix,
     MatrixGroup,
-    center_of,
     classical_generators,
     enumerate_group,
-    quotient_spectrum,
     spectrum_table,
 )
 
@@ -40,13 +37,10 @@ __all__ = [
     "Matrix",
     "MatrixGroup",
     "ModuleAction",
-    "center_of",
     "classical_generators",
     "enumerate_group",
-    "quotient_spectrum",
     "spectrum_table",
     "field_rank",
-    "fixed_space_dim",
     "min_poly_degree",
     "natural_action",
     "permutation_module",

@@ -8,7 +8,7 @@ from ..arith import _factor, is_prime_power
 from ..record import Record
 from .field import build_field
 from .kernel import _eliminate, _make_codec
-from .matgroup import DEFAULT_CAP, ElementTable, Matrix, MatrixGroup, _classes, enumerate_group
+from .matgroup import DEFAULT_CAP, ElementTable, MatrixGroup, _classes, enumerate_group
 
 
 def field_rank(fld, rows):
@@ -20,13 +20,6 @@ def _moved_ranks(fld, stack):
     fixed space."""
     minus_one = fld.neg_table[np.eye(stack.shape[-1], dtype=np.uint16)]
     return _eliminate(fld, fld.add_many(stack, minus_one))[0]
-
-
-def fixed_space_dim(g, action=None):
-    """Dimension of the 1-eigenspace of g on its column space."""
-    if action is not None and (g.dim != action.dim_V or g.field != action.field):
-        raise ValueError("dimension mismatch")
-    return g.dim - int(_moved_ranks(g.field, g.a[None])[0])
 
 
 def min_poly_degree(g, action=None):
@@ -66,8 +59,8 @@ class ModuleAction(Record):
         The words come from stdlib random, which numpy already imports: the
         first use of numpy.random costs more than the whole check."""
         rng = random.Random(2024)
-        perms = self.source_perms
-        mats = self.image_group.generators
+        perms, fld = self.source_perms, self.field
+        mats, eye = self.image_group.generators, np.eye(self.dim_V, dtype=np.uint16)
         deg = len(perms[0])
         for _ in range(25):
             word = rng.choices(range(len(perms)), k=rng.randint(1, 6))
@@ -76,10 +69,10 @@ class ModuleAction(Record):
                 pt = [perms[w][i] for i in pt]
             if pt != list(range(deg)):
                 continue
-            m = Matrix.identity(self.field, self.dim_V)
+            m = eye
             for w in word:
-                m = mats[w] @ m
-            if not m.is_identity():
+                m = fld.matmul(mats[w], m)
+            if not (m == eye).all():
                 raise ValueError("image fails a relator of the source")
 
 
@@ -102,13 +95,10 @@ def permutation_module(perm_gens, r):
     if p is None:
         raise ValueError(f"{r} is not a prime power")
     fld = build_field(p, _factor(r)[p])
-    mats = []
-    for s in perms:
-        m = np.zeros((deg, deg), dtype=np.uint16)
-        for i, j in enumerate(s):
-            m[j, i] = 1
-        mats.append(Matrix(fld, m))
-    group = MatrixGroup(fld, deg, tuple(mats))
+    # column i of the matrix of s is the unit vector s(i)
+    mats = np.zeros((len(perms), deg, deg), dtype=np.uint16)
+    mats[np.arange(len(perms))[:, None], perms, np.arange(deg)] = 1
+    group = MatrixGroup(fld, deg, mats)
     return ModuleAction(group, deg, source_perms=tuple(perms), label=f"perm{deg}")
 
 

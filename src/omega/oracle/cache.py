@@ -97,7 +97,7 @@ def load_table(cache_dir, spec_str, cap, group):
         size=int(count),
         order_histogram=hist,
         spectrum=tuple(sorted(hist)),
-        payload=GroupRecord(fld, dim, keys, [g.a for g in group.generators], group.inverses),
+        payload=GroupRecord(fld, dim, keys, group.generators, group.inverses),
     )
 
 

@@ -8,8 +8,7 @@ from ..arith import _factor, is_prime_power, r_part
 from ..record import Record
 from .field import build_field
 from .kernel import _eliminate, _kernel, _make_codec
-from .matgroup import (Matrix, _closure, _elementary, _lookup, _stack, classical_generators,
-                       enumerate_group)
+from .matgroup import Matrix, _closure, _elementary, _lookup, classical_generators, enumerate_group
 
 VERIFY_CAP = 1 << 20
 # Keyed products per block of verify_frobenius: each of aK and Ka has about
@@ -73,7 +72,8 @@ def _singer_block(q, k):
 def _translations(fld, n):
     """The n x n translations of the hyperplane of coordinates 1 .. n-1 along
     coordinate 0, one per position and basis element of fld."""
-    return tuple(_elementary(fld, n, (0, j, b)) for j in range(1, n) for b in fld.basis())
+    return tuple(Matrix(fld, _elementary(fld, n, (0, j, b))) for j in range(1, n)
+                 for b in fld.basis())
 
 
 def _sl_hyperplane_witness(n, q):
@@ -204,7 +204,7 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     gens = (*kernel_gens, *complement_gens)
     if any(g.field != fld or g.dim != dim for g in gens):
         raise ValueError(f"generator is not a {dim}x{dim} matrix over {fld}")
-    gens = _stack([g.a for g in gens], dim)
+    gens = np.stack([g.a for g in gens])
     singular = np.flatnonzero(_eliminate(fld, gens)[0] < dim)
     if len(singular):
         raise ValueError(f"{'kernel' if singular[0] < nk else 'complement'} generator not invertible")

@@ -48,10 +48,6 @@ class Matrix:
     def dim(self):
         return self.a.shape[0]
 
-    @classmethod
-    def identity(cls, fld, dim):
-        return cls(fld, np.eye(dim, dtype=np.uint16))
-
     def __matmul__(self, other):
         if self.field != other.field or self.dim != other.dim:
             raise ValueError("matrices of different fields or sizes")
@@ -96,32 +92,37 @@ class Matrix:
 
 
 class MatrixGroup(Record):
-    """Generators of a matrix group, with the (n, dim, dim) code stack of
-    their inverses from the elimination that checks them."""
+    """A matrix group given by a read-only (n, dim, dim) uint16 code stack of
+    n >= 1 generators, with the code stack of their inverses from the
+    elimination that checks them."""
 
     _fields = ("field", "dim", "generators", "name")
 
     def __init__(self, field, dim, generators, name=None):
         if not 1 <= dim <= 64:
             raise ValueError(f"dimension {dim} is outside 1..64")
-        for g in generators:
-            if g.field != field or g.dim != dim:
-                raise ValueError(f"generator is not a {dim}x{dim} matrix over {field}")
-        rank, _, inverses = _eliminate(field, _stack([g.a for g in generators], dim))
+        gens = np.array(generators, dtype=np.uint16)
+        if (gens.ndim, *gens.shape[1:]) != (3, dim, dim) or not len(gens) or gens.max() >= field.q:
+            raise ValueError(f"generator is not a {dim}x{dim} matrix over {field}")
+        gens.flags.writeable = False
+        rank, _, inverses = _eliminate(field, gens)
         if (rank < dim).any():
             raise ValueError("generator not invertible")
-        vars(self).update(field=field, dim=dim, generators=generators, name=name,
-                          inverses=inverses)
+        vars(self).update(field=field, dim=dim, generators=gens, name=name, inverses=inverses)
+
+    def _values(self):
+        """The generators compare and hash by their bytes."""
+        return self.field, self.dim, self.generators.tobytes(), self.name
 
     def key(self):
-        gens = tuple(sorted(g.a.tobytes() for g in self.generators))
+        gens = tuple(sorted(g.tobytes() for g in self.generators))
         return (self.field.p, self.field.k, self.field.modulus, self.dim, gens)
 
 
 class GroupRecord:
-    """An enumerated group: its elements as sorted codec keys, code matrices
-    that generate it and their inverses, and classes, orders and V x| G,
-    filled in on first use.  Equal only to itself."""
+    """An enumerated group: its elements as sorted codec keys, a code stack
+    that generates it and the stack of their inverses, and classes, orders
+    and V x| G, filled in on first use.  Equal only to itself."""
 
     def __init__(self, field, dim, keys, generators, inverses, classes=None, orders=None,
                  semidirect=None):
@@ -163,11 +164,6 @@ class ElementTable(Record):
 
     def orders(self):
         return _orders(self.payload)
-
-
-def _stack(codes, d):
-    """The (n, d, d) stack of a list of d x d code matrices, which may be empty."""
-    return np.array(codes, dtype=np.uint16).reshape(-1, d, d)
 
 
 def _lookup(keys, pk):
@@ -348,37 +344,11 @@ def enumerate_group(group, cap=DEFAULT_CAP):
         raise ValueError(f"the cap must be at least 1, got {cap}")
     table = _TABLE_MEMO.get(group.key())
     if table is None:
-        gens = _stack([g.a for g in group.generators], group.dim)
-        keys, adopted = _closure(group.field, group.dim, gens, cap)
-        rec = GroupRecord(group.field, group.dim, keys, [group.generators[i].a for i in adopted],
+        keys, adopted = _closure(group.field, group.dim, group.generators, cap)
+        rec = GroupRecord(group.field, group.dim, keys, group.generators[adopted],
                           group.inverses[adopted])
         table = _table(_orders(rec), rec)
     return _memoize(group, table, cap)
-
-
-def center_of(group, cap=DEFAULT_CAP):
-    """The central elements, which are the singleton conjugacy classes."""
-    table = enumerate_group(group, cap)
-    reps, _, sizes = _classes(table.payload)
-    return [table.element(int(i)) for i in reps[sizes == 1]]
-
-
-def quotient_spectrum(group, center, cap=DEFAULT_CAP):
-    """Orders in G/Z for a central subgroup Z given as a list of matrices."""
-    table = enumerate_group(group, cap)
-    rec = table.payload
-    zs = list(center)
-    if not zs:
-        raise ValueError("center must contain at least the identity")
-    if any(z @ g != g @ z for z in zs for g in group.generators):
-        raise ValueError("center element does not commute with a generator")
-    zset = {m.a.tobytes() for m in zs}
-    if any((z @ w).a.tobytes() not in zset for z in zs for w in zs):
-        raise ValueError("center list is not a subgroup")
-    zk = np.sort(_make_codec(group.field, group.dim).keys(np.stack([z.a for z in zs])))
-    if not _lookup(rec.keys, zk)[1].all():
-        raise ValueError("center not in group")
-    return _quotient_table(rec, zk)
 
 
 def _quotient_table(rec, zk):
@@ -392,12 +362,12 @@ def _elementary(fld, dim, *entries):
     m = np.eye(dim, dtype=np.uint16)
     for r, c, v in entries:
         m[r, c] = v
-    return Matrix(fld, m)
+    return m
 
 
 def _sl_generators(fld, dim):
-    return [_elementary(fld, dim, (r, c, b)) for i in range(dim - 1) for b in fld.basis()
-            for r, c in ((i, i + 1), (i + 1, i))]
+    return np.array([_elementary(fld, dim, (r, c, b)) for i in range(dim - 1)
+                     for b in fld.basis() for r, c in ((i, i + 1), (i + 1, i))])
 
 
 def _sp_form(fld, n):
@@ -405,7 +375,7 @@ def _sp_form(fld, n):
     for i in range(n):
         omega[i, n + i] = 1
         omega[n + i, i] = fld.neg(1)
-    return Matrix(fld, omega)
+    return omega
 
 
 def _sp_generators(fld, n):
@@ -418,10 +388,10 @@ def _sp_generators(fld, n):
     for b in fld.basis():
         gens.append(_elementary(fld, dim, (n - 1, dim - 1, b)))
         gens.append(_elementary(fld, dim, (dim - 1, n - 1, b)))
-    omega, G = _sp_form(fld, n).a, _stack([g.a for g in gens], dim)
+    omega, G = _sp_form(fld, n), np.array(gens)
     if not (fld.matmul(fld.matmul(G.transpose(0, 2, 1), omega), G) == omega).all():
         raise RuntimeError("generator breaks the symplectic form")
-    return gens
+    return G
 
 
 def _su_generators(fld2, dim, k_base):
@@ -446,8 +416,8 @@ def _su_generators(fld2, dim, k_base):
         tri[:, 0, [0, 0, 1], [1, 2, 2]] = vs
         tri[:, 1, [1, 2, 2], [0, 0, 1]] = vs
         tri = tri.reshape(-1, 3, 3)
-        gens = [Matrix(fld2, t) for t in tri[unitary(tri)]]
-        if not gens:
+        gens = tri[unitary(tri)]
+        if not len(gens):
             raise RuntimeError("no unitary triangles found")
         return gens
     # I + lam v w^T with w = conj(F v), for every isotropic v whose first
@@ -467,7 +437,7 @@ def _su_generators(fld2, dim, k_base):
     ts = fld2.add_many(np.eye(dim, dtype=np.int64), outer).reshape(-1, dim, dim)
     if not unitary(ts).all():
         raise RuntimeError("transvection breaks the hermitian form")
-    return [Matrix(fld2, t) for t in ts]
+    return ts
 
 
 def classical_generators(spec):
@@ -484,10 +454,10 @@ def _universal(uni):
         raise ValueError(f"no matrix model for family {uni.family}")
     fld = build_field(uni.p, 2 * uni.k if uni.family == "2A" else uni.k)
     if uni.family == "A":
-        return MatrixGroup(fld, uni.rank + 1, tuple(_sl_generators(fld, uni.rank + 1)), uni)
+        return MatrixGroup(fld, uni.rank + 1, _sl_generators(fld, uni.rank + 1), uni)
     if uni.family == "C":
-        return MatrixGroup(fld, 2 * uni.rank, tuple(_sp_generators(fld, uni.rank)), uni)
-    return MatrixGroup(fld, uni.rank + 1, tuple(_su_generators(fld, uni.rank + 1, uni.k)), uni)
+        return MatrixGroup(fld, 2 * uni.rank, _sp_generators(fld, uni.rank), uni)
+    return MatrixGroup(fld, uni.rank + 1, _su_generators(fld, uni.rank + 1, uni.k), uni)
 
 
 def spectrum_table(spec, cap=DEFAULT_CAP):

@@ -249,6 +249,6 @@ def test_one_group_build_per_claim(claim_id, params, spec):
     with mock.patch.object(matgroup, "_sp_generators", wraps=matgroup._sp_generators) as search, \
             mock.patch.object(matgroup, "_eliminate", wraps=matgroup._eliminate) as elim:
         assert run_claim(claim_id, params).verdict == "pass"
-    gens = np.stack([g.a for g in classical_generators(spec).generators])
+    gens = classical_generators(spec).generators
     assert search.call_count == 1
     assert sum(np.array_equal(call.args[1], gens) for call in elim.call_args_list) == 1

@@ -13,19 +13,18 @@ from omega.oracle import (
     Matrix,
     MatrixGroup,
     cached_spectrum_table,
-    center_of,
     classical_generators,
     enumerate_group,
     frobenius_witness,
     permutation_module,
-    quotient_spectrum,
     semidirect_spectrum,
     spectrum_table,
     verify_frobenius,
 )
 from omega.oracle import action, frobenius, matgroup
 from omega.oracle.kernel import _Packed, _Wide, _kernel, _make_codec
-from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers
+from omega.oracle.matgroup import (_TABLE_MEMO, GroupRecord, _classes, _least_powers, _orders,
+                                   _quotient_table)
 
 
 @pytest.fixture
@@ -42,7 +41,7 @@ def fresh_memo():
 def _frobenius_group(params=(4, 2)):
     w = frobenius_witness("sl-hyperplane", params)
     gens = w.kernel_gens + w.complement_gens
-    return MatrixGroup(gens[0].field, gens[0].dim, tuple(gens))
+    return MatrixGroup(gens[0].field, gens[0].dim, [g.a for g in gens])
 
 
 # packed GF(2^k) words, prime-field and GF(p^k) code stacks, and unnamed groups
@@ -65,6 +64,34 @@ def test_orders_match_scalar_order(name):
     assert orders.tolist() == [table.element(i).order() for i in range(table.size)]
 
 
+def stepped_orders(rec, block=1 << 16):
+    """Per-element orders without classes: the table decoded a block of
+    elements at a time, and every element's powers stepped at once by
+    Field.matmul, each element dropped when it reaches the identity."""
+    fld, codec, n = rec.field, _make_codec(rec.field, rec.dim), len(rec.keys)
+    eye, orders = np.eye(rec.dim, dtype=fld.code_dtype), np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        X = codec.decode(rec.keys[lo:lo + block])
+        idx, cur = np.arange(lo, lo + len(X)), X
+        for m in range(1, n + 1):
+            done = (cur == eye).all(axis=(1, 2))
+            orders[idx[done]] = m
+            idx, cur, X = idx[~done], cur[~done], X[~done]
+            if not len(idx):
+                break
+            cur = fld.matmul(cur, X)
+        assert not len(idx), "an element's order exceeds the group's"
+    return orders
+
+
+@pytest.mark.parametrize("spec", ["2A(3,2)u", "C(2,3)u", "A(2,4)u"])
+def test_orders_match_stepped_powers(spec):
+    # at 10^4 - 10^5 elements: classes merged or split by a fault in the
+    # conjugation permutations or the label propagation would show here
+    rec = enumerate_group(classical_generators(spec)).payload
+    assert (stepped_orders(rec) == _orders(rec)).all()
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_sl2_class_count(q):
     table = enumerate_group(classical_generators(f"A(1,{q})u"))
@@ -85,27 +112,35 @@ def _codes_of(table):
     return _make_codec(rec.field, rec.dim).decode(rec.keys)
 
 
+def commuting_filter(group):
+    """The code stack of the elements that commute with every generator, in
+    key order: the center, found without classes."""
+    stack, fld = _codes_of(enumerate_group(group)), group.field
+    mask = np.ones(len(stack), dtype=bool)
+    for g in group.generators:
+        same = fld.matmul(stack, g) == fld.matmul(g, stack)
+        mask &= same.reshape(len(stack), -1).all(axis=1)
+    return stack[mask]
+
+
 @pytest.mark.parametrize("spec", ["A(1,3)u", "A(1,5)u", "2A(2,2)u", "C(2,2)u",
                                   "A(2,4)u", "C(2,3)u", "2A(3,2)u"])
 def test_center_matches_commuting_filter(spec):
+    # the center is the singleton classes
     group = classical_generators(spec)
     table = enumerate_group(group)
-    stack, fld = _codes_of(table), group.field
-    mask = np.ones(table.size, dtype=bool)
-    for g in group.generators:
-        same = fld.matmul(stack, g.a) == fld.matmul(g.a, stack)
-        mask &= same.reshape(table.size, -1).all(axis=1)
-    want = [table.element(int(i)) for i in np.flatnonzero(mask)]
-    assert center_of(group) == want
+    reps, _, sizes = _classes(table.payload)
+    center, want = _codes_of(table)[reps[sizes == 1]], commuting_filter(group)
+    assert center.shape == want.shape and (center == want).all()
 
 
-def naive_quotient_histogram(group, zs):
-    """Orders of the cosets xZ, each coset named by its least key."""
-    table = enumerate_group(group)
-    fld, stack = group.field, _codes_of(table)
+def naive_quotient_histogram(group, Z):
+    """Orders of the cosets xZ, for Z a code stack, each coset named by its
+    least key."""
+    fld, stack = group.field, _codes_of(enumerate_group(group))
     codec = _make_codec(fld, group.dim)
-    zk = codec.keys(np.stack([z.a.astype(fld.code_dtype) for z in zs]))
-    coset = np.min([codec.keys(fld.matmul(stack, z.a)) for z in zs], axis=0)
+    zk = codec.keys(Z)
+    coset = np.min([codec.keys(fld.matmul(stack, z)) for z in Z], axis=0)
     _, first = np.unique(coset, return_index=True)
     reps = stack[first]
     cur, m = reps.copy(), np.ones(len(reps), dtype=np.int64)
@@ -119,13 +154,12 @@ def naive_quotient_histogram(group, zs):
 
 @pytest.mark.parametrize("spec", ["A(1,5)u", "A(2,4)u"])
 def test_quotient_matches_coset_count(spec):
-    group = classical_generators(spec)
-    zs = center_of(group)
-    assert len(zs) > 1
-    q = quotient_spectrum(group, zs)
-    assert q.order_histogram == naive_quotient_histogram(group, zs)
-    simple = parse_group_spec(spec[:-1] + "s")
-    assert q.size == group_order(simple).n
+    group, simple = classical_generators(spec), spec[:-1] + "s"
+    Z = commuting_filter(group)
+    assert len(Z) > 1
+    q = spectrum_table(simple)
+    assert q.order_histogram == naive_quotient_histogram(group, Z)
+    assert q.size == group_order(parse_group_spec(simple)).n
 
 
 def test_cache_loaded_table_has_the_same_classes(tmp_path, fresh_memo):
@@ -186,7 +220,7 @@ def reference_classes(table, group):
             i = parent[i]
         return i
 
-    for g in group.generators:
+    for g in (Matrix(group.field, a) for a in group.generators):
         g_inv = g.inverse()
         for i, x in enumerate(elements):
             a, b = find(i), find(index[g @ x @ g_inv])
@@ -219,7 +253,7 @@ def test_conjugate_outside_the_table_raises():
     # of Sym3 takes _lookup on 64-bit words and on byte keys
     for group in (classical_generators("A(1,3)u"), _sym(3, 8, 2), _sym(3, 6, 3)):
         sub = enumerate_group(MatrixGroup(group.field, group.dim, group.generators[:1]))
-        rec = GroupRecord(group.field, group.dim, sub.payload.keys, [g.a for g in group.generators],
+        rec = GroupRecord(group.field, group.dim, sub.payload.keys, group.generators,
                           group.inverses)
         with pytest.raises(RuntimeError, match="conjugate left the set"):
             _classes(rec)
@@ -248,19 +282,6 @@ def test_unreachable_target_raises():
         _least_powers(rec, rec.keys[-1:] + np.uint64(1))
 
 
-def test_center_check_holds_without_asserts():
-    g = classical_generators("A(1,5)u")
-    eye = Matrix.identity(g.field, 2)
-    with pytest.raises(ValueError):
-        quotient_spectrum(g, [])
-    with pytest.raises(ValueError):
-        quotient_spectrum(g, [eye, Matrix(g.field, [[1, 1], [0, 1]])])
-    # a central matrix of the right shape that SL2(5) does not contain
-    two = Matrix(g.field, [[2, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        quotient_spectrum(g, [eye, two, two @ two, two @ two @ two])
-
-
 def _sym3(q):
     return permutation_module([(1, 0, 2), (1, 2, 0)], q)
 
@@ -285,10 +306,10 @@ def _oracle_run(make):
     group = make()
     table = enumerate_group(group)
     rec, (reps, label, sizes) = table.payload, _classes(table.payload)
-    center = center_of(group)
-    quotient = quotient_spectrum(group, center)
-    arrays = [rec.keys, _codes_of(table), np.array(rec.generators), reps, label, sizes,
-              table.orders(), np.array([z.a for z in center]), quotient.orders()]
+    center = reps[sizes == 1]
+    quotient = _quotient_table(rec, rec.keys[center])
+    arrays = [rec.keys, _codes_of(table), rec.generators, reps, label, sizes,
+              table.orders(), _codes_of(table)[center], quotient.orders()]
     return arrays, (table.order_histogram, quotient.order_histogram)
 
 
@@ -334,7 +355,7 @@ def test_one_elimination_per_stack(fresh_memo):
         group = classical_generators("2A(3,2)u")
         assert elim.call_count == 1 and len(elim.call_args[0][1]) == 45
     rec = GroupRecord(group.field, group.dim, enumerate_group(group).payload.keys,
-                      list(np.array([g.a for g in group.generators])), group.inverses)
+                      group.generators, group.inverses)
     # the classes conjugate with the inverses the group's elimination gave
     with counted(matgroup) as elim:
         _classes(rec)
@@ -370,7 +391,7 @@ def test_one_elimination_per_group(tmp_path, fresh_memo):
     loaded = cached_spectrum_table("C(2,3)u", cache_dir=tmp_path)
     assert loaded is not fresh
     for rec in (fresh.payload, loaded.payload):
-        gens = np.stack(rec.generators)
+        gens = rec.generators
         assert rec.inverses.shape == gens.shape
         assert (group.field.matmul(rec.inverses, gens) == np.eye(group.dim, dtype=gens.dtype)).all()
 

@@ -1,6 +1,7 @@
 """Front-end behavior: exit codes, JSON determinism, flag plumbing."""
 
 import json
+import re
 
 import pytest
 
@@ -74,10 +75,23 @@ def test_enumerate_small(capsys):
     assert payload["order_histogram"] == [[1, 1], [2, 15], [3, 20], [5, 24]]
 
 
-def test_enumerate_cap_abort(capsys):
-    rc, out, err = run(capsys, ["enumerate", "--group", "C(3,3)u", "--cap", "1000"])
-    assert rc == 1 and out == ""
-    assert "at least" in err and "cap 1000" in err
+def test_enumerate_cap_abort(capsys, monkeypatch):
+    # as in a fresh process no table is known, so the closure aborts and
+    # says how far it got: the cosets named, |H|, and the closed-form order
+    # of the universal group it was enumerating
+    monkeypatch.setattr("omega.oracle.matgroup._TABLE_MEMO", {})
+    for argv, order in ((["--group", "C(3,3)u"], "C(3,3)u has order 9170703360"),
+                        (["--json", "--group", "A(2,4)u"], "A(2,4)u has order 60480"),
+                        (["--json", "--group", "A(2,4)s"], "A(2,4)u has order 60480")):
+        rc, out, err = run(capsys, ["enumerate", "--cap", "1000", *argv])
+        assert rc == 1 and out == ""
+        aborted, universal = err.splitlines()
+        m = re.fullmatch(r"enumeration aborted: enumeration exceeded cap 1000: at least (\d+) "
+                         r"elements found \((\d+) cosets of a subgroup of order (\d+)\)", aborted)
+        found, cosets, subgroup = map(int, m.groups())
+        assert 1000 < found <= cosets * subgroup and found <= 1000 + 4096
+        assert universal == f"the universal group {order}"
+        assert int(order.split()[-1]) % subgroup == 0
 
 
 def test_cap_below_one_is_a_usage_error(capsys):

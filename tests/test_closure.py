@@ -3,7 +3,6 @@ its membership tests, the closed-form order check, and the batched unitary
 generator search."""
 
 import itertools
-import operator
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -28,20 +27,21 @@ from omega.oracle.matgroup import _closure, _su_generators
 
 def closure(group, cap):
     """_closure on the generators of a MatrixGroup."""
-    return _closure(group.field, group.dim, np.stack([g.a for g in group.generators]), cap)
+    return _closure(group.field, group.dim, group.generators, cap)
 
 
 def naive_closure(group):
     """Every generator applied to every element, level by level, with a dict
     of raw bytes for the known set; stack and keys sorted by the codec key."""
     fld, d = group.field, group.dim
-    eye = Matrix.identity(fld, d)
+    eye = Matrix(fld, np.eye(d, dtype=np.uint16))
+    gens = [Matrix(fld, g) for g in group.generators]
     seen = {eye.a.tobytes(): eye}
     frontier = [eye]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in group.generators:
+            for g in gens:
                 y = g @ x
                 if y.a.tobytes() not in seen:
                     seen[y.a.tobytes()] = y
@@ -61,24 +61,24 @@ def _wide_sym4():
         m[:4, :4] = 0
         for i, j in enumerate(perm):
             m[j, i] = 1
-        gens.append(Matrix(fld, m))
-    return fld, 7, gens
+        gens.append(m)
+    return fld, 7, np.array(gens)
 
 
 def _frobenius(kind, params, part):
     w = frobenius_witness(kind, params)
     gens = w.kernel_gens + (w.complement_gens if part == "group" else ())
-    return gens[0].field, gens[0].dim, list(gens)
+    return gens[0].field, gens[0].dim, np.array([g.a for g in gens])
 
 
 def _classical(spec):
     g = classical_generators(spec)
-    return g.field, g.dim, list(g.generators)
+    return g.field, g.dim, g.generators
 
 
 def _perm_module(perms, r):
     g = permutation_module(perms, r).image_group
-    return g.field, g.dim, list(g.generators)
+    return g.field, g.dim, g.generators
 
 
 # packed GF(2^k) words, prime-field and GF(p^k) code stacks, raw byte keys,
@@ -101,7 +101,7 @@ CASES = {
 @lru_cache(maxsize=None)
 def case(name):
     fld, d, gens = CASES[name]()
-    return fld, d, gens, naive_closure(MatrixGroup(fld, d, tuple(gens)))
+    return fld, d, gens, naive_closure(MatrixGroup(fld, d, gens))
 
 
 @st.composite
@@ -110,13 +110,14 @@ def generator_lists(draw):
     identity, and products of other generators."""
     name = draw(st.sampled_from(sorted(CASES)))
     fld, d, gens, want = case(name)
-    extra = [Matrix.identity(fld, d)] * draw(st.integers(0, 2))
-    extra += draw(st.lists(st.sampled_from(gens), max_size=3))
+    picks = st.sampled_from(range(len(gens)))
+    extra = [np.eye(d, dtype=np.uint16)] * draw(st.integers(0, 2))
+    extra += [gens[i] for i in draw(st.lists(picks, max_size=3))]
     for _ in range(draw(st.integers(0, 3))):
-        word = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=4))
-        extra.append(reduce(operator.matmul, word))
-    order = draw(st.permutations(gens + extra))
-    return name, MatrixGroup(fld, d, tuple(order)), want
+        word = draw(st.lists(picks, min_size=2, max_size=4))
+        extra.append(reduce(fld.matmul, gens[word]))
+    order = draw(st.permutations([*gens, *extra]))
+    return name, MatrixGroup(fld, d, order), want
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -131,9 +132,9 @@ def test_closure_matches_naive_bfs(drawn):
 
 def test_redundant_generators_change_no_table():
     group = classical_generators("2A(2,2)u")
-    gens = group.generators
-    padded = MatrixGroup(group.field, group.dim,
-                         (gens[0] @ gens[1], Matrix.identity(group.field, 3)) + gens + gens[:2])
+    gens, fld = group.generators, group.field
+    extra = [fld.matmul(gens[0], gens[1]), np.eye(3, dtype=np.uint16)]
+    padded = MatrixGroup(fld, group.dim, [*extra, *gens, *gens[:2]])
     a, b = closure(group, matgroup.DEFAULT_CAP), closure(padded, matgroup.DEFAULT_CAP)
     assert (a[0] == b[0]).all()
     assert enumerate_group(padded).order_histogram == enumerate_group(group).order_histogram
@@ -197,7 +198,7 @@ def test_one_left_call_per_part(spec, chunk, monkeypatch):
     # adopted so far; a cap of exactly |G| splits the late rounds into more
     # parts
     group = classical_generators(spec)
-    kern, gens = matgroup._kernel(group.field, group.dim), np.stack([g.a for g in group.generators])
+    kern, gens = matgroup._kernel(group.field, group.dim), group.generators
     left, lookup = type(kern).left, matgroup._lookup
     stacks, lookups = [], []
 
@@ -218,7 +219,7 @@ def test_one_left_call_per_part(spec, chunk, monkeypatch):
         stacks.clear()
         lookups.clear()
         keys, adopted = closure(group, len(keys) if stepped else matgroup.DEFAULT_CAP)
-        first = (group.generators[adopted[0]].order() - 1).bit_length()
+        first = (Matrix(group.field, gens[adopted[0]]).order() - 1).bit_length()
         assert all(g.ndim == 2 for g in stacks[:first])
         later = stacks[first:]
         assert len(later) == len(lookups) - len(gens) > 0
@@ -282,12 +283,13 @@ def su3_reference(fld2, k_base):
 def test_su3_generators_match_scalar_search(q, count):
     fld2 = build_field(q, 2)
     gens = _su_generators(fld2, 3, 1)
-    assert len(gens) == count
-    assert gens == su3_reference(fld2, 1)
+    assert gens.shape == (count, 3, 3)
+    assert (gens == [t.a for t in su3_reference(fld2, 1)]).all()
     form = Matrix(fld2, np.eye(3, dtype=np.uint16)[::-1])
     for t in gens:
-        assert t.a.dtype == np.uint16
-        assert hermitian_image(t, form, 1) == form
+        assert hermitian_image(Matrix(fld2, t), form, 1) == form
+    group = classical_generators(f"2A(2,{q})u")
+    assert group.generators.dtype == np.uint16 and (group.generators == gens).all()
 
 
 def transvection_reference(fld2, dim, k_base):
@@ -318,5 +320,5 @@ def transvection_reference(fld2, dim, k_base):
 def test_su_transvections_match_scalar_search(q, dim, count):
     fld2 = build_field(q, 2)
     gens = _su_generators(fld2, dim, 1)
-    assert len(gens) == count
-    assert gens == transvection_reference(fld2, dim, 1)
+    assert gens.shape == (count, dim, dim)
+    assert (gens == [t.a for t in transvection_reference(fld2, dim, 1)]).all()

@@ -189,7 +189,7 @@ def test_left_memory_budget():
     adds only their outputs, 8 bytes per key each."""
     group = classical_generators("C(2,3)u")
     keys = enumerate_group(group).payload.keys
-    kern, stack = _kernel(group.field, group.dim), np.stack([g.a for g in group.generators])
+    kern, stack = _kernel(group.field, group.dim), group.generators
     assert max(traced_peak(lambda: kern.left(g, keys)) for g in stack) <= 25.3 * len(keys)
     assert traced_peak(lambda: kern.left(stack, keys)) <= (8 * (len(stack) - 1) + 25.3) * len(keys)
 
@@ -202,7 +202,7 @@ def test_wide_memory_budget():
     4.5 and 3.2 MB."""
     group = classical_generators("C(2,3)u")
     keys = enumerate_group(group).payload.keys
-    wide, stack = _Wide(group.field, group.dim), np.stack([g.a for g in group.generators])
+    wide, stack = _Wide(group.field, group.dim), group.generators
     block = 2 * 8 * group.dim ** 2 * kernel._PACKED_CHUNK
     assert traced_peak(lambda: wide.left(stack[0], keys)) <= 8 * len(keys) + block
     assert traced_peak(lambda: wide.left(stack, keys)) <= 8 * len(stack) * len(keys) + block

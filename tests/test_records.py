@@ -8,8 +8,8 @@ import pytest
 from omega.arith import Factored
 from omega.claims import Claim, ClaimResult
 from omega.groups import GroupSpec
-from omega.oracle import (ElementTable, FrobeniusVerdict, FrobeniusWitness, Matrix,
-                          MatrixGroup, ModuleAction, build_field, natural_action)
+from omega.oracle import (ElementTable, FrobeniusVerdict, FrobeniusWitness, MatrixGroup,
+                          ModuleAction, build_field, natural_action)
 from omega.oracle.matgroup import GroupRecord
 from omega.spectra import PrimeGraph, SpectrumDescriptor
 
@@ -103,17 +103,21 @@ def test_claim_and_result():
 
 def test_matrix_group_and_module_action():
     f = build_field(3)
-    t = Matrix(f, [[1, 1], [0, 1]])
-    g = MatrixGroup(f, 2, (t,))
-    h = MatrixGroup(field=f, dim=2, generators=(t,), name=None)
+    t = [[1, 1], [0, 1]]
+    g = MatrixGroup(f, 2, [t])
+    h = MatrixGroup(field=f, dim=2, generators=np.array([t], dtype=np.uint8), name=None)
+    # the generators, a uint16 code stack, compare and hash by their bytes;
     # the inverses, an array, stay out of equality, hashing and repr
+    assert g.generators.dtype == np.uint16 and g.generators.tolist() == [t]
     assert g.name is None and g.inverses.tolist() == [[[1, 2], [0, 1]]]
-    assert same(g, h, (f, 2, (t,), None))
-    assert g != MatrixGroup(f, 2, (t,), GroupSpec("A", 1, 3, "universal"))
-    assert repr(g) == f"MatrixGroup(field=GF(3), dim=2, generators=({t!r},), name=None)"
+    assert same(g, h, (f, 2, np.array([t], dtype=np.uint16).tobytes(), None))
+    assert g != MatrixGroup(f, 2, [t], GroupSpec("A", 1, 3, "universal"))
+    assert g != MatrixGroup(f, 2, [t, t]) and g != MatrixGroup(build_field(5), 2, [t])
+    assert repr(g) == ("MatrixGroup(field=GF(3), dim=2, generators=array([[[1, 1],\n"
+                       "        [0, 1]]], dtype=uint16), name=None)")
     assert frozen(g, "generators") and frozen(g, "inverses")
     with pytest.raises(ValueError, match="not invertible"):
-        MatrixGroup(f, 2, (Matrix(f, [[1, 1], [1, 1]]),))
+        MatrixGroup(f, 2, [[[1, 1], [1, 1]]])
     a = natural_action(g)
     assert (a.source_perms, a.label) == (None, "natural") and a.field == f
     assert same(a, ModuleAction(g, 2, label="natural"), (g, 2, None, "natural"))
