@@ -284,17 +284,6 @@ def r_part(n, r):
     return a, n
 
 
-def mobius(n):
-    if n < 1:
-        raise ValueError(f"mobius wants n >= 1, got {n}")
-    mu = 1
-    for _, e in _factor(n).items():
-        if e >= 2:
-            return 0
-        mu = -mu
-    return mu
-
-
 def divisors(n):
     """Sorted list of positive divisors."""
     if n < 1:
@@ -306,15 +295,18 @@ def divisors(n):
 
 
 def cyclotomic_value(n, q):
-    """Value of the n-th cyclotomic polynomial at q, by Moebius inversion."""
+    """Value of the n-th cyclotomic polynomial at q, by Moebius inversion over
+    the squarefree quotients n/d, the subsets of the primes of n."""
     if n < 1 or q < 2:
         raise ValueError(f"cyclotomic_value wants n >= 1 and q >= 2, got {n}, {q}")
+    terms = [(n, 1)]
+    for p in _factor(n):
+        terms += [(d // p, -mu) for d, mu in terms]
     num = den = 1
-    for d in divisors(n):
-        mu = mobius(n // d)
+    for d, mu in terms:
         if mu == 1:
             num *= q**d - 1
-        elif mu == -1:
+        else:
             den *= q**d - 1
     if num % den:
         raise RuntimeError(f"cyclotomic quotient for ({n}, {q}) is not exact")
@@ -341,10 +333,9 @@ def zsigmondy(q, n):
     if not isinstance(q, int) or not isinstance(n, int) or q < 2 or n < 3:
         raise ValueError(f"zsigmondy domain is q >= 2, n >= 3, got q={q}, n={n}")
     phi = cyclotomic_value(n, q)
-    # A prime factor of phi is primitive unless it divides n.
-    for p in _factor(n):
-        while phi % p == 0:
-            phi //= p
+    # A prime factor of phi is primitive unless it divides n: strip those by gcds.
+    while (g := math.gcd(phi, n)) > 1:
+        phi //= g
     if phi == 1:
         if (q, n) != (2, 6):
             raise RuntimeError(f"primitive divisor missing outside the known gap at {(q, n)}")
@@ -366,36 +357,50 @@ def is_prime_power(q):
 
 
 # Catalogued gcd identities. Each row is checked pointwise; the suite is the
-# evidence trail for the simplifications used in the order descriptors.
+# evidence trail for the simplifications used in the order descriptors. Each
+# left side is a gcd with some m, so the power of q in it is taken mod m.
 
 
-def _e6_rows(q):
-    lhs = math.gcd((q**5 - 1) * (q + 1), q * q - q + 1)
+def _odd_prime_powers(bound):
+    """p^k -> (p, k) for every odd prime power up to bound."""
+    out = {}
+    for p in _sieve(bound)[1:]:
+        pk, k = p, 1
+        while pk <= bound:
+            out[pk], pk, k = (p, k), pk * p, k + 1
+    return out
+
+
+def _e6_rows(q, _):
+    m = q * q - q + 1
+    lhs = math.gcd((pow(q, 5, m) - 1) * (q + 1), m)
     rhs = math.gcd(q + 1, 3)
     yield {"id": "e6-gcd", "q": q, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
 
-def _sp_rows(q):
-    (p, k), *others = _factor(q).items()
-    if others or p == 2:
+def _sp_rows(q, odd_powers):
+    if q not in odd_powers:
         return
+    p, k = odd_powers[q]
     for n in range(2, 13):
         eps = 1 if (k * (n - 1)) % 2 == 1 else -1
-        lhs = math.gcd(q ** (n - 1) - eps, p + 1)
+        lhs = math.gcd(pow(q, n - 1, p + 1) - eps, p + 1)
         yield {"id": "sp-gcd", "q": q, "n": n, "lhs": lhs, "rhs": 2, "ok": lhs == 2}
 
 
-# row id -> the rows of that identity at one q
+# row id -> the rows of that identity at one q, given the odd prime powers
 _GCD_ROWS = {"e6-gcd": _e6_rows, "sp-gcd": _sp_rows}
 
 
 def gcd_identity_suite(q_range, ids=tuple(_GCD_ROWS)):
     """Evaluate the catalogued gcd identities named by ids, by default all of
     them, at each applicable q; list of rows."""
+    qs = list(q_range)
+    odd_powers = _odd_prime_powers(max([2, *qs])) if "sp-gcd" in ids else {}
     rows = []
-    for q in q_range:
+    for q in qs:
         if q < 2:
             raise ValueError(f"gcd identities want q >= 2, got {q}")
         for row_id in ids:
-            rows.extend(_GCD_ROWS[row_id](q))
+            rows.extend(_GCD_ROWS[row_id](q, odd_powers))
     return rows

@@ -15,13 +15,6 @@ def field_rank(fld, rows):
     return int(_eliminate(fld, np.asarray(rows)[None])[0][0])
 
 
-def _moved_ranks(fld, stack):
-    """rank(g - 1) for each matrix g of a code stack: the codimension of its
-    fixed space."""
-    minus_one = fld.neg_table[np.eye(stack.shape[-1], dtype=np.uint16)]
-    return _eliminate(fld, fld.add_many(stack, minus_one))[0]
-
-
 def min_poly_degree(g, action=None):
     """Degree of the minimal polynomial of g as a matrix."""
     fld = g.field

@@ -1,5 +1,6 @@
 """Matrix groups over small fields: exhaustive enumeration, exact spectra, centers."""
 
+import math
 from functools import lru_cache, reduce
 from types import SimpleNamespace
 
@@ -29,6 +30,16 @@ class CapExceeded(RuntimeError):
         self.found, self.cap, self.cosets, self.subgroup = found, cap, cosets, subgroup
 
 
+def _codes(a, fld):
+    """a as uint16 codes, or None if an entry is no integer in 0..q-1."""
+    kind = a.dtype.kind
+    if kind not in "biuf" or not a.max(initial=0) < fld.q or (
+            kind in "if" and not a.min(initial=0) >= 0):
+        return None
+    codes = a.astype(np.uint16, copy=False)
+    return None if kind == "f" and (codes != a).any() else codes
+
+
 class Matrix:
     """A dim x dim matrix of field codes.  Classical models stay at dim <= 12;
     permutation modules can push the cap to 64."""
@@ -37,12 +48,12 @@ class Matrix:
 
     def __init__(self, fld, entries):
         self.field = fld
-        a = np.asarray(entries, dtype=np.uint16)
+        a = np.asarray(entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] > 64:
             raise ValueError("square matrices of dimension at most 64 only")
-        if int(a.max(initial=0)) >= fld.q:
+        self.a = _codes(a, fld)
+        if self.a is None:
             raise ValueError("entry is not a field code")
-        self.a = a
 
     @property
     def dim(self):
@@ -101,8 +112,8 @@ class MatrixGroup(Record):
     def __init__(self, field, dim, generators, name=None):
         if not 1 <= dim <= 64:
             raise ValueError(f"dimension {dim} is outside 1..64")
-        gens = np.array(generators, dtype=np.uint16)
-        if (gens.ndim, *gens.shape[1:]) != (3, dim, dim) or not len(gens) or gens.max() >= field.q:
+        gens = _codes(np.array(generators), field)
+        if gens is None or (gens.ndim, *gens.shape[1:]) != (3, dim, dim) or not len(gens):
             raise ValueError(f"generator is not a {dim}x{dim} matrix over {field}")
         gens.flags.writeable = False
         rank, _, inverses = _eliminate(field, gens)
@@ -147,13 +158,17 @@ class ElementTable(Record):
             raise ValueError("spectrum is not the sorted histogram keys")
         if not spectrum or spectrum[0] != 1:
             raise ValueError("1 is not the least order of the spectrum")
-        members = set(spectrum)
+        members, exponent = set(spectrum), math.lcm(*spectrum)
+        primes = _factor(exponent)
         for m in members:
-            if any(m // p not in members for p in _factor(m)):
+            if any(m % p == 0 and m // p not in members for p in primes):
                 raise ValueError(f"spectrum not divisor-closed at {m}")
-        # Frobenius: for n dividing |G|, n divides the count of x with x^n = 1
+        # Frobenius: for n dividing |G|, n divides the count of x with x^n = 1,
+        # which is the count for gcd(n, exponent), a divisor of gcd(|G|, exponent)
+        counts = {g: sum(c for m, c in order_histogram.items() if g % m == 0)
+                  for g in divisors(math.gcd(size, exponent))}
         for n in divisors(size):
-            if sum(c for m, c in order_histogram.items() if n % m == 0) % n:
+            if counts[math.gcd(n, exponent)] % n:
                 raise ValueError(f"elements of order dividing {n} are not a multiple of {n}")
         self.size, self.order_histogram, self.spectrum = size, order_histogram, spectrum
         self.payload = payload
@@ -333,8 +348,8 @@ def _memoize(group, table, cap):
     if want is not None and table.size != want:
         raise RuntimeError(f"enumerated {table.size} elements, {group.name} has order {want}")
     _TABLE_MEMO[group.key()] = table
-    if table.size > cap:
-        raise CapExceeded(table.size, cap)
+    if table.size > cap:  # a memo hit: no closure ran, so no cosets
+        raise CapExceeded(min(table.size, cap + _CAP_CHUNK), cap)
     return table
 
 

@@ -20,8 +20,15 @@ from omega.oracle import (
     permutation_module,
     semidirect_spectrum,
 )
-from omega.oracle.action import _cover_witness, _moved_ranks
-from omega.oracle.kernel import _make_codec
+from omega.oracle.action import _cover_witness
+from omega.oracle.kernel import _eliminate, _make_codec
+
+
+def _moved_ranks(fld, stack):
+    """rank(g - 1) for each matrix g of a code stack: the codimension of its
+    fixed space."""
+    minus_one = fld.neg_table[np.eye(stack.shape[-1], dtype=np.uint16)]
+    return _eliminate(fld, fld.add_many(stack, minus_one))[0]
 
 
 def mat_vec(fld, g, v):

@@ -19,7 +19,6 @@ from omega.arith import (
     gcd_identity_suite,
     is_prime,
     is_prime_power,
-    mobius,
     r_part,
     smallest_prime_factor,
     zsigmondy,
@@ -48,6 +47,49 @@ def ref_zsigmondy(q, n):
         if all((q**i - 1) % r for i in range(1, n)):
             return r
     return None
+
+
+def mobius(n):
+    if n < 1:
+        raise ValueError(f"mobius wants n >= 1, got {n}")
+    mu = 1
+    for _, e in _factor(n).items():
+        if e >= 2:
+            return 0
+        mu = -mu
+    return mu
+
+
+def looped_cyclotomic_value(n, q):
+    """Moebius inversion over every divisor d of n, each n/d factored anew."""
+    num = den = 1
+    for d in divisors(n):
+        mu = mobius(n // d)
+        if mu == 1:
+            num *= q**d - 1
+        elif mu == -1:
+            den *= q**d - 1
+    return num // den
+
+
+def ref_gcd_rows(q_range, ids=("e6-gcd", "sp-gcd")):
+    """The gcd identity rows with full powers of q, each q factored anew."""
+    rows = []
+    for q in q_range:
+        for row_id in ids:
+            if row_id == "e6-gcd":
+                lhs = math.gcd((q**5 - 1) * (q + 1), q * q - q + 1)
+                rhs = math.gcd(q + 1, 3)
+                rows.append({"id": row_id, "q": q, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
+                continue
+            (p, k), *others = _factor(q).items()
+            if others or p == 2:
+                continue
+            for n in range(2, 13):
+                eps = 1 if (k * (n - 1)) % 2 == 1 else -1
+                lhs = math.gcd(q ** (n - 1) - eps, p + 1)
+                rows.append({"id": row_id, "q": q, "n": n, "lhs": lhs, "rhs": 2, "ok": lhs == 2})
+    return rows
 
 
 def test_factorize_frozen():
@@ -170,6 +212,12 @@ def test_cyclotomic_values():
             assert prod == q**n - 1
 
 
+def test_cyclotomic_values_match_the_divisor_loop():
+    for q in (*range(2, 14), 1000, 2**31 - 1):
+        for n in range(1, 121):
+            assert cyclotomic_value(n, q) == looped_cyclotomic_value(n, q), (n, q)
+
+
 def test_zsigmondy_frozen():
     assert zsigmondy(2, 6) is None
     assert zsigmondy(2, 3) == 7
@@ -264,3 +312,22 @@ def test_gcd_rows_of_one_identity(row_id):
         r for r in every if r["id"] == row_id]
     with pytest.raises(ValueError):
         gcd_identity_suite([1], (row_id,))
+
+
+@pytest.mark.parametrize("q_range", [
+    range(2, 5001),
+    range(2188, 2500),
+    [3**7, 1000, 2, 9, 5**5, 7, 4, 3, 2**10, 4999, 3],
+], ids=["2..5000", "2188..2499", "unsorted"])
+def test_gcd_rows_match_full_powers(q_range):
+    assert gcd_identity_suite(q_range) == ref_gcd_rows(q_range)
+    for row_id in _GCD_ROWS:
+        assert gcd_identity_suite(q_range, (row_id,)) == ref_gcd_rows(q_range, (row_id,))
+
+
+@pytest.mark.parametrize("q_range", [[1], [5, 7, 0], range(-3, 9)])
+def test_gcd_rows_want_q_of_two_or_more(q_range):
+    bad = next(q for q in q_range if q < 2)
+    for ids in (("e6-gcd", "sp-gcd"), ("e6-gcd",), ("sp-gcd",)):
+        with pytest.raises(ValueError, match=f"q >= 2, got {bad}$"):
+            gcd_identity_suite(q_range, ids)

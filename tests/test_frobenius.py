@@ -18,11 +18,12 @@ from omega.oracle import (
     verify_frobenius,
 )
 from omega.oracle import frobenius, matgroup
-from omega.oracle.action import _moved_ranks
 from omega.oracle.frobenius import (VERIFY_CAP, _mult_order, _singer_block,
                                     _sl_hyperplane_witness, _sp_torus_witness)
 from omega.oracle.kernel import _eliminate, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, _closure, _lookup
+
+from test_action import _moved_ranks
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from omega.arith import _factor, divisors
 from omega.groups import parse_group_spec
 from omega.oracle import (
     CapExceeded,
@@ -14,7 +17,7 @@ from omega.oracle import (
     spectrum_table,
 )
 from omega.oracle.kernel import _VoidCodec, _make_codec
-from omega.oracle.matgroup import _classes, _table
+from omega.oracle.matgroup import _CAP_CHUNK, _classes, _table
 
 
 def test_field_modulus_is_smallest():
@@ -142,6 +145,13 @@ def test_group_checks_hold_without_asserts():
             MatrixGroup(f3, dim, gens)
     with pytest.raises(ValueError, match="not invertible"):
         MatrixGroup(f3, 2, [one, [[1, 1], [1, 1]]])
+    # a float that is no integer is not truncated, a negative entry does not
+    # wrap (-65535 is 1 mod 2^16): both would make the transvection one
+    for bad in ([[1.7, 1], [0, 1]], np.array([[-65535, 1], [0, 1]])):
+        with pytest.raises(ValueError, match="not a 2x2 matrix over GF\\(3\\)"):
+            MatrixGroup(f3, 2, [bad])
+        with pytest.raises(ValueError, match="not a field code"):
+            Matrix(f3, bad)
 
 
 def test_group_generators_are_read_only():
@@ -198,6 +208,63 @@ def test_table_spectrum_must_be_the_sorted_histogram_keys():
 def test_table_spectrum_must_be_divisor_closed():
     with pytest.raises(ValueError, match="divisor-closed at 6"):
         ElementTable(size=3, order_histogram={1: 1, 2: 1, 6: 1}, spectrum=(1, 2, 6))
+
+
+def looped_table_error(size, order_histogram, spectrum):
+    """The message of the first divisor-closure or Frobenius check that fails,
+    each order factored and each divisor of the size summed on its own; None
+    if all hold."""
+    members = set(spectrum)
+    for m in members:
+        if any(m // p not in members for p in _factor(m)):
+            return f"spectrum not divisor-closed at {m}"
+    for n in divisors(size):
+        if sum(c for m, c in order_histogram.items() if n % m == 0) % n:
+            return f"elements of order dividing {n} are not a multiple of {n}"
+    return None
+
+
+# (size, histogram): several orders without their divisors, where the first
+# one the set yields is reported; Frobenius counts failing first at n = 2, at
+# n = 3 = 3 * gcd(3, exponent 2), at n = 4 = 2 * gcd(4, exponent 6) past
+# n = 2 and 3, and at n = 5 in A5's histogram with two 5-elements moved to 10
+CRAFTED_TABLES = [
+    (10, {1: 1, 4: 2, 6: 3, 9: 4}),
+    (8, {1: 1, 2: 1, 3: 1, 12: 5}),
+    (6, {1: 1, 2: 2, 3: 3}),
+    (12, {1: 1, 2: 11}),
+    (24, {1: 1, 2: 1, 3: 2, 6: 20}),
+    (60, {1: 1, 2: 15, 3: 20, 5: 22, 10: 2}),
+]
+
+
+@pytest.mark.parametrize("size, hist", CRAFTED_TABLES)
+def test_table_checks_match_the_looped_checks(size, hist):
+    want = looped_table_error(size, hist, tuple(sorted(hist)))
+    assert want is not None
+    with pytest.raises(ValueError) as e:
+        ElementTable(size, hist, tuple(sorted(hist)))
+    assert str(e.value) == want
+
+
+def test_table_checks_match_the_looped_checks_on_random_histograms():
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(400):
+        spectrum = (1, *sorted(rng.sample(range(2, 40), rng.randint(1, 6))))
+        hist = {m: rng.choice([1, 2, 3, 4, 6, 8, m - 1, 2 * m]) for m in spectrum}
+        hist[1] = 1
+        size = sum(hist.values())
+        want = looped_table_error(size, hist, spectrum)
+        outcomes.add(want is None or want.split()[0])
+        try:
+            ElementTable(size, hist, spectrum)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == want, (size, hist)
+    # all three outcomes are drawn
+    assert outcomes == {True, "spectrum", "elements"}
 
 
 def test_sl2_3_exhaustive():
@@ -262,6 +329,18 @@ def test_cap_aborts_with_count():
         enumerate_group(group, cap=50)
     assert e.value.cap == 50
     assert 50 < e.value.found <= 120
+
+
+def test_cap_exceeded_on_a_memo_hit_keeps_its_bound():
+    # no closure runs on a memo hit, so no cosets are named, and found stays
+    # within one chunk of the cap, as after a closure
+    group = classical_generators("A(2,4)u")
+    assert enumerate_group(group).size == 60480
+    with pytest.raises(CapExceeded) as e:
+        enumerate_group(group, cap=1000)
+    err = e.value
+    assert (err.found, err.cap, err.cosets, err.subgroup) == (1000 + _CAP_CHUNK, 1000, None, None)
+    assert "at least 5096 elements found" in str(err)
 
 
 def test_wide_key_fallback():
