@@ -349,7 +349,7 @@ def _check_c14(params):
     u = None
     for i in np.nonzero(orders == m)[0]:
         cand = table.element(int(i))
-        if min_poly_degree(cand, action) == m:
+        if min_poly_degree(cand) == m:
             u = cand
             break
     cover = semidirect_spectrum(action)

@@ -32,11 +32,6 @@ class GroupSpec(Record):
             raise ValueError(f"q must be a prime power >= 2, got {q}")
         vars(self).update(family=family, rank=rank, q=q, version=version, p=p, k=_factor(q)[p])
 
-    @property
-    def eps(self):
-        """Twisting sign: -1 for the twisted classical/E6 families."""
-        return -1 if self.family in ("2A", "2D", "2E6") else 1
-
     def __str__(self):
         v = "u" if self.version == "universal" else "s"
         if self.family in _FIXED_RANK:

@@ -1,13 +1,11 @@
-"""Module actions, fixed spaces, minimal polynomials, split-extension spectra."""
-
-import random
+"""Module actions, minimal polynomials, split-extension spectra."""
 
 import numpy as np
 
 from ..arith import _factor, is_prime_power
 from ..record import Record
 from .field import build_field
-from .kernel import _eliminate, _make_codec
+from .kernel import _eliminate, _kernel
 from .matgroup import DEFAULT_CAP, ElementTable, MatrixGroup, _classes, enumerate_group
 
 
@@ -15,62 +13,34 @@ def field_rank(fld, rows):
     return int(_eliminate(fld, np.asarray(rows)[None])[0][0])
 
 
-def min_poly_degree(g, action=None):
+def min_poly_degree(g):
     """Degree of the minimal polynomial of g as a matrix."""
-    fld = g.field
-    if action is not None and (g.dim != action.dim_V or fld != action.field):
-        raise ValueError("dimension mismatch")
     # once g^m lies in the span of lower powers, so do all higher ones
-    deg = field_rank(fld, [(g**i).a.ravel() for i in range(g.dim + 1)])
+    deg = field_rank(g.field, [(g**i).a.ravel() for i in range(g.dim + 1)])
     if deg > g.dim:
         raise RuntimeError("minimal polynomial degree exceeds the dimension")
     return deg
 
 
 class ModuleAction(Record):
-    """A group acting on V = field^dim_V through one image matrix per generator."""
+    """A matrix group acting on its natural module V = field^dim_V."""
 
-    _fields = ("image_group", "dim_V", "source_perms", "label")
+    _fields = ("image_group",)
 
-    def __init__(self, image_group, dim_V, source_perms=None, label=""):
-        if dim_V != image_group.dim:
-            raise ValueError(f"dim_V = {dim_V}, but the image group has dimension "
-                             f"{image_group.dim}")
-        vars(self).update(image_group=image_group, dim_V=dim_V, source_perms=source_perms,
-                          label=label)
-        if source_perms is not None:
-            if len(source_perms) != len(image_group.generators):
-                raise ValueError("one source permutation per generator is needed")
-            self._spot_check_relators()
+    def __init__(self, image_group):
+        vars(self).update(image_group=image_group)
+
+    @property
+    def dim_V(self):
+        return self.image_group.dim
 
     @property
     def field(self):
         return self.image_group.field
 
-    def _spot_check_relators(self):
-        """Random generator words that are trivial on points must act trivially.
-        The words come from stdlib random, which numpy already imports: the
-        first use of numpy.random costs more than the whole check."""
-        rng = random.Random(2024)
-        perms, fld = self.source_perms, self.field
-        mats, eye = self.image_group.generators, np.eye(self.dim_V, dtype=np.uint16)
-        deg = len(perms[0])
-        for _ in range(25):
-            word = rng.choices(range(len(perms)), k=rng.randint(1, 6))
-            pt = list(range(deg))
-            for w in word:
-                pt = [perms[w][i] for i in pt]
-            if pt != list(range(deg)):
-                continue
-            m = eye
-            for w in word:
-                m = fld.matmul(mats[w], m)
-            if not (m == eye).all():
-                raise ValueError("image fails a relator of the source")
-
 
 def natural_action(group):
-    return ModuleAction(group, group.dim, label="natural")
+    return ModuleAction(group)
 
 
 def permutation_module(perm_gens, r):
@@ -91,15 +61,14 @@ def permutation_module(perm_gens, r):
     # column i of the matrix of s is the unit vector s(i)
     mats = np.zeros((len(perms), deg, deg), dtype=np.uint16)
     mats[np.arange(len(perms))[:, None], perms, np.arange(deg)] = 1
-    group = MatrixGroup(fld, deg, mats)
-    return ModuleAction(group, deg, source_perms=tuple(perms), label=f"perm{deg}")
+    return ModuleAction(MatrixGroup(fld, deg, mats))
 
 
 def _power_sums(rec, idx, orders):
     """The code stack of N(x) = 1 + x + ... + x^(m-1) for the elements x at
     indices idx of a group record, m their orders, all at once by Horner's rule."""
     fld = rec.field
-    R = _make_codec(fld, rec.dim).decode(rec.keys[idx])
+    R = _kernel(fld, rec.dim).codec.decode(rec.keys[idx])
     eye = np.eye(rec.dim, dtype=fld.code_dtype)
     N = np.broadcast_to(eye, R.shape).copy()
     for step in range(1, int(orders.max(initial=1))):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from ..groups import parse_group_spec
-from .kernel import _are_keys, _make_codec
+from .kernel import _are_keys, _kernel
 from .matgroup import (DEFAULT_CAP, ElementTable, GroupRecord, _TABLE_MEMO, _memoize,
                        _version_table, classical_generators, spectrum_table)
 
@@ -80,7 +80,7 @@ def load_table(cache_dir, spec_str, cap, group):
         raise ValueError(f"{tbl_path}: dimension mismatch")
     if count > cap:
         raise ValueError(f"{tbl_path}: cached table of {count} elements exceeds the cap {cap}")
-    dtype = _make_codec(fld, dim).keys(np.eye(dim, dtype=fld.code_dtype)[None]).dtype
+    dtype = _kernel(fld, dim).codec.one.dtype
     if len(raw) - off != count * dtype.itemsize:
         raise ValueError(f"{tbl_path}: truncated body")
     keys = np.frombuffer(raw, dtype.newbyteorder("<"), offset=off).astype(dtype, copy=False)

@@ -7,7 +7,7 @@ import numpy as np
 from ..arith import _factor, is_prime_power, r_part
 from ..record import Record
 from .field import build_field
-from .kernel import _eliminate, _kernel, _make_codec
+from .kernel import _eliminate, _kernel
 from .matgroup import Matrix, _closure, _elementary, _lookup, classical_generators, enumerate_group
 
 VERIFY_CAP = 1 << 20
@@ -146,33 +146,29 @@ def _sp_torus_witness(n, q):
         raise ValueError(f"needs even q and a 2-power n, got (n, q) = ({n}, {q})")
     group = classical_generators(f"C({n},{q})u")
     table = enumerate_group(group)
-    fld = group.field
     orders = table.orders()
     target = q**n + 1
     s_candidates = np.flatnonzero(orders == target)
     if not len(s_candidates):
         raise WitnessSearchError(f"no element of order {target} in Sp_{2 * n}({q})")
     s = table.element(int(s_candidates[0]))
-    good_j = sorted(j for j in range(2, target) if _mult_order(j, target) == 2 * n)
-    sj_blocks = {j: (s**j).a for j in good_j}
-    kern = _kernel(fld, group.dim)
+    # per block of candidates c, the least j and then the least c with c s = s^j c
+    powers = np.stack([(s**j).a for j in range(2, target) if _mult_order(j, target) == 2 * n])
+    kern = _kernel(group.field, group.dim)
     cand = np.flatnonzero(orders == 2 * n)
     for lo in range(0, len(cand), 1 << 14):
         sel = cand[lo:lo + (1 << 14)]
         K = table.payload.keys[sel]
-        cs = kern.right(K, s.a)
-        for j in good_j:
-            hit = cs == kern.left(sj_blocks[j], K)
-            if hit.any():
-                c = table.element(int(sel[np.flatnonzero(hit)[0]]))
-                return FrobeniusWitness(
-                    kind="sp-torus",
-                    params=(n, q),
-                    kernel_gens=(s,),
-                    complement_gens=(c,),
-                    kernel_order=target,
-                    complement_order=2 * n,
-                )
+        _, hit = np.nonzero(kern.left(powers, K) == kern.right(K, s.a))
+        if len(hit):
+            return FrobeniusWitness(
+                kind="sp-torus",
+                params=(n, q),
+                kernel_gens=(s,),
+                complement_gens=(table.element(int(sel[hit[0]])),),
+                kernel_order=target,
+                complement_order=2 * n,
+            )
     raise WitnessSearchError(
         f"no order-{2 * n} element conjugates the torus by a full-order power")
 
@@ -190,9 +186,10 @@ def frobenius_witness(kind, params):
     return _KINDS[kind](tuple(params))
 
 
-def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
-    """Exhaustive Frobenius check: trivial intersection, normalization, and a
-    fixed-point-free complement action. Returns a verdict with counterexample.
+def verify_frobenius(kernel_gens, complement_gens):
+    """Exhaustive Frobenius check: nontrivial kernel and complement, trivial
+    intersection, normalization, and a fixed-point-free complement action.
+    Returns a verdict with a counterexample, or none for a trivial group.
     One elimination checks that every generator is invertible; then it reads
     only the two groups' key sets: no classes or orders are built.
     A complement element a normalizes K iff aK = Ka, and fixes k iff ak = ka,
@@ -200,6 +197,8 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     and Ka of keyed products are compared as sorted rows and entrywise.  The
     first non-identity element in key order that fails is reported, a
     normalization failure before a fixed point."""
+    if not (kernel_gens and complement_gens):
+        raise ValueError("the kernel and the complement each need a generator")
     fld, dim, nk = kernel_gens[0].field, kernel_gens[0].dim, len(kernel_gens)
     gens = (*kernel_gens, *complement_gens)
     if any(g.field != fld or g.dim != dim for g in gens):
@@ -208,10 +207,13 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
     singular = np.flatnonzero(_eliminate(fld, gens)[0] < dim)
     if len(singular):
         raise ValueError(f"{'kernel' if singular[0] < nk else 'complement'} generator not invertible")
-    k_keys = _closure(fld, dim, gens[:nk], cap)[0]
-    c_keys = _closure(fld, dim, gens[nk:], cap)[0]
+    k_keys = _closure(fld, dim, gens[:nk], VERIFY_CAP)[0]
+    c_keys = _closure(fld, dim, gens[nk:], VERIFY_CAP)[0]
     ko, co = len(k_keys), len(c_keys)
-    codec, kern = _make_codec(fld, dim), _kernel(fld, dim)
+    if 1 in (ko, co):
+        side = "kernel" if ko == 1 else "complement"
+        return FrobeniusVerdict(False, ko, co, f"{side} is trivial")
+    kern, codec = _kernel(fld, dim), _kernel(fld, dim).codec
 
     def nontrivial(keys):
         return next(m for m in (Matrix(fld, a) for a in codec.decode(keys))
@@ -232,14 +234,13 @@ def verify_frobenius(kernel_gens, complement_gens, cap=VERIFY_CAP):
             counterexample=(shared, shared),
         )
     K = codec.decode(k_keys)
-    one = codec.keys(np.eye(dim, dtype=fld.code_dtype)[None])[0]
     step = max(1, _VERIFY_BLOCK // ko)
     for lo in range(0, co, step):
         part = c_keys[lo:lo + step]
         aK, Ka = kern.left(codec.decode(part), k_keys), kern.left(K, part).T
         fixed = aK == Ka
         normal = (np.sort(aK, axis=1) == np.sort(Ka, axis=1)).all(axis=1)
-        bad = np.flatnonzero((~normal | (fixed.sum(axis=1) > 1)) & (part != one))
+        bad = np.flatnonzero((~normal | (fixed.sum(axis=1) > 1)) & (part != codec.one))
         if not len(bad):
             continue
         i = bad[0]

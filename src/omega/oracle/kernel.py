@@ -11,9 +11,10 @@ key is the uint64 word of its matrix and _Packed adds rows looked up in
 tables: GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5) and
 GF(7) up to d = 4, and GF(9) to GF(13) up to d = 3.  _Wide, for other shapes,
 decodes each block, multiplies it by Field.matmul and encodes the product.  A
-codec maps code stacks to keys and back (decode), and takes the least key of
-each row of a key array.  _eliminate runs one Gauss-Jordan over a stack, a
-pivot per matrix.
+codec maps code stacks to keys and back (decode), takes the least key of each
+row of a key array, and holds its key width and the identity's key; other
+modules use the one of _kernel(fld, d).  _eliminate runs one Gauss-Jordan over
+a stack, a pivot per matrix.
 """
 
 import operator
@@ -30,12 +31,15 @@ _PACK_TABLE_LIMIT = 1 << 18
 
 
 class _U64Codec:
-    """Pack d^2 codes into one uint64, entry 0 most significant."""
+    """Pack d^2 codes into one uint64, entry 0 most significant: width =
+    bits d^2 bits per key, and one, the read-only keys of the identity alone."""
 
     def __init__(self, bits, d, dtype):
-        self.d, self.dtype = d, dtype
+        self.d, self.dtype, self.width = d, dtype, bits * d * d
         self.shifts = (bits * np.arange(d * d - 1, -1, -1)).astype(np.uint64)
         self.mask = np.uint64((1 << bits) - 1)
+        self.one = self.keys(np.eye(d, dtype=dtype)[None])
+        self.one.flags.writeable = False
 
     def keys(self, stack):
         """The keys of a code stack, by shift and or, a block of matrices at a
@@ -63,12 +67,15 @@ class _U64Codec:
 
 
 class _VoidCodec:
-    """Raw big-endian byte keys for wide matrices."""
+    """Raw big-endian byte keys for wide matrices; width and one as above."""
 
     def __init__(self, d, dtype):
         self.d, self.dtype = d, dtype
         self.be = ">u2" if np.dtype(dtype).itemsize == 2 else "u1"
-        self.void = f"V{np.dtype(self.be).itemsize * d * d}"
+        self.width = 8 * np.dtype(self.be).itemsize * d * d
+        self.void = f"V{self.width // 8}"
+        self.one = self.keys(np.eye(d, dtype=dtype)[None])
+        self.one.flags.writeable = False
 
     def keys(self, stack):
         flat = np.ascontiguousarray(stack.reshape(stack.shape[0], -1).astype(self.be))
@@ -99,11 +106,11 @@ def _are_keys(fld, dim, keys):
     and no entry is q or more, which no packed entry is when q = 2^bits.
     Packed rows of at most 16 bits are looked up in a table that says, for
     every row, whether it holds such an entry; other keys are decoded."""
-    codec, bits = _make_codec(fld, dim), _bits(fld)
+    codec, bits = _kernel(fld, dim).codec, _bits(fld)
     packed, width = isinstance(codec, _U64Codec), bits * dim
     if not np.array_equal(np.sort(keys), keys) or (keys[1:] == keys[:-1]).any():
         return False
-    if packed and int(keys[-1:].max(initial=0)) >> width * dim:
+    if packed and int(keys[-1:].max(initial=0)) >> codec.width:
         return False
     if packed and fld.q == 1 << bits:
         return True
@@ -113,7 +120,7 @@ def _are_keys(fld, dim, keys):
     bad = reduce(operator.or_, (over[e] for e in _axes(bits, dim))).ravel()
     mask = np.uint64((1 << width) - 1)
     return not any(bad[((keys >> np.uint64(s)) & mask).view(np.intp)].any()
-                   for s in range(0, width * dim, width))
+                   for s in range(0, codec.width, width))
 
 
 class _Wide:

@@ -10,7 +10,7 @@ from ..arith import _factor, divisors
 from ..groups import GroupSpec, group_order, parse_group_spec
 from ..record import Record
 from .field import build_field
-from .kernel import _PACKED_CHUNK, _bits, _eliminate, _kernel, _make_codec
+from .kernel import _PACKED_CHUNK, _eliminate, _kernel
 
 DEFAULT_CAP = 1 << 24
 # A round of the coset closure that could pass the cap goes in parts of the
@@ -135,11 +135,10 @@ class GroupRecord:
     that generates it and the stack of their inverses, and classes, orders
     and V x| G, filled in on first use.  Equal only to itself."""
 
-    def __init__(self, field, dim, keys, generators, inverses, classes=None, orders=None,
-                 semidirect=None):
+    def __init__(self, field, dim, keys, generators, inverses):
         self.field, self.dim, self.keys = field, dim, keys
         self.generators, self.inverses = generators, inverses
-        self.classes, self.orders, self.semidirect = classes, orders, semidirect
+        self.classes = self.orders = self.semidirect = None
 
 
 class ElementTable(Record):
@@ -175,7 +174,7 @@ class ElementTable(Record):
 
     def element(self, i):
         rec = self.payload
-        return Matrix(rec.field, _make_codec(rec.field, rec.dim).decode(rec.keys[i:i + 1])[0])
+        return Matrix(rec.field, _kernel(rec.field, rec.dim).codec.decode(rec.keys[i:i + 1])[0])
 
     def orders(self):
         return _orders(self.payload)
@@ -197,14 +196,14 @@ def _closure(fld, d, gens, cap):
     multiplied by the whole adopted stack in one left call; in the first
     round, whose frontier is H, the products by the earlier generators are
     H again, which the lookup drops."""
-    kern, codec = _kernel(fld, d), _make_codec(fld, d)
-    keys, adopted = codec.keys(np.eye(d, dtype=fld.code_dtype)[None]), []
+    kern, codec = _kernel(fld, d), _kernel(fld, d).codec
+    keys, adopted = codec.one, []
     for i, gk in enumerate(codec.keys(gens)):
         if _lookup(keys, gk[None])[1][0]:
             continue
         adopted.append(i)
         if len(adopted) == 1:
-            keys = _powers(fld, kern, codec, gens[i], keys, cap)
+            keys = _powers(fld, kern, gens[i], cap)
             continue
         # leads holds the least key of each coset found, sorted
         stack, n, frontier = gens[adopted], len(keys), keys[None]
@@ -229,21 +228,21 @@ def _closure(fld, d, gens, cap):
     return keys, adopted
 
 
-def _powers(fld, kern, codec, g, one, cap):
-    """Sorted keys of <g>, one holding the identity's key: with g^0 ..
-    g^(L-1) known, one left call by g^L gives the next L powers, or as many
-    as the cap leaves room for, as in a closure round, up to the identity.
-    Order m takes ceil(log2 m) calls."""
-    powers, gl, eye = one, g, np.eye(len(g), dtype=g.dtype)
+def _powers(fld, kern, g, cap):
+    """Sorted keys of <g>, g not the identity: with g^0 .. g^(L-1) known, one
+    left call by g^L gives the next L powers, or as many as the cap leaves
+    room for, as in a closure round, up to the identity.  Order m takes
+    ceil(log2 m) calls."""
+    powers, gl, eye = kern.codec.one, g, np.eye(len(g), dtype=g.dtype)
     while not (gl == eye).all():
         new = kern.left(gl, powers[:max(cap - len(powers), _CAP_CHUNK)])
-        end = np.flatnonzero(new == one[0])
+        end = np.flatnonzero(new == kern.codec.one[0])
         powers = np.concatenate([powers, new[:end[0]] if len(end) else new])
         if len(powers) > cap:
             raise CapExceeded(len(powers), cap, len(powers), 1)
         if len(end):
             break
-        gl = fld.matmul(codec.decode(powers[-1:])[0], g)
+        gl = fld.matmul(kern.codec.decode(powers[-1:])[0], g)
     powers.sort()
     return powers
 
@@ -259,7 +258,7 @@ def _classes(rec):
         return rec.classes
     fld, keys, n = rec.field, rec.keys, len(rec.keys)
     kern, ib = _kernel(fld, rec.dim), (n - 1).bit_length()
-    by_sort = _bits(fld) * rec.dim ** 2 + ib <= 64
+    by_sort = kern.codec.width + ib <= 64
     perms = []
     for g, g_inv in zip(rec.generators, rec.inverses):
         pk = kern.left(g, kern.right(keys, g_inv))
@@ -301,7 +300,7 @@ def _least_powers(rec, target):
     """Per element x, the least m >= 1 with x^m among the sorted keys target, a
     central subset: a class function, so stepped once per class, on codes."""
     reps, label, _ = _classes(rec)
-    codec = _make_codec(rec.field, rec.dim)
+    codec = _kernel(rec.field, rec.dim).codec
     R = codec.decode(rec.keys[reps])
     m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
     for _ in range(len(rec.keys)):
@@ -317,8 +316,7 @@ def _least_powers(rec, target):
 def _orders(rec):
     """Element orders, kept in the record."""
     if rec.orders is None:
-        eye = np.eye(rec.dim, dtype=rec.field.code_dtype)[None]
-        rec.orders = _least_powers(rec, _make_codec(rec.field, rec.dim).keys(eye))
+        rec.orders = _least_powers(rec, _kernel(rec.field, rec.dim).codec.one)
     return rec.orders
 
 

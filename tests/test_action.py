@@ -10,7 +10,6 @@ from omega.oracle import (
     ElementTable,
     Matrix,
     MatrixGroup,
-    ModuleAction,
     build_field,
     classical_generators,
     enumerate_group,
@@ -259,6 +258,8 @@ def test_permutation_module_validation():
     act = permutation_module(((1, 2, 3, 0),), 4)
     assert act.image_group.field.q == 4
     assert act.dim_V == 4
+    act = permutation_module(((1, 0, 2), (1, 2, 0)), 3)
+    assert act.dim_V == 3 and act.field.q == 3
 
 
 def test_wide_permutation_matrices():
@@ -318,7 +319,7 @@ def test_min_poly_degrees():
     act = permutation_module(((1, 2, 3, 0, 4, 5),), 3)
     g = Matrix(act.field, act.image_group.generators[0])
     assert g.order() == 4
-    assert min_poly_degree(g, act) == 4
+    assert min_poly_degree(g) == 4
 
 
 def test_regular_unipotent_min_poly():
@@ -329,36 +330,3 @@ def test_regular_unipotent_min_poly():
     for i in np.nonzero(orders == 4)[0][:64]:
         degs.add(min_poly_degree(table.element(int(i))))
     assert degs == {4}
-
-
-def test_relator_spot_check_catches_wrong_wiring():
-    swap = (1, 0, 2)
-    cyc = (1, 2, 0)
-    good = permutation_module((swap, cyc), 2)
-    assert good.source_perms == (swap, cyc)
-    # swapping the images while keeping the permutations must trip the check
-    bad_group = MatrixGroup(good.image_group.field, 3, good.image_group.generators[::-1])
-    with pytest.raises(ValueError):
-        ModuleAction(bad_group, 3, source_perms=(swap, cyc))
-
-
-def test_relator_spot_check_rejects_a_moving_image_of_a_fixed_point():
-    # under the identity permutation every word is a relator, so an image of
-    # order 2 fails on the first word of odd length
-    f2 = build_field(2, 1)
-    with pytest.raises(ValueError, match="image fails a relator"):
-        ModuleAction(MatrixGroup(f2, 2, [[[0, 1], [1, 0]]]), 2, source_perms=((0, 1),))
-    act = permutation_module(((1, 0, 2), (1, 2, 0)), 3)
-    assert act.dim_V == 3 and act.field.q == 3
-
-
-def test_module_action_input_checks():
-    act = permutation_module(((1, 0, 2), (1, 2, 0)), 2)
-    with pytest.raises(ValueError):
-        ModuleAction(act.image_group, 4)
-    with pytest.raises(ValueError):
-        ModuleAction(act.image_group, 3, source_perms=act.source_perms[:1])
-    # an element of the wrong dimension for the action
-    g = Matrix(act.field, np.eye(2))
-    with pytest.raises(ValueError):
-        min_poly_degree(g, act)

@@ -180,6 +180,20 @@ def test_sp_torus_witness_small():
     assert (v.kernel_order, v.complement_order) == (5, 4)
 
 
+@pytest.mark.parametrize("params, torus, complement", [
+    ((2, 2), [[0, 0, 0, 1], [0, 0, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1]],
+     [[0, 0, 1, 1], [0, 0, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]]),
+    ((2, 4), [[0, 0, 0, 1], [0, 0, 1, 1], [1, 1, 0, 2], [1, 0, 1, 1]],
+     [[0, 0, 2, 2], [0, 0, 0, 3], [3, 0, 0, 1], [2, 2, 3, 0]]),
+])
+def test_sp_torus_search_picks_the_same_complement(params, torus, complement):
+    """The search takes, in the first block of candidates c with a hit, the
+    least j and then the least c with c s = s^j c: pinned matrices."""
+    w = frobenius_witness("sp-torus", params)
+    assert [g.a.tolist() for g in w.kernel_gens] == [torus]
+    assert [g.a.tolist() for g in w.complement_gens] == [complement]
+
+
 def test_witness_checks_hold_without_asserts():
     with pytest.raises(ValueError, match="6 is not a prime power"):
         _singer_block(6, 2)
@@ -256,12 +270,32 @@ def test_verify_rejects_singular_generators():
         verify_frobenius((k,), (c, singular))
 
 
-def test_verify_keeps_the_cap(fresh_memo):
+def test_verify_keeps_the_cap(fresh_memo, monkeypatch):
     w = frobenius_witness("sl-hyperplane", (3, 3))
+    monkeypatch.setattr(frobenius, "VERIFY_CAP", 4)
     with pytest.raises(CapExceeded) as err:
-        verify_frobenius(w.kernel_gens, w.complement_gens, cap=4)
+        verify_frobenius(w.kernel_gens, w.complement_gens)
     assert 4 < err.value.found <= 4 + matgroup._CAP_CHUNK
     assert err.value.cap == 4
+
+
+def test_verify_refuses_a_trivial_kernel_or_complement():
+    """A Frobenius group has a nontrivial kernel and a nontrivial
+    complement: a trivial one is refused with no counterexample."""
+    w = frobenius_witness("sl-hyperplane", (3, 3))
+    one = (Matrix(w.kernel_gens[0].field, np.eye(3)),)
+    assert verify_frobenius(w.kernel_gens, one) == FrobeniusVerdict(
+        False, 9, 1, "complement is trivial")
+    assert verify_frobenius(one, w.complement_gens) == FrobeniusVerdict(
+        False, 1, 8, "kernel is trivial")
+    assert verify_frobenius(one, one) == FrobeniusVerdict(False, 1, 1, "kernel is trivial")
+
+
+def test_verify_wants_a_generator_on_each_side():
+    w = frobenius_witness("sl-hyperplane", (3, 3))
+    for kernel_gens, complement_gens in (((), w.complement_gens), (w.kernel_gens, ()), ((), ())):
+        with pytest.raises(ValueError, match="each need a generator"):
+            verify_frobenius(kernel_gens, complement_gens)
 
 
 def looped_verify(kernel_gens, complement_gens, cap=VERIFY_CAP):

@@ -22,8 +22,8 @@ def test_parse_roundtrip():
 def test_parse_derived_fields():
     spec = parse_group_spec("C(2,9)u")
     assert (spec.p, spec.k) == (3, 2)
-    assert spec.eps == 1
-    assert parse_group_spec("2A(2,3)").eps == -1
+    twisted = parse_group_spec("2E6(8)")
+    assert (twisted.family, twisted.rank, twisted.p, twisted.k) == ("2E6", 6, 2, 3)
 
 
 def test_parse_errors():

@@ -118,15 +118,16 @@ def test_matrix_group_and_module_action():
     assert frozen(g, "generators") and frozen(g, "inverses")
     with pytest.raises(ValueError, match="not invertible"):
         MatrixGroup(f, 2, [[[1, 1], [1, 1]]])
+    # a module action is its image group: the module's dimension and field
+    # are the group's
     a = natural_action(g)
-    assert (a.source_perms, a.label) == (None, "natural") and a.field == f
-    assert same(a, ModuleAction(g, 2, label="natural"), (g, 2, None, "natural"))
-    assert a != ModuleAction(image_group=g, dim_V=2)
-    assert frozen(a, "label")
-    with pytest.raises(ValueError, match="dim_V"):
-        ModuleAction(g, 3)
-    with pytest.raises(ValueError, match="one source permutation"):
-        ModuleAction(g, 2, source_perms=((0, 1), (1, 0)))
+    assert (a.dim_V, a.field) == (2, f)
+    assert same(a, ModuleAction(image_group=g), (g,))
+    assert a != ModuleAction(MatrixGroup(f, 2, [t, t]))
+    assert repr(a) == f"ModuleAction(image_group={g!r})"
+    assert frozen(a, "image_group")
+    with pytest.raises(TypeError):
+        ModuleAction(g, 2)
 
 
 def test_element_table_and_group_record():
@@ -145,8 +146,10 @@ def test_element_table_and_group_record():
     assert (rec.classes, rec.orders, rec.semidirect) == (None, None, None)
     # a record is equal only to itself
     assert rec == rec and rec != GroupRecord(f, 1, keys, [], rec.inverses)
-    assert GroupRecord(field=f, dim=1, keys=keys, generators=[], inverses=None,
-                       orders=keys).orders is keys
+    assert GroupRecord(field=f, dim=1, keys=keys, generators=[], inverses=None).keys is keys
+    # classes, orders and V x| G are filled in on first use, never passed in
+    with pytest.raises(TypeError):
+        GroupRecord(f, 1, keys, [], None, orders=keys)
 
 
 def test_frobenius_records():

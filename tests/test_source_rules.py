@@ -1,9 +1,10 @@
 """Source rules the package keeps: no `assert` statement in any module,
 whose check would vanish under `python -O`; no claim reaching into the
-private arithmetic kernel, so that the claims stay independent of it; no
-use of `numpy.random`, whose lazy import is paid on first use; and no
-generated code (dataclasses, namedtuples, exec or eval), which every fresh
-process would pay for at import."""
+private arithmetic kernel, so that the claims stay independent of it; one
+owner of the key format, the kernel; no use of `numpy.random`, whose lazy
+import is paid on first use; and no generated code (dataclasses,
+namedtuples, exec or eval), which every fresh process would pay for at
+import."""
 
 import ast
 from pathlib import Path
@@ -33,11 +34,26 @@ def test_claims_do_not_import_the_kernel():
     assert not {m for m in imported if m.startswith("omega.oracle.kernel")}
 
 
+@pytest.mark.parametrize("path", [p for p in CHECKED if p != SRC / "oracle" / "kernel.py"],
+                         ids=lambda p: p.relative_to(SRC).as_posix())
+def test_only_the_kernel_knows_the_key_format(path):
+    """How a matrix becomes a key is the kernel's alone: other modules take
+    the codec of the cached kernel, _kernel(fld, d).codec, with its width
+    and its identity key, and never name the codec factory or the bits
+    per entry."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = ("_make_codec", "_bits")
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in private
+             or isinstance(node, ast.Attribute) and node.attr in private
+             or isinstance(node, ast.alias) and node.name in private]
+    assert lines == [], f"the key format named outside the kernel at lines {lines}"
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_no_numpy_random(path):
     """numpy imports numpy.random lazily, and the first use costs 9.5-20 ms per
-    process, more than most claims; stdlib random, which numpy already
-    imports, draws the few numbers the package needs."""
+    process, more than most claims."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = []
     for node in ast.walk(tree):
