@@ -7,9 +7,9 @@ predictable: a kernel element times a complement generator always gains p.
 
 from omega.groups import parse_group_spec
 from omega.oracle import (
+    ModuleAction,
     classical_generators,
     frobenius_witness,
-    natural_action,
     semidirect_spectrum,
     spectrum_table,
     verify_frobenius,
@@ -18,7 +18,7 @@ from omega.oracle import (
 for name in ("A(1,4)u", "C(2,2)u", "C(2,4)u"):
     spec = parse_group_spec(name)
     base = set(spectrum_table(spec).spectrum)
-    cover = set(semidirect_spectrum(natural_action(classical_generators(spec))).spectrum)
+    cover = set(semidirect_spectrum(ModuleAction(classical_generators(spec))).spectrum)
     gained = sorted(cover - base)
     print(f"{name}: gains {gained or 'nothing'}")
 

@@ -17,11 +17,11 @@ from .oracle import (
     DEFAULT_CAP,
     Matrix,
     MatrixGroup,
+    ModuleAction,
     classical_generators,
     enumerate_group,
     frobenius_witness,
     min_poly_degree,
-    natural_action,
     permutation_module,
     semidirect_spectrum,
     spectrum_table,
@@ -100,7 +100,7 @@ def _check_even_cover(q, rank, target):
     _budget(spec)
     group = classical_generators(spec)
     table = spectrum_table(spec)
-    action = natural_action(group)
+    action = ModuleAction(group)
     cover = semidirect_spectrum(action)
     in_group = target in set(table.spectrum)
     in_cover = target in set(cover.spectrum)
@@ -197,10 +197,10 @@ def _check_c6(params):
     target = 2 * (2 * n)
     fld = w.kernel_gens[0].field
     sub = MatrixGroup(fld, 2 * n, [g.a for g in w.kernel_gens + w.complement_gens])
-    small = semidirect_spectrum(natural_action(sub))
+    small = semidirect_spectrum(ModuleAction(sub))
     in_small = target in set(small.spectrum)
     group = classical_generators(spec)
-    big = semidirect_spectrum(natural_action(group))
+    big = semidirect_spectrum(ModuleAction(group))
     in_big = target in set(big.spectrum)
     in_group = target in set(spectrum_table(spec).spectrum)
     ok = ok_frob and in_small and in_big and not in_group
@@ -336,7 +336,7 @@ def _check_c14(params):
         raise ValueError(f"model must be one of {_C14_MODELS}, got {model!r}")
     if model == "sp4-natural":
         group = classical_generators(GroupSpec("C", 2, 4, "universal"))
-        action = natural_action(group)
+        action = ModuleAction(group)
         m = 4
     else:
         swap = (1, 0, 2, 3, 4, 5)

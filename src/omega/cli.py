@@ -13,11 +13,11 @@ from .groups import GroupSpec, group_order, parse_group_spec
 from .oracle import (
     DEFAULT_CAP,
     CapExceeded,
+    ModuleAction,
     WitnessSearchError,
     cached_spectrum_table,
     classical_generators,
     frobenius_witness,
-    natural_action,
     semidirect_spectrum,
     spectrum_table,
     verify_frobenius,
@@ -176,7 +176,7 @@ def _cmd_semidirect(args):
     spec = parse_group_spec(args.group)
     group = classical_generators(spec)
     base = spectrum_table(spec, args.cap)
-    cover = semidirect_spectrum(natural_action(group), args.cap)
+    cover = semidirect_spectrum(ModuleAction(group), args.cap)
     added = sorted(set(cover.spectrum) - set(base.spectrum))
     note = None
     if spec.version == "simple":

@@ -4,7 +4,6 @@ from .action import (
     ModuleAction,
     field_rank,
     min_poly_degree,
-    natural_action,
     permutation_module,
     semidirect_spectrum,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "spectrum_table",
     "field_rank",
     "min_poly_degree",
-    "natural_action",
     "permutation_module",
     "semidirect_spectrum",
     "cached_spectrum_table",

@@ -2,7 +2,6 @@
 
 import math
 from functools import lru_cache, reduce
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -132,8 +131,8 @@ class MatrixGroup(Record):
 
 class GroupRecord:
     """An enumerated group: its elements as sorted codec keys, a code stack
-    that generates it and the stack of their inverses, and classes, orders
-    and V x| G, filled in on first use.  Equal only to itself."""
+    that generates it and the stack of their inverses, and classes, one order
+    per class and V x| G, filled in on first use.  Equal only to itself."""
 
     def __init__(self, field, dim, keys, generators, inverses):
         self.field, self.dim, self.keys = field, dim, keys
@@ -144,8 +143,7 @@ class GroupRecord:
 class ElementTable(Record):
     """Exhaustive element data: size, order histogram, spectrum of orders.  The
     payload, left out of comparison and repr, is the GroupRecord of an
-    enumerated group, a namespace of the coset orders for G/Z, else None.  A
-    table may be assigned to, so it has no hash."""
+    enumerated group, else None.  A table may be assigned to, so it has no hash."""
 
     _fields = ("size", "order_histogram", "spectrum")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
@@ -172,12 +170,19 @@ class ElementTable(Record):
         self.size, self.order_histogram, self.spectrum = size, order_histogram, spectrum
         self.payload = payload
 
+    def _record(self):
+        if not isinstance(self.payload, GroupRecord):
+            raise ValueError("no group record: only an enumerated table holds elements")
+        return self.payload
+
     def element(self, i):
-        rec = self.payload
+        rec = self._record()
         return Matrix(rec.field, _kernel(rec.field, rec.dim).codec.decode(rec.keys[i:i + 1])[0])
 
     def orders(self):
-        return _orders(self.payload)
+        """Per-element orders, in key order: the one per-element view of the class orders."""
+        rec = self._record()
+        return _orders(rec)[_classes(rec)[1]]
 
 
 def _lookup(keys, pk):
@@ -297,16 +302,16 @@ def _gather(a, idx):
 
 
 def _least_powers(rec, target):
-    """Per element x, the least m >= 1 with x^m among the sorted keys target, a
-    central subset: a class function, so stepped once per class, on codes."""
-    reps, label, _ = _classes(rec)
+    """Per class, aligned with its reps, the least m >= 1 with x^m among the
+    sorted keys target, a central subset: a class function, stepped on codes."""
+    reps = _classes(rec)[0]
     codec = _kernel(rec.field, rec.dim).codec
     R = codec.decode(rec.keys[reps])
     m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
     for _ in range(len(rec.keys)):
         out = ~_lookup(target, codec.keys(cur))[1]
         if not out.any():
-            return m[label]
+            return m
         idx, cur = idx[out], cur[out]
         m[idx] += 1
         cur = rec.field.matmul(cur, R[idx])
@@ -314,25 +319,23 @@ def _least_powers(rec, target):
 
 
 def _orders(rec):
-    """Element orders, kept in the record."""
+    """Class orders, aligned with the reps, kept in the record."""
     if rec.orders is None:
         rec.orders = _least_powers(rec, _kernel(rec.field, rec.dim).codec.one)
     return rec.orders
 
 
-def _table(orders, payload, zn=1):
-    """ElementTable of per-element orders; with zn > 1, of the cosets of a
-    central subgroup of order zn."""
-    counts = np.bincount(orders)
-    vals = np.flatnonzero(counts)
-    if len(orders) % zn or (counts % zn).any():
+def _table(orders, sizes, payload=None, zn=1):
+    """ElementTable counted from per-class orders and class sizes; with
+    zn > 1, of the cosets of a central subgroup of order zn."""
+    hist = {}
+    for m, size in sorted(zip(orders.tolist(), sizes.tolist())):
+        hist[m] = hist.get(m, 0) + size
+    if any(count % zn for count in hist.values()):
         raise RuntimeError(f"an order count is not divisible by |Z| = {zn}")
-    return ElementTable(
-        size=len(orders) // zn,
-        order_histogram={int(v): int(counts[v]) // zn for v in vals},
-        spectrum=tuple(int(v) for v in vals),
-        payload=payload,
-    )
+    return ElementTable(size=sum(hist.values()) // zn,
+                        order_histogram={m: count // zn for m, count in hist.items()},
+                        spectrum=tuple(hist), payload=payload)
 
 
 _TABLE_MEMO = {}
@@ -360,14 +363,13 @@ def enumerate_group(group, cap=DEFAULT_CAP):
         keys, adopted = _closure(group.field, group.dim, group.generators, cap)
         rec = GroupRecord(group.field, group.dim, keys, group.generators[adopted],
                           group.inverses[adopted])
-        table = _table(_orders(rec), rec)
+        table = _table(_orders(rec), _classes(rec)[2], rec)
     return _memoize(group, table, cap)
 
 
 def _quotient_table(rec, zk):
     """The table of G/Z for the sorted keys zk of a central subgroup Z."""
-    qorders = _least_powers(rec, zk)
-    return _table(qorders, SimpleNamespace(orders=qorders), len(zk))
+    return _table(_least_powers(rec, zk), _classes(rec)[2], zn=len(zk))
 
 
 def _elementary(fld, dim, *entries):

@@ -10,12 +10,12 @@ from omega.oracle import (
     ElementTable,
     Matrix,
     MatrixGroup,
+    ModuleAction,
     build_field,
     classical_generators,
     enumerate_group,
     field_rank,
     min_poly_degree,
-    natural_action,
     permutation_module,
     semidirect_spectrum,
 )
@@ -88,10 +88,10 @@ def pair_model_histogram(action):
 
 def test_semidirect_matches_literal_pair_model():
     group = classical_generators(parse_group_spec("A(1,2)u"))
-    table = semidirect_spectrum(natural_action(group))
+    table = semidirect_spectrum(ModuleAction(group))
     assert table.size == 24
     assert table.spectrum == (1, 2, 3, 4)
-    assert table.order_histogram == pair_model_histogram(natural_action(group))
+    assert table.order_histogram == pair_model_histogram(ModuleAction(group))
 
 
 def test_semidirect_perm_module_matches_literal():
@@ -105,7 +105,7 @@ def test_semidirect_perm_module_matches_literal():
 
 def test_semidirect_odd_characteristic():
     group = classical_generators(parse_group_spec("A(1,3)u"))
-    action = natural_action(group)
+    action = ModuleAction(group)
     table = semidirect_spectrum(action)
     assert table.size == 9 * 24
     assert table.order_histogram == pair_model_histogram(action)
@@ -128,7 +128,7 @@ def test_semidirect_of_plus_minus_one_past_the_table_limit():
     fld = build_field(3, 7)
     assert fld.add_table is None
     group = MatrixGroup(fld, 1, [[[fld.neg(1)]]])
-    table = semidirect_spectrum(natural_action(group))
+    table = semidirect_spectrum(ModuleAction(group))
     assert table.order_histogram == {1: 1, 2: 2187, 3: 2186}
 
 
@@ -166,7 +166,7 @@ NULL_COUNT_CASES = {
     "Sym3 on GF(3)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 3),
     "Sym3 on GF(4)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 4),
     "Sym3 on GF(7)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 7),
-    "C(2,2)u natural": lambda: natural_action(classical_generators("C(2,2)u")),
+    "C(2,2)u natural": lambda: ModuleAction(classical_generators("C(2,2)u")),
 }
 
 
@@ -181,7 +181,7 @@ def test_semidirect_matches_per_element_null_count(name):
 def test_table_rejects_one_short_semidirect_histogram(spec):
     # the mutant keeps the size, the sum and a divisor-closed spectrum: only
     # Frobenius' theorem on the counts catches it
-    hist = null_count_histogram(natural_action(classical_generators(spec)), one_short=True)
+    hist = null_count_histogram(ModuleAction(classical_generators(spec)), one_short=True)
     with pytest.raises(ValueError, match="not a multiple of"):
         ElementTable(size=sum(hist.values()), order_histogram=hist, spectrum=tuple(sorted(hist)))
 
@@ -209,10 +209,10 @@ def per_element_cover_witness(action, m):
 
 
 COVER_CASES = {
-    "A(1,4)u natural": lambda: natural_action(classical_generators("A(1,4)u")),
-    "C(2,2)u natural": lambda: natural_action(classical_generators("C(2,2)u")),
+    "A(1,4)u natural": lambda: ModuleAction(classical_generators("A(1,4)u")),
+    "C(2,2)u natural": lambda: ModuleAction(classical_generators("C(2,2)u")),
     # odd p: for most orders every power sum vanishes
-    "C(2,3)u natural": lambda: natural_action(classical_generators("C(2,3)u")),
+    "C(2,3)u natural": lambda: ModuleAction(classical_generators("C(2,3)u")),
     "Sym3 on GF(9)^3": lambda: permutation_module(((1, 0, 2), (1, 2, 0)), 9),
 }
 
@@ -232,15 +232,15 @@ def test_cover_witness_matches_per_element_search(name):
 
 
 def test_semidirect_result_kept_on_group_table():
-    action = natural_action(classical_generators("A(1,2)u"))
+    action = ModuleAction(classical_generators("A(1,2)u"))
     first = semidirect_spectrum(action)
     assert enumerate_group(action.image_group).payload.semidirect is first
-    again = natural_action(classical_generators("A(1,2)u"))
+    again = ModuleAction(classical_generators("A(1,2)u"))
     assert semidirect_spectrum(again) is first
 
 
 def test_semidirect_repeat_call_checks_the_cap():
-    action = natural_action(classical_generators("A(1,3)u"))
+    action = ModuleAction(classical_generators("A(1,3)u"))
     semidirect_spectrum(action)
     with pytest.raises(CapExceeded):
         semidirect_spectrum(action, cap=23)

@@ -23,8 +23,7 @@ from omega.oracle import (
 )
 from omega.oracle import action, frobenius, matgroup
 from omega.oracle.kernel import _Packed, _Wide, _kernel, _make_codec
-from omega.oracle.matgroup import (_TABLE_MEMO, GroupRecord, _classes, _least_powers, _orders,
-                                   _quotient_table)
+from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers, _quotient_table
 
 
 @pytest.fixture
@@ -88,8 +87,8 @@ def stepped_orders(rec, block=1 << 16):
 def test_orders_match_stepped_powers(spec):
     # at 10^4 - 10^5 elements: classes merged or split by a fault in the
     # conjugation permutations or the label propagation would show here
-    rec = enumerate_group(classical_generators(spec)).payload
-    assert (stepped_orders(rec) == _orders(rec)).all()
+    table = enumerate_group(classical_generators(spec))
+    assert (stepped_orders(table.payload) == table.orders()).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
@@ -123,8 +122,10 @@ def commuting_filter(group):
     return stack[mask]
 
 
-@pytest.mark.parametrize("spec", ["A(1,3)u", "A(1,5)u", "2A(2,2)u", "C(2,2)u",
-                                  "A(2,4)u", "C(2,3)u", "2A(3,2)u"])
+CENTER_SPECS = ["A(1,3)u", "A(1,5)u", "2A(2,2)u", "C(2,2)u", "A(2,4)u", "C(2,3)u", "2A(3,2)u"]
+
+
+@pytest.mark.parametrize("spec", CENTER_SPECS)
 def test_center_matches_commuting_filter(spec):
     # the center is the singleton classes
     group = classical_generators(spec)
@@ -132,6 +133,20 @@ def test_center_matches_commuting_filter(spec):
     reps, _, sizes = _classes(table.payload)
     center, want = _codes_of(table)[reps[sizes == 1]], commuting_filter(group)
     assert center.shape == want.shape and (center == want).all()
+
+
+@pytest.mark.parametrize("spec", CENTER_SPECS)
+def test_orders_live_on_the_classes(spec):
+    # one order per class, expanded per element only by table.orders(), and
+    # the histogram counted from the class sizes
+    table = enumerate_group(classical_generators(spec))
+    rec = table.payload
+    reps, label, _ = _classes(rec)
+    assert len(rec.orders) == len(reps)
+    orders = table.orders()
+    assert orders.shape == label.shape and (orders == rec.orders[label]).all()
+    counts = np.bincount(orders)
+    assert table.order_histogram == {m: int(counts[m]) for m in np.flatnonzero(counts)}
 
 
 def naive_quotient_histogram(group, Z):
@@ -180,11 +195,11 @@ def test_cache_loaded_table_has_the_same_classes(tmp_path, fresh_memo):
 def test_simple_table_reuses_classes(fresh_memo):
     first = spectrum_table("C(2,3)s")
     rec = enumerate_group(classical_generators("C(2,3)u")).payload
-    kept = rec.classes
+    kept = rec.classes, rec.orders
     second = spectrum_table("C(2,3)s")
-    assert rec.classes is kept
+    assert rec.classes is kept[0] and rec.orders is kept[1]
     assert second.order_histogram == first.order_histogram
-    assert (second.orders() == first.orders()).all()
+    assert second.payload is first.payload is None
 
 
 def _sym(n, deg, q):
@@ -309,7 +324,7 @@ def _oracle_run(make):
     center = reps[sizes == 1]
     quotient = _quotient_table(rec, rec.keys[center])
     arrays = [rec.keys, _codes_of(table), rec.generators, reps, label, sizes,
-              table.orders(), _codes_of(table)[center], quotient.orders()]
+              table.orders(), _codes_of(table)[center], _least_powers(rec, rec.keys[center])]
     return arrays, (table.order_histogram, quotient.order_histogram)
 
 

@@ -11,9 +11,11 @@ from omega.oracle import (
     Field,
     Matrix,
     MatrixGroup,
+    ModuleAction,
     build_field,
     classical_generators,
     enumerate_group,
+    semidirect_spectrum,
     spectrum_table,
 )
 from omega.oracle.kernel import _VoidCodec, _make_codec
@@ -182,10 +184,23 @@ def test_one_singular_generator_among_many_is_caught(at):
 
 def test_coset_counts_must_divide():
     # three elements cannot split into cosets of a subgroup of order 2
+    # (the classes' orders, then their sizes)
     with pytest.raises(RuntimeError, match="not divisible"):
-        _table(np.array([1, 2, 2]), {}, zn=2)
+        _table(np.array([1, 2]), np.array([1, 2]), zn=2)
     with pytest.raises(RuntimeError, match="not divisible"):
-        _table(np.array([1, 2, 2, 2]), {}, zn=2)  # four elements, but one of order 1
+        _table(np.array([1, 2, 2]), np.array([1, 1, 2]), zn=2)  # four, but one of order 1
+
+
+def test_tables_without_a_record_hold_no_elements():
+    # G/Z and V x| S tables keep no payload: asking them for elements or
+    # per-element orders names the reason
+    quotient = spectrum_table("A(1,5)s")
+    cover = semidirect_spectrum(ModuleAction(classical_generators("A(1,4)u")))
+    for table in (quotient, cover):
+        assert table.payload is None
+        for ask in (table.orders, lambda: table.element(0)):
+            with pytest.raises(ValueError, match="no group record"):
+                ask()
 
 
 def test_table_histogram_must_sum_to_the_size():

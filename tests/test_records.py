@@ -9,7 +9,7 @@ from omega.arith import Factored
 from omega.claims import Claim, ClaimResult
 from omega.groups import GroupSpec
 from omega.oracle import (ElementTable, FrobeniusVerdict, FrobeniusWitness, MatrixGroup,
-                          ModuleAction, build_field, natural_action)
+                          ModuleAction, build_field)
 from omega.oracle.matgroup import GroupRecord
 from omega.spectra import PrimeGraph, SpectrumDescriptor
 
@@ -120,7 +120,7 @@ def test_matrix_group_and_module_action():
         MatrixGroup(f, 2, [[[1, 1], [1, 1]]])
     # a module action is its image group: the module's dimension and field
     # are the group's
-    a = natural_action(g)
+    a = ModuleAction(g)
     assert (a.dim_V, a.field) == (2, f)
     assert same(a, ModuleAction(image_group=g), (g,))
     assert a != ModuleAction(MatrixGroup(f, 2, [t, t]))
