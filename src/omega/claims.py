@@ -28,6 +28,7 @@ from .oracle import (
     verify_frobenius,
 )
 from .oracle.action import _cover_witness
+from .oracle.matgroup import _classes, _orders
 from .record import Record
 
 
@@ -337,17 +338,16 @@ def _check_c14(params):
     if model == "sp4-natural":
         group = classical_generators(GroupSpec("C", 2, 4, "universal"))
         action = ModuleAction(group)
-        m = 4
     else:
         swap = (1, 0, 2, 3, 4, 5)
         cycle = (1, 2, 3, 4, 5, 0)
         action = permutation_module((swap, cycle), 3)
-        m = 4
+    m = 4
     fld = action.image_group.field
     table = enumerate_group(action.image_group)
-    orders = table.orders()
+    # the minimal polynomial is a class function: the first element found is a rep
     u = None
-    for i in np.nonzero(orders == m)[0]:
+    for i in _classes(table.payload)[0][_orders(table.payload) == m]:
         cand = table.element(int(i))
         if min_poly_degree(cand) == m:
             u = cand

@@ -97,14 +97,12 @@ def _descriptor_for(args):
     spec = parse_group_spec(args.group)
     eps = getattr(args, "eps", None)
     fam, q = spec.family, spec.q
-    if fam == "E6":
-        _covers(spec, "simple", math.gcd(3, q - 1))
-        return spec, spectra.e6_semisimple_spectrum(q, eps or "+"), None
-    if fam == "2E6":
-        if eps == "+":
+    if fam in ("E6", "2E6"):
+        if fam == "2E6" and eps == "+":
             raise ValueError("2E6 already fixes the twisting sign, drop --eps")
-        _covers(spec, "simple", math.gcd(3, q + 1))
-        return spec, spectra.e6_semisimple_spectrum(q, "-"), None
+        sign = "-" if fam == "2E6" else eps or "+"
+        _covers(spec, "simple", math.gcd(3, q + 1 if sign == "-" else q - 1))
+        return spec, spectra.e6_semisimple_spectrum(q, sign), None
     if eps is not None:
         raise ValueError(f"--eps only applies to E6, not {fam}")
     if fam == "E7":

@@ -2,7 +2,6 @@
 
 from .action import (
     ModuleAction,
-    field_rank,
     min_poly_degree,
     permutation_module,
     semidirect_spectrum,
@@ -39,7 +38,6 @@ __all__ = [
     "classical_generators",
     "enumerate_group",
     "spectrum_table",
-    "field_rank",
     "min_poly_degree",
     "permutation_module",
     "semidirect_spectrum",

@@ -9,14 +9,10 @@ from .kernel import _eliminate, _kernel
 from .matgroup import DEFAULT_CAP, ElementTable, MatrixGroup, _classes, _orders, enumerate_group
 
 
-def field_rank(fld, rows):
-    return int(_eliminate(fld, np.asarray(rows)[None])[0][0])
-
-
 def min_poly_degree(g):
     """Degree of the minimal polynomial of g as a matrix."""
     # once g^m lies in the span of lower powers, so do all higher ones
-    deg = field_rank(g.field, [(g**i).a.ravel() for i in range(g.dim + 1)])
+    deg = int(_eliminate(g.field, np.array([[(g**i).a.ravel() for i in range(g.dim + 1)]]))[0][0])
     if deg > g.dim:
         raise RuntimeError("minimal polynomial degree exceeds the dimension")
     return deg

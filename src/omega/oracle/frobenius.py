@@ -8,7 +8,8 @@ from ..arith import _factor, is_prime_power, r_part
 from ..record import Record
 from .field import build_field
 from .kernel import _eliminate, _kernel
-from .matgroup import Matrix, _closure, _elementary, _lookup, classical_generators, enumerate_group
+from .matgroup import (Matrix, _classes, _closure, _elementary, _lookup, _orders,
+                       classical_generators, enumerate_group)
 
 VERIFY_CAP = 1 << 20
 # Keyed products per block of verify_frobenius: each of aK and Ka has about
@@ -69,11 +70,21 @@ def _singer_block(q, k):
     raise WitnessSearchError(f"no primitive degree-{k} polynomial over GF({q})")
 
 
-def _translations(fld, n):
-    """The n x n translations of the hyperplane of coordinates 1 .. n-1 along
-    coordinate 0, one per position and basis element of fld."""
-    return tuple(Matrix(fld, _elementary(fld, n, (0, j, b))) for j in range(1, n)
-                 for b in fld.basis())
+def _hyperplane_witness(kind, params, fld, lam, t, order):
+    """Kernel: the translations of coordinates 1 .. n-1 along coordinate 0, n = len(t) + 1,
+    one per position and basis element of fld.  Complement: diag(lam, t), of order order."""
+    n = len(t) + 1
+    big = np.eye(n, dtype=np.uint16)
+    big[0, 0], big[1:, 1:] = lam, t
+    return FrobeniusWitness(
+        kind=kind,
+        params=params,
+        kernel_gens=tuple(Matrix(fld, _elementary(fld, n, (0, j, b))) for j in range(1, n)
+                          for b in fld.basis()),
+        complement_gens=(Matrix(fld, big),),
+        kernel_order=fld.q ** (n - 1),
+        complement_order=order,
+    )
 
 
 def _sl_hyperplane_witness(n, q):
@@ -99,44 +110,15 @@ def _sl_hyperplane_witness(n, q):
     if e == 1:
         raise WitnessSearchError(f"free complement degenerates for (n, q) = ({n}, {q})")
     t = singer ** (big_order // e)
-    big = np.eye(n, dtype=np.uint16)
     _, det, _ = _eliminate(fld, t.a[None])
-    big[0, 0] = fld.inv(int(det[0]))
-    big[1:, 1:] = t.a
-    return FrobeniusWitness(
-        kind="sl-hyperplane",
-        params=(n, q),
-        kernel_gens=_translations(fld, n),
-        complement_gens=(Matrix(fld, big),),
-        kernel_order=q ** (n - 1),
-        complement_order=e,
-    )
+    return _hyperplane_witness("sl-hyperplane", (n, q), fld, fld.inv(int(det[0])), t.a, e)
 
 
 def _gl_affine_witness(q, k):
     """Inside GL_(k+1)(q): the affine group of the line GF(q^k), kernel the
     translations, complement a Singer cycle."""
     singer, fld = _singer_block(q, k)
-    big = np.eye(k + 1, dtype=np.uint16)
-    big[1:, 1:] = singer.a
-    return FrobeniusWitness(
-        kind="gl-affine",
-        params=(q, k),
-        kernel_gens=_translations(fld, k + 1),
-        complement_gens=(Matrix(fld, big),),
-        kernel_order=q**k,
-        complement_order=q**k - 1,
-    )
-
-
-def _mult_order(j, n):
-    m, x = 1, j % n
-    while x != 1:
-        x = (x * j) % n
-        m += 1
-        if m > n:
-            raise RuntimeError(f"{j} has no multiplicative order mod {n}")
-    return m
+    return _hyperplane_witness("gl-affine", (q, k), fld, 1, singer.a, q**k - 1)
 
 
 def _sp_torus_witness(n, q):
@@ -146,16 +128,20 @@ def _sp_torus_witness(n, q):
         raise ValueError(f"needs even q and a 2-power n, got (n, q) = ({n}, {q})")
     group = classical_generators(f"C({n},{q})u")
     table = enumerate_group(group)
-    orders = table.orders()
+    # orders are class functions, and a rep is its class's least index
+    reps, label, _ = _classes(table.payload)
+    orders = _orders(table.payload)
     target = q**n + 1
-    s_candidates = np.flatnonzero(orders == target)
+    s_candidates = reps[orders == target]
     if not len(s_candidates):
         raise WitnessSearchError(f"no element of order {target} in Sp_{2 * n}({q})")
     s = table.element(int(s_candidates[0]))
-    # per block of candidates c, the least j and then the least c with c s = s^j c
-    powers = np.stack([(s**j).a for j in range(2, target) if _mult_order(j, target) == 2 * n])
+    # per block of candidates c, the least j and then the least c with c s = s^j c;
+    # 2n is a power of two, so j has order 2n mod q^n + 1 iff j^n != 1 == j^2n
+    powers = np.stack([(s**j).a for j in range(2, target)
+                       if pow(j, n, target) != 1 == pow(j, 2 * n, target)])
     kern = _kernel(group.field, group.dim)
-    cand = np.flatnonzero(orders == 2 * n)
+    cand = np.flatnonzero((orders == 2 * n)[label])
     for lo in range(0, len(cand), 1 << 14):
         sel = cand[lo:lo + (1 << 14)]
         K = table.payload.keys[sel]

@@ -65,14 +65,8 @@ class Matrix:
 
     def __pow__(self, e):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError(f"negative exponent {e}: matrix powers take no inverse")
         return Matrix(self.field, self.field.matpow(self.a, e))
-
-    def inverse(self):
-        rank, _, inverse = _eliminate(self.field, self.a[None])
-        if rank[0] < self.dim:
-            raise ValueError("matrix is singular")
-        return Matrix(self.field, inverse[0])
 
     def is_identity(self):
         return bool((self.a == np.eye(self.dim, dtype=np.uint16)).all())

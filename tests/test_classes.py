@@ -12,6 +12,7 @@ from omega.groups import group_order, parse_group_spec
 from omega.oracle import (
     Matrix,
     MatrixGroup,
+    ModuleAction,
     cached_spectrum_table,
     classical_generators,
     enumerate_group,
@@ -22,7 +23,7 @@ from omega.oracle import (
     verify_frobenius,
 )
 from omega.oracle import action, frobenius, matgroup
-from omega.oracle.kernel import _Packed, _Wide, _kernel, _make_codec
+from omega.oracle.kernel import _eliminate, _Packed, _Wide, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers, _quotient_table
 
 
@@ -89,6 +90,54 @@ def test_orders_match_stepped_powers(spec):
     # conjugation permutations or the label propagation would show here
     table = enumerate_group(classical_generators(spec))
     assert (stepped_orders(table.payload) == table.orders()).all()
+
+
+def stepped_power_sum_ranks(rec, orders, block=1 << 16):
+    """Per element x, without classes, the rank of N(x) = 1 + x + ... +
+    x^(|x| - 1): the table decoded a block of elements at a time, every
+    element's powers stepped at once by Field.matmul and added up, and one
+    _eliminate over the block's sums."""
+    fld, codec, n = rec.field, _make_codec(rec.field, rec.dim), len(rec.keys)
+    eye, ranks = np.eye(rec.dim, dtype=fld.code_dtype), np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        X = codec.decode(rec.keys[lo:lo + block])
+        m = orders[lo:lo + len(X)]
+        power = np.broadcast_to(eye, X.shape).copy()
+        N = power.copy()
+        for k in range(1, int(m.max())):
+            on = m > k
+            power[on] = fld.matmul(power[on], X[on])
+            N[on] = fld.add_many(N[on], power[on])
+        ranks[lo:lo + len(X)] = _eliminate(fld, N)[0]
+    return ranks
+
+
+def stepped_semidirect_histogram(rec, orders):
+    """The order histogram of V x| G, V the natural module, counted element by
+    element from the per-element orders: (v, x) has order |x| when N(x) kills
+    v and p|x| otherwise, and N(x) kills q^(d - rank N(x)) vectors; (order,
+    rank) pairs by np.unique."""
+    fld, d = rec.field, rec.dim
+    pairs, counts = np.unique(np.stack([orders, stepped_power_sum_ranks(rec, orders)], axis=1),
+                              axis=0, return_counts=True)
+    hist = Counter()
+    for (m, rank), count in zip(pairs.tolist(), counts.tolist()):
+        hist[m] += count * fld.q ** (d - rank)
+        hist[m * fld.p] += count * (fld.q**d - fld.q ** (d - rank))
+    return {m: c for m, c in hist.items() if c}
+
+
+@pytest.mark.parametrize("spec", ["2A(3,2)u", "C(2,3)u", "A(2,4)u"])
+def test_semidirect_matches_stepped_power_sums(spec):
+    # V x| G recounted with none of the oracle's classes, orders or power sums:
+    # a class merged, split or given a wrong N(s) rank changes the histogram
+    group = classical_generators(spec)
+    cover = semidirect_spectrum(ModuleAction(group))
+    rec = enumerate_group(group).payload
+    want = stepped_semidirect_histogram(rec, stepped_orders(rec))
+    assert cover.order_histogram == want
+    size = group.field.q**group.dim * group_order(parse_group_spec(spec)).n
+    assert cover.size == sum(want.values()) == size
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
@@ -223,8 +272,9 @@ CLASS_CASES = {
 
 
 def reference_classes(table, group):
-    """Reps, labels and sizes from Matrix @ and inverse(): a union-find over
-    conjugation by every generator, each set rooted at its least index."""
+    """Reps, labels and sizes from Matrix @ and **: a union-find over
+    conjugation by every generator, each set rooted at its least index; g^-1
+    is g^(|g| - 1), so no elimination is involved."""
     elements = [table.element(i) for i in range(table.size)]
     index = {m: i for i, m in enumerate(elements)}
     parent = list(range(table.size))
@@ -236,7 +286,7 @@ def reference_classes(table, group):
         return i
 
     for g in (Matrix(group.field, a) for a in group.generators):
-        g_inv = g.inverse()
+        g_inv = g ** (g.order() - 1)
         for i, x in enumerate(elements):
             a, b = find(i), find(index[g @ x @ g_inv])
             parent[max(a, b)] = min(a, b)

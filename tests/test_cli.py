@@ -62,6 +62,23 @@ def test_version_guard(capsys):
     assert run(capsys, ["spectrum", "--group", "E7(2)s"])[0] == 0
 
 
+def test_twisted_e6_guard_reads_the_twisted_center(capsys):
+    # E6(q) --eps - is the twisted group 2E6(q), whose universal and simple
+    # versions differ by a center of order gcd(3, q + 1), not gcd(3, q - 1)
+    for q in (2, 4, 5):
+        twisted = run(capsys, ["spectrum", "--group", f"2E6({q})u", "--json"])
+        rc, out, err = run(capsys, ["spectrum", "--group", f"E6({q})u", "--eps", "-", "--json"])
+        assert rc == twisted[0] == (0 if q == 4 else 2)
+        if rc:
+            assert "center of order 3" in err
+        else:
+            want = [int(g) for g in e6_semisimple_spectrum(q, "-").generators]
+            assert json.loads(out)["generators"] == json.loads(twisted[1])["generators"] == want
+    rc, out, _ = run(capsys, ["prime-graph", "--group", "E6(5)u", "--eps", "-", "--json"])
+    assert rc == 2 and out == ""
+    assert run(capsys, ["spectrum", "--group", "E6(5)s", "--eps", "-"])[0] == 0
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["spectrum", "--help"])[0] == 0

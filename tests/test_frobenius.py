@@ -14,12 +14,14 @@ from omega.oracle import (
     Matrix,
     WitnessSearchError,
     build_field,
+    classical_generators,
+    enumerate_group,
     frobenius_witness,
     verify_frobenius,
 )
 from omega.oracle import frobenius, matgroup
-from omega.oracle.frobenius import (VERIFY_CAP, _mult_order, _singer_block,
-                                    _sl_hyperplane_witness, _sp_torus_witness)
+from omega.oracle.frobenius import (VERIFY_CAP, _singer_block, _sl_hyperplane_witness,
+                                    _sp_torus_witness)
 from omega.oracle.kernel import _eliminate, _kernel, _make_codec
 from omega.oracle.matgroup import _TABLE_MEMO, _closure, _lookup
 
@@ -194,6 +196,49 @@ def test_sp_torus_search_picks_the_same_complement(params, torus, complement):
     assert [g.a.tolist() for g in w.complement_gens] == [complement]
 
 
+def looped_mult_order(j, n):
+    """The multiplicative order of j mod n, one product at a time."""
+    m, x = 1, j % n
+    while x != 1:
+        x = x * j % n
+        m += 1
+        if m > n:
+            raise RuntimeError(f"{j} has no multiplicative order mod {n}")
+    return m
+
+
+def reference_sp_torus(n, q, block=1 << 14):
+    """The torus search element by element: s the first element of order
+    q^n + 1 in the per-element orders, the candidates c every element of
+    order 2n, and, per block of candidates, the least j of multiplicative
+    order 2n mod q^n + 1 and then the least c with c s = s^j c, compared as
+    matrices by Field.matmul."""
+    group = classical_generators(f"C({n},{q})u")
+    table = enumerate_group(group)
+    fld, target, orders = group.field, q**n + 1, table.orders()
+    s = table.element(int(np.flatnonzero(orders == target)[0]))
+    js = [j for j in range(2, target) if looped_mult_order(j, target) == 2 * n]
+    codec, cand = _make_codec(fld, group.dim), np.flatnonzero(orders == 2 * n)
+    for lo in range(0, len(cand), block):
+        C = codec.decode(table.payload.keys[cand[lo:lo + block]])
+        cs = fld.matmul(C, s.a)
+        for j in js:
+            hit = np.flatnonzero((fld.matmul((s**j).a, C) == cs).all(axis=(1, 2)))
+            if len(hit):
+                return s, table.element(int(cand[lo + hit[0]]))
+    return s, None
+
+
+@pytest.mark.parametrize("params", [(2, 2), (2, 4)])
+def test_sp_torus_search_matches_a_per_element_reference(params):
+    # the search reads class reps and class masks; the reference expands
+    # every element's order and loops over multiplicative orders
+    w = _sp_torus_witness(*params)
+    s, c = reference_sp_torus(*params)
+    assert c is not None
+    assert w.kernel_gens == (s,) and w.complement_gens == (c,)
+
+
 def test_witness_checks_hold_without_asserts():
     with pytest.raises(ValueError, match="6 is not a prime power"):
         _singer_block(6, 2)
@@ -203,9 +248,6 @@ def test_witness_checks_hold_without_asserts():
     for n, q in ((2, 3), (3, 2), (0, 2)):
         with pytest.raises(ValueError, match="even q and a 2-power n"):
             _sp_torus_witness(n, q)
-    assert _mult_order(2, 5) == 4
-    with pytest.raises(RuntimeError, match="no multiplicative order"):
-        _mult_order(2, 4)
 
 
 def test_unknown_kind():
