@@ -3,9 +3,11 @@ all code-stack arithmetic (Field.add_many, Field.matmul).
 
 _kernel(fld, d) multiplies d x d matrices given by their codec keys by a fixed
 code matrix g: left(g, K) = g @ K[i] and right(K, g) = K[i] @ g, each returning
-keys.  left also takes an (L, d, d) stack g and returns (L, len(K)) keys.  Both
-kernels walk K in blocks of _PACKED_CHUNK keys into one output, and left reads
-each block once for the whole stack.  When bits * d^2 <= 64 (bits =
+keys, and conj(K, g, g_inv, shift) = (g @ K[i] @ g_inv) << shift, one pass of
+table lookups by key chunks on GF(2^k) uint64 keys.  left also takes an (L, d,
+d) stack g and returns (L, len(K)) keys.  Both kernels walk K in blocks of
+_PACKED_CHUNK keys into one output, and left reads each block once for the
+whole stack.  When bits * d^2 <= 64 (bits =
 bit_length(q - 1)) and the scalar-times-row table fits _PACK_TABLE_LIMIT, a
 key is the uint64 word of its matrix and _Packed adds rows looked up in
 tables: GF(2^k) packs while its table fits, GF(3) up to d = 5, GF(5) and
@@ -28,6 +30,10 @@ _PACKED_CHUNK = 1 << 14
 # Largest scalar-times-row table the packed path builds, 2^bits x 2^(bits d);
 # a chunk-sum table has at most 2^16 words, or 2^18 for 1 x 1 over q > 256.
 _PACK_TABLE_LIMIT = 1 << 18
+# Most key bits per lookup of a GF(2^k) conjugation: a w-bit key is read in
+# ceil(w / 12) equal chunks, three of 12 bits (4096-word tables) for C(3,2)u's
+# 36-bit keys and two of 9 bits for A(2,4)u's 18.
+_CONJ_BITS = 12
 
 
 class _U64Codec:
@@ -123,12 +129,48 @@ def _are_keys(fld, dim, keys):
                    for s in range(0, codec.width, width))
 
 
-class _Wide:
-    """Keyed products for shapes too wide to pack: per block of keys, decode,
-    multiply on the field and encode into one output, as _Packed does."""
+class _Keyed:
+    """Conjugation, shared by both kernels; linear says whether keys are
+    uint64 words over GF(2^k), whose entries add by XOR."""
 
     def __init__(self, fld, d):
         self.fld, self.codec = fld, _make_codec(fld, d)
+        self.linear = fld.p == 2 and isinstance(self.codec, _U64Codec)
+
+    def conj(self, K, g, g_inv, shift=0):
+        """(g @ K[i] @ g_inv) << shift as keys, shift keeping them within 64
+        bits (0 for byte keys), by right then left; or for linear keys in one
+        pass: conjugation is GF(2)-linear on their bits, so a conjugate is
+        the XOR of one lookup per chunk of at most _CONJ_BITS bits of the key,
+        in a table of the span of that chunk's bits' shifted conjugates."""
+        if not self.linear:
+            out = self.left(g, self.right(K, g_inv))
+            return np.left_shift(out, np.uint64(shift), out=out) if shift else out
+        width, d, fld = self.codec.width, self.codec.d, self.fld
+        c = -(-width // -(-width // _CONJ_BITS))
+        # key bit i is bit b of entry (r, col), the matrix 2^b E_(r, col), whose
+        # conjugate is 2^b (column r of g)(row col of g^-1)
+        e, b = np.divmod(np.arange(width), _bits(fld))
+        r, col = np.divmod(d * d - 1 - e, d)
+        column = fld.mul_many(1 << b[:, None], g.T[r])
+        images = self.codec.keys(fld.mul_many(column[:, :, None], g_inv[col, None, :]))
+        tables = np.zeros((-(-width // c), 1 << c), dtype=np.uint64)
+        images = np.append(images << np.uint64(shift), np.zeros(-width % c, np.uint64)).reshape(-1, c)
+        for i in range(c):  # the span doubles with each bit of the chunk
+            np.bitwise_xor(tables[:, :1 << i], images[:, i, None], out=tables[:, 1 << i:2 << i])
+        out, idx = np.zeros_like(K), np.empty(min(len(K), _PACKED_CHUNK), dtype=np.uint64)
+        for lo in range(0, len(K), _PACKED_CHUNK):
+            part, res = K[lo:lo + _PACKED_CHUNK], out[lo:lo + _PACKED_CHUNK]
+            for i, t in enumerate(tables):
+                at = np.right_shift(part, np.uint64(c * i), out=idx[:len(part)])
+                at &= np.uint64((1 << c) - 1)
+                res ^= t[at.view(np.intp)]
+        return out
+
+
+class _Wide(_Keyed):
+    """Keyed products for shapes too wide to pack: per block of keys, decode,
+    multiply on the field and encode into one output, as _Packed does."""
 
     def left(self, g, K):
         """g @ K[i] for a (d, d) code matrix g, or for each matrix of an
@@ -155,7 +197,7 @@ def _axes(bits, n):
     return np.ix_(*[np.arange(1 << bits)] * n)
 
 
-class _Packed:
+class _Packed(_Keyed):
     """Matrices over a small field as uint64 words, each the _U64Codec key of
     its matrix: bits = bit_length(q - 1) per entry and width = bits d per row.
     A product looks rows up in a scalar-times-row table over every bits-bit
@@ -166,7 +208,8 @@ class _Packed:
     product or sum table, padded to 2^bits, over its entry axes."""
 
     def __init__(self, fld, d):
-        self.codec, self.d, self.bits = _make_codec(fld, d), d, _bits(fld)
+        super().__init__(fld, d)
+        self.d, self.bits = d, _bits(fld)
         bits, width = self.bits, self.bits * d
         self.width = np.uint64(width)
         self.row_mask = np.uint64((1 << width) - 1)

@@ -260,9 +260,8 @@ def _classes(rec):
     by_sort = kern.codec.width + ib <= 64
     perms = []
     for g, g_inv in zip(rec.generators, rec.inverses):
-        pk = kern.left(g, kern.right(keys, g_inv))
+        pk = kern.conj(keys, g, g_inv, ib if by_sort else 0)
         if by_sort:
-            pk <<= ib
             pk |= np.arange(n, dtype=np.uint64)
             pk.sort()
             perms.append((pk & (1 << ib) - 1).astype(np.int32))
@@ -297,19 +296,25 @@ def _gather(a, idx):
 
 def _least_powers(rec, target):
     """Per class, aligned with its reps, the least m >= 1 with x^m among the
-    sorted keys target, a central subset: a class function, stepped on codes."""
-    reps = _classes(rec)[0]
+    sorted keys target, a central subset holding 1 (so reached by |G|): with
+    x^1 .. x^L known, one stacked Field.matmul by x^L gives x^(L+1) .. x^2L,
+    so order m takes ceil(log2 m) products."""
     codec = _kernel(rec.field, rec.dim).codec
-    R = codec.decode(rec.keys[reps])
-    m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
-    for _ in range(len(rec.keys)):
-        out = ~_lookup(target, codec.keys(cur))[1]
-        if not out.any():
+    if not _lookup(target, codec.one)[1][0]:
+        raise RuntimeError("order runaway: a target without the identity may never be reached")
+    known = codec.decode(rec.keys[_classes(rec)[0]])[:, None]
+    idx, new, m = np.arange(len(known)), known, np.zeros(len(known), dtype=np.int64)
+    while True:
+        hit = _lookup(target, codec.keys(new.reshape(-1, rec.dim, rec.dim)))[1].reshape(new.shape[:2])
+        done = hit.any(axis=1)
+        m[idx[done]] = known.shape[1] - new.shape[1] + 1 + hit[done].argmax(axis=1)
+        if done.all():
             return m
-        idx, cur = idx[out], cur[out]
-        m[idx] += 1
-        cur = rec.field.matmul(cur, R[idx])
-    raise RuntimeError("order runaway: an element's order exceeds the group's")
+        if known.shape[1] >= len(rec.keys):
+            raise RuntimeError("order runaway: an element's order exceeds the group's")
+        idx, known = idx[~done], known[~done]
+        known = np.concatenate([known, rec.field.matmul(known, known[:, -1:])], axis=1)
+        new = known[:, known.shape[1] // 2:]
 
 
 def _orders(rec):

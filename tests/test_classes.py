@@ -340,6 +340,67 @@ def test_classes_memory_budget(fresh_memo):
     assert peak < 55 * len(rec.keys)
 
 
+def test_gf2k_classes_memory_budget(fresh_memo):
+    """Traced peak of _classes on A(2,4)u, whose GF(4) keys conjugate in one
+    table pass, per element: 49.1 bytes, one conjugate at a time, within
+    the budget of C(2,3)u above."""
+    rec = enumerate_group(classical_generators("A(2,4)u")).payload
+    fresh = GroupRecord(rec.field, rec.dim, rec.keys, rec.generators, rec.inverses)
+    assert _kernel(rec.field, rec.dim).linear
+    tracemalloc.start()
+    try:
+        _classes(fresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55 * len(rec.keys)
+
+
+def stepped_least_powers(rec, target):
+    """Per class rep, the least m >= 1 with x^m in target, one Field.matmul
+    per power: the loop the doubling replaced."""
+    reps = _classes(rec)[0]
+    codec = _make_codec(rec.field, rec.dim)
+    R = codec.decode(rec.keys[reps])
+    m, idx, cur = np.ones(len(R), dtype=np.int64), np.arange(len(R)), R
+    for _ in range(len(rec.keys)):
+        out = ~np.isin(codec.keys(cur), target)
+        if not out.any():
+            return m
+        idx, cur = idx[out], cur[out]
+        m[idx] += 1
+        cur = rec.field.matmul(cur, R[idx])
+    raise AssertionError("an order exceeds the group's")
+
+
+# largest least powers into 1 that are not powers of two: 21, 18 and 14
+@pytest.mark.parametrize("spec, top", [("A(2,4)u", 21), ("C(2,3)u", 18), ("A(1,7)u", 14)])
+def test_least_powers_by_doubling_match_stepping(spec, top):
+    # the identity and the center: class orders, and orders in G/Z
+    rec = enumerate_group(classical_generators(spec)).payload
+    reps, _, sizes = _classes(rec)
+    one, center = _make_codec(rec.field, rec.dim).one, rec.keys[reps[sizes == 1]]
+    for target in (one, center):
+        want = stepped_least_powers(rec, target)
+        with mock.patch.object(rec.field, "matmul", wraps=rec.field.matmul) as matmul:
+            got = _least_powers(rec, target)
+        assert got.dtype == np.int64 and (got == want).all()
+        # ceil(log2 m) stacked products for the largest m
+        assert matmul.call_count == (int(want.max()) - 1).bit_length()
+    assert stepped_least_powers(rec, one).max() == top
+
+
+def test_target_without_the_identity_is_refused():
+    rec = enumerate_group(classical_generators("A(2,4)u")).payload
+    reps, _, sizes = _classes(rec)
+    center = rec.keys[reps[sizes == 1]]
+    assert len(center) == 3
+    target = center[center != _make_codec(rec.field, rec.dim).one[0]]
+    with mock.patch.object(rec.field, "matmul", side_effect=AssertionError), \
+            pytest.raises(RuntimeError, match="order runaway"):
+        _least_powers(rec, target)
+
+
 def test_unreachable_target_raises():
     rec = enumerate_group(classical_generators("A(1,3)u")).payload
     # a key past the largest one names no element, so no power reaches it

@@ -129,6 +129,13 @@ def check_kernels(fld, d, g, X, Y, chunk):
         for got, whole in ((L, kern.left(g, KX)), (R, kern.right(KX, g))):
             assert got.dtype == KX.dtype and got.shape == KX.shape
             assert (got == whole).all()
+        # conj is the composition for any pair of matrices, shifted by as
+        # much as a uint64 key leaves room for
+        shift = 64 - codec.width if KX.dtype == np.uint64 else 0
+        want = kern.left(g, kern.right(KX, Y[0]))
+        assert (kern.conj(KX, g, Y[0]) == want).all()
+        if shift:
+            assert (kern.conj(KX, g, Y[0], shift) == want << np.uint64(shift)).all()
         L, R = codec.decode(L), codec.decode(R)
         for i in range(len(X)):
             assert (L[i] == ref_product(fld, g, X[i])).all()
@@ -212,7 +219,35 @@ def test_wide_memory_budget():
 def test_kernels_take_and_return_keys_only():
     # the packed and the wide kernel share one keyed interface
     for cls in (_Packed, _Wide):
-        assert {n for n in vars(cls) if not n.startswith("_")} == {"left", "right"}
+        assert {n for n in dir(cls) if not n.startswith("_")} == {"left", "right", "conj"}
+
+
+# every GF(2^k) shape whose keys are uint64 words: widths 1 .. 64 bits, among
+# them 16, 18, 27, 36 and 64, read in one to six chunks of up to 12 bits; a
+# width such as 45 or 64 pads its last chunk
+GF2K_WORDS = [(k, d) for k in range(1, 17) for d in range(1, 9) if k * d * d <= 64]
+
+
+@pytest.mark.parametrize("k, d", GF2K_WORDS)
+def test_gf2k_conj_is_one_table_pass(k, d):
+    fld = build_field(2, k)
+    codec = _make_codec(fld, d)
+    rng = np.random.default_rng(k * 16 + d)
+    stack = rng.integers(0, fld.q, size=(12, d, d)).astype(fld.code_dtype)
+    rank, _, inv = _eliminate(fld, stack)
+    gens, invs = stack[rank == d][:3], inv[rank == d][:3]
+    assert len(gens)
+    K = codec.keys(rng.integers(0, fld.q, size=(40, d, d)).astype(fld.code_dtype))
+    for kern in kernels(fld, d):
+        for g, g_inv in zip(gens, invs):
+            want = kern.left(g, kern.right(K, g_inv))
+            for shift in {0, 64 - codec.width}:
+                # one table pass: no left or right product, blocks of 7 keys
+                with mock.patch.object(kern, "right", side_effect=AssertionError), \
+                        mock.patch.object(kern, "left", side_effect=AssertionError), \
+                        mock.patch.object(kernel, "_PACKED_CHUNK", 7):
+                    got = kern.conj(K, g, g_inv, shift)
+                assert got.dtype == K.dtype and (got == want << np.uint64(shift)).all()
 
 
 @SETTINGS
