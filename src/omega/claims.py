@@ -28,7 +28,7 @@ from .oracle import (
     verify_frobenius,
 )
 from .oracle.action import _cover_witness
-from .oracle.matgroup import _classes, _orders
+from .oracle.matgroup import _classes
 from .record import Record
 
 
@@ -346,8 +346,9 @@ def _check_c14(params):
     fld = action.image_group.field
     table = enumerate_group(action.image_group)
     # the minimal polynomial is a class function: the first element found is a rep
+    reps, _, _, orders = _classes(table.payload)
     u = None
-    for i in _classes(table.payload)[0][_orders(table.payload) == m]:
+    for i in reps[orders == m]:
         cand = table.element(int(i))
         if min_poly_degree(cand) == m:
             u = cand

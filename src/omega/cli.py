@@ -3,7 +3,6 @@
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import spectra
@@ -63,7 +62,7 @@ def build_parser():
             p.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
                            help="enumeration abort threshold")
         if cache:
-            p.add_argument("--cache", help="cache directory (default: $OMEGA_CACHE)")
+            p.add_argument("--cache", help="cache directory (default: no cache)")
         if suite:
             p.add_argument("--suite", required=True,
                            help="all, a strategy name, or comma-separated claim ids")
@@ -155,13 +154,9 @@ def _cmd_zsigmondy(args):
     return {"q": args.q, "n": args.n, "r": r, "note": note}, 0
 
 
-def _cache_dir(args):
-    return getattr(args, "cache", None) or os.environ.get("OMEGA_CACHE") or None
-
-
 def _cmd_enumerate(args):
     spec = parse_group_spec(args.group)
-    table = cached_spectrum_table(spec, args.cap, _cache_dir(args))
+    table = cached_spectrum_table(spec, args.cap, args.cache or None)
     return {
         "group": str(spec),
         "size": table.size,

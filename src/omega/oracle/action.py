@@ -6,7 +6,7 @@ from ..arith import _factor, is_prime_power
 from ..record import Record
 from .field import build_field
 from .kernel import _eliminate, _kernel
-from .matgroup import DEFAULT_CAP, ElementTable, MatrixGroup, _classes, _orders, enumerate_group
+from .matgroup import DEFAULT_CAP, ElementTable, MatrixGroup, _classes, enumerate_group
 
 
 def min_poly_degree(g):
@@ -79,8 +79,7 @@ def semidirect_spectrum(action, cap=DEFAULT_CAP):
     if rec.semidirect is not None:
         return rec.semidirect
     fld, d = action.field, action.dim_V
-    reps, _, sizes = _classes(rec)
-    orders = _orders(rec)
+    reps, _, sizes, orders = _classes(rec)
     vcount, hist = fld.q**d, {}
     ranks, _, _ = _eliminate(fld, _power_sums(rec, reps, orders))
     for m, size, rank in zip(orders.tolist(), sizes.tolist(), ranks.tolist()):
@@ -102,7 +101,8 @@ def _cover_witness(action, m):
     for a whole class or for none of it, and the first element that has it is
     its class's least index: a representative."""
     table = enumerate_group(action.image_group)
-    reps = _classes(table.payload)[0][_orders(table.payload) == m]
+    reps, _, _, orders = _classes(table.payload)
+    reps = reps[orders == m]
     N = _power_sums(table.payload, reps, np.full(len(reps), m))
     hit = np.flatnonzero(N.any(axis=(1, 2)))
     if not len(hit):

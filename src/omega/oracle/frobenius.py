@@ -8,8 +8,8 @@ from ..arith import _factor, is_prime_power, r_part
 from ..record import Record
 from .field import build_field
 from .kernel import _eliminate, _kernel
-from .matgroup import (Matrix, _classes, _closure, _elementary, _lookup, _orders,
-                       classical_generators, enumerate_group)
+from .matgroup import (Matrix, _classes, _closure, _elementary, _lookup, classical_generators,
+                       enumerate_group)
 
 VERIFY_CAP = 1 << 20
 # Keyed products per block of verify_frobenius: each of aK and Ka has about
@@ -129,8 +129,7 @@ def _sp_torus_witness(n, q):
     group = classical_generators(f"C({n},{q})u")
     table = enumerate_group(group)
     # orders are class functions, and a rep is its class's least index
-    reps, label, _ = _classes(table.payload)
-    orders = _orders(table.payload)
+    reps, label, _, orders = _classes(table.payload)
     target = q**n + 1
     s_candidates = reps[orders == target]
     if not len(s_candidates):

@@ -125,13 +125,13 @@ class MatrixGroup(Record):
 
 class GroupRecord:
     """An enumerated group: its elements as sorted codec keys, a code stack
-    that generates it and the stack of their inverses, and classes, one order
-    per class and V x| G, filled in on first use.  Equal only to itself."""
+    that generates it and the stack of their inverses, and its class data
+    and V x| G, filled in on first use.  Equal only to itself."""
 
     def __init__(self, field, dim, keys, generators, inverses):
         self.field, self.dim, self.keys = field, dim, keys
         self.generators, self.inverses = generators, inverses
-        self.classes = self.orders = self.semidirect = None
+        self.classes = self.semidirect = None
 
 
 class ElementTable(Record):
@@ -175,8 +175,8 @@ class ElementTable(Record):
 
     def orders(self):
         """Per-element orders, in key order: the one per-element view of the class orders."""
-        rec = self._record()
-        return _orders(rec)[_classes(rec)[1]]
+        _, label, _, orders = _classes(self._record())
+        return orders[label]
 
 
 def _lookup(keys, pk):
@@ -247,12 +247,12 @@ def _powers(fld, kern, g, cap):
 
 
 def _classes(rec):
-    """Conjugacy classes of a group, kept in its record: (reps, label, sizes),
-    the least index of each class (ascending), each element's class, and the
-    class sizes.  Where key and index fit a uint64 word, sorting the words
-    (key << ib) | index in place gives each conjugation's inverse permutation
-    (low bits) and the keys (high bits); else _lookup gives the forward one,
-    with the same orbits."""
+    """Class data of a group, kept in its record: (reps, label, sizes,
+    orders), the least index of each class (ascending), each element's class,
+    the class sizes and the class orders.  Where key and index fit a uint64
+    word, sorting the words (key << ib) | index in place gives each
+    conjugation's inverse permutation (low bits) and the keys (high bits);
+    else _lookup gives the forward one, with the same orbits."""
     if rec.classes is not None:
         return rec.classes
     fld, keys, n = rec.field, rec.keys, len(rec.keys)
@@ -280,9 +280,11 @@ def _classes(rec):
         for P in perms:
             lab = np.minimum(lab, _gather(lab, P))
         lab = _gather(lab, lab)
+    del perms, old
     first = lab == np.arange(n, dtype=np.int32)
     label = _gather(np.cumsum(first, dtype=np.int32) - 1, lab)
-    rec.classes = np.flatnonzero(first), label, np.bincount(label)
+    reps = np.flatnonzero(first)
+    rec.classes = reps, label, np.bincount(label), _least_powers(rec, reps, kern.codec.one)
     return rec.classes
 
 
@@ -294,15 +296,15 @@ def _gather(a, idx):
     return out
 
 
-def _least_powers(rec, target):
-    """Per class, aligned with its reps, the least m >= 1 with x^m among the
-    sorted keys target, a central subset holding 1 (so reached by |G|): with
-    x^1 .. x^L known, one stacked Field.matmul by x^L gives x^(L+1) .. x^2L,
-    so order m takes ceil(log2 m) products."""
+def _least_powers(rec, reps, target):
+    """Per class rep x, the least m >= 1 with x^m among the sorted keys
+    target, a central subset holding 1 (so reached by |G|): with x^1 .. x^L
+    known, one stacked Field.matmul by x^L gives x^(L+1) .. x^2L, so order m
+    takes ceil(log2 m) products."""
     codec = _kernel(rec.field, rec.dim).codec
     if not _lookup(target, codec.one)[1][0]:
         raise RuntimeError("order runaway: a target without the identity may never be reached")
-    known = codec.decode(rec.keys[_classes(rec)[0]])[:, None]
+    known = codec.decode(rec.keys[reps])[:, None]
     idx, new, m = np.arange(len(known)), known, np.zeros(len(known), dtype=np.int64)
     while True:
         hit = _lookup(target, codec.keys(new.reshape(-1, rec.dim, rec.dim)))[1].reshape(new.shape[:2])
@@ -315,13 +317,6 @@ def _least_powers(rec, target):
         idx, known = idx[~done], known[~done]
         known = np.concatenate([known, rec.field.matmul(known, known[:, -1:])], axis=1)
         new = known[:, known.shape[1] // 2:]
-
-
-def _orders(rec):
-    """Class orders, aligned with the reps, kept in the record."""
-    if rec.orders is None:
-        rec.orders = _least_powers(rec, _kernel(rec.field, rec.dim).codec.one)
-    return rec.orders
 
 
 def _table(orders, sizes, payload=None, zn=1):
@@ -362,13 +357,15 @@ def enumerate_group(group, cap=DEFAULT_CAP):
         keys, adopted = _closure(group.field, group.dim, group.generators, cap)
         rec = GroupRecord(group.field, group.dim, keys, group.generators[adopted],
                           group.inverses[adopted])
-        table = _table(_orders(rec), _classes(rec)[2], rec)
+        _, _, sizes, orders = _classes(rec)
+        table = _table(orders, sizes, rec)
     return _memoize(group, table, cap)
 
 
 def _quotient_table(rec, zk):
     """The table of G/Z for the sorted keys zk of a central subgroup Z."""
-    return _table(_least_powers(rec, zk), _classes(rec)[2], zn=len(zk))
+    reps, _, sizes, _ = _classes(rec)
+    return _table(_least_powers(rec, reps, zk), sizes, zn=len(zk))
 
 
 def _elementary(fld, dim, *entries):
@@ -417,8 +414,9 @@ def _su_generators(fld2, dim, k_base):
     conj = np.array([fld2.frob(x, k_base) for x in range(q2)], dtype=fld2.code_dtype)
 
     def unitary(ts):
-        """Which t of the stack satisfy t^T F conj(t) = F."""
-        lhs = fld2.matmul(fld2.matmul(ts.transpose(0, 2, 1), form), conj[ts])
+        """Which t of the stack satisfy t^T F conj(t) = F; F is the antidiagonal
+        permutation, so t^T F is t^T with its columns reversed."""
+        lhs = fld2.matmul(ts.transpose(0, 2, 1)[..., ::-1], conj[ts])
         return (lhs == form).all(axis=(1, 2))
 
     vs = np.array(list(itertools.product(range(q2), repeat=dim))[1:], dtype=fld2.code_dtype)
@@ -487,5 +485,5 @@ def _version_table(group, version, cap):
     table = enumerate_group(group, cap)
     if version == "universal":
         return table
-    reps, _, sizes = _classes(table.payload)
+    reps, _, sizes, _ = _classes(table.payload)
     return _quotient_table(table.payload, table.payload.keys[reps[sizes == 1]])

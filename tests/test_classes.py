@@ -143,7 +143,7 @@ def test_semidirect_matches_stepped_power_sums(spec):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_sl2_class_count(q):
     table = enumerate_group(classical_generators(f"A(1,{q})u"))
-    reps, label, sizes = _classes(table.payload)
+    reps, label, sizes, _ = _classes(table.payload)
     # SL2(q) has q + 1 classes for even q and q + 4 for odd q
     assert len(reps) == (q + 1 if q % 2 == 0 else q + 4)
     assert sizes.sum() == table.size
@@ -179,7 +179,7 @@ def test_center_matches_commuting_filter(spec):
     # the center is the singleton classes
     group = classical_generators(spec)
     table = enumerate_group(group)
-    reps, _, sizes = _classes(table.payload)
+    reps, _, sizes, _ = _classes(table.payload)
     center, want = _codes_of(table)[reps[sizes == 1]], commuting_filter(group)
     assert center.shape == want.shape and (center == want).all()
 
@@ -190,12 +190,31 @@ def test_orders_live_on_the_classes(spec):
     # the histogram counted from the class sizes
     table = enumerate_group(classical_generators(spec))
     rec = table.payload
-    reps, label, _ = _classes(rec)
-    assert len(rec.orders) == len(reps)
+    reps, label, _, class_orders = _classes(rec)
+    assert len(class_orders) == len(reps)
     orders = table.orders()
-    assert orders.shape == label.shape and (orders == rec.orders[label]).all()
+    assert orders.shape == label.shape and (orders == class_orders[label]).all()
     counts = np.bincount(orders)
     assert table.order_histogram == {m: int(counts[m]) for m in np.flatnonzero(counts)}
+
+
+@pytest.mark.parametrize("spec", ["2A(3,2)u", "C(2,3)u", "A(2,4)u"])
+def test_class_tuple_invariants(spec):
+    # the class of x has size |G : C(x)|, and x and Z(G) lie in C(x): classes
+    # merged or split by a fault in _classes break one of these
+    rec = enumerate_group(classical_generators(spec)).payload
+    reps, label, sizes, orders = _classes(rec)
+    n, center = len(rec.keys), reps[sizes == 1]
+    assert len(reps) == len(sizes) == len(orders) and sizes.sum() == n
+    assert (n % sizes == 0).all()
+    assert (n // sizes % orders == 0).all()
+    assert (n // sizes % len(center) == 0).all()
+    codec = _make_codec(rec.field, rec.dim)
+    identity = np.searchsorted(rec.keys, codec.one)
+    assert rec.keys[identity] == codec.one and sizes[label[identity]] == 1
+    Z = codec.decode(rec.keys[center])
+    for g in rec.generators:
+        assert (rec.field.matmul(Z, g) == rec.field.matmul(g, Z)).all()
 
 
 def naive_quotient_histogram(group, Z):
@@ -244,9 +263,9 @@ def test_cache_loaded_table_has_the_same_classes(tmp_path, fresh_memo):
 def test_simple_table_reuses_classes(fresh_memo):
     first = spectrum_table("C(2,3)s")
     rec = enumerate_group(classical_generators("C(2,3)u")).payload
-    kept = rec.classes, rec.orders
+    kept = rec.classes
     second = spectrum_table("C(2,3)s")
-    assert rec.classes is kept[0] and rec.orders is kept[1]
+    assert len(kept) == 4 and rec.classes is kept
     assert second.order_histogram == first.order_histogram
     assert second.payload is first.payload is None
 
@@ -306,8 +325,9 @@ def test_classes_match_a_reference(name, fresh_memo):
     assert rec.keys.dtype.kind == ("V" if path == "bytes" else "u")
     with mock.patch.object(matgroup, "_lookup", wraps=matgroup._lookup) as lookup:
         got = _classes(rec)
-    assert lookup.called == (path != "sort")
-    for have, want in zip(got, reference_classes(table, group)):
+    # _least_powers looks up the identity; a permutation looks up in the keys
+    assert any(call.args[0] is rec.keys for call in lookup.call_args_list) == (path != "sort")
+    for have, want in zip(got[:3], reference_classes(table, group)):
         assert have.dtype == want.dtype and have.shape == want.shape
         assert (have == want).all()
 
@@ -325,9 +345,10 @@ def test_conjugate_outside_the_table_raises():
 
 
 def test_classes_memory_budget(fresh_memo):
-    """Traced peak of _classes on C(2,3)u, per element: 52.2 bytes with an
-    argsort per generator, 50.9 with the packed sort, 58.9 with a persistent
-    uint64 index array and 62.9 with intp permutations."""
+    """Traced peak of _classes on C(2,3)u, per element: 46.2 bytes, at the
+    odd-p conjugation, class orders included; once 52.2 with an argsort per
+    generator, 50.9 with the packed sort, 58.9 with a persistent uint64 index
+    array and 62.9 with intp permutations."""
     rec = enumerate_group(classical_generators("C(2,3)u")).payload
     fresh = GroupRecord(rec.field, rec.dim, rec.keys, rec.generators, rec.inverses)
     _kernel(rec.field, rec.dim)
@@ -342,8 +363,9 @@ def test_classes_memory_budget(fresh_memo):
 
 def test_gf2k_classes_memory_budget(fresh_memo):
     """Traced peak of _classes on A(2,4)u, whose GF(4) keys conjugate in one
-    table pass, per element: 49.1 bytes, one conjugate at a time, within
-    the budget of C(2,3)u above."""
+    table pass, per element: 44.0 bytes, class orders included, since the
+    permutations and the previous labels go before the classes are
+    numbered, within the budget of C(2,3)u above."""
     rec = enumerate_group(classical_generators("A(2,4)u")).payload
     fresh = GroupRecord(rec.field, rec.dim, rec.keys, rec.generators, rec.inverses)
     assert _kernel(rec.field, rec.dim).linear
@@ -378,12 +400,12 @@ def stepped_least_powers(rec, target):
 def test_least_powers_by_doubling_match_stepping(spec, top):
     # the identity and the center: class orders, and orders in G/Z
     rec = enumerate_group(classical_generators(spec)).payload
-    reps, _, sizes = _classes(rec)
+    reps, _, sizes, _ = _classes(rec)
     one, center = _make_codec(rec.field, rec.dim).one, rec.keys[reps[sizes == 1]]
     for target in (one, center):
         want = stepped_least_powers(rec, target)
         with mock.patch.object(rec.field, "matmul", wraps=rec.field.matmul) as matmul:
-            got = _least_powers(rec, target)
+            got = _least_powers(rec, reps, target)
         assert got.dtype == np.int64 and (got == want).all()
         # ceil(log2 m) stacked products for the largest m
         assert matmul.call_count == (int(want.max()) - 1).bit_length()
@@ -392,20 +414,20 @@ def test_least_powers_by_doubling_match_stepping(spec, top):
 
 def test_target_without_the_identity_is_refused():
     rec = enumerate_group(classical_generators("A(2,4)u")).payload
-    reps, _, sizes = _classes(rec)
+    reps, _, sizes, _ = _classes(rec)
     center = rec.keys[reps[sizes == 1]]
     assert len(center) == 3
     target = center[center != _make_codec(rec.field, rec.dim).one[0]]
     with mock.patch.object(rec.field, "matmul", side_effect=AssertionError), \
             pytest.raises(RuntimeError, match="order runaway"):
-        _least_powers(rec, target)
+        _least_powers(rec, reps, target)
 
 
 def test_unreachable_target_raises():
     rec = enumerate_group(classical_generators("A(1,3)u")).payload
     # a key past the largest one names no element, so no power reaches it
     with pytest.raises(RuntimeError, match="order runaway"):
-        _least_powers(rec, rec.keys[-1:] + np.uint64(1))
+        _least_powers(rec, _classes(rec)[0], rec.keys[-1:] + np.uint64(1))
 
 
 def _sym3(q):
@@ -431,11 +453,11 @@ def _oracle_run(make):
     _TABLE_MEMO.clear()
     group = make()
     table = enumerate_group(group)
-    rec, (reps, label, sizes) = table.payload, _classes(table.payload)
+    rec, (reps, label, sizes, _) = table.payload, _classes(table.payload)
     center = reps[sizes == 1]
     quotient = _quotient_table(rec, rec.keys[center])
     arrays = [rec.keys, _codes_of(table), rec.generators, reps, label, sizes,
-              table.orders(), _codes_of(table)[center], _least_powers(rec, rec.keys[center])]
+              table.orders(), _codes_of(table)[center], _least_powers(rec, reps, rec.keys[center])]
     return arrays, (table.order_histogram, quotient.order_histogram)
 
 

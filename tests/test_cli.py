@@ -122,24 +122,6 @@ def test_cap_below_one_is_a_usage_error(capsys):
             enumerate_group(group, cap)
 
 
-def test_enumerate_cache_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("OMEGA_CACHE", str(tmp_path))
-    rc, out, _ = run(capsys, ["enumerate", "--group", "A(1,4)u", "--json"])
-    assert rc == 0
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["A_1_4_u.cap16777216.json", "A_1_4_u.cap16777216.tbl"]
-    # warm read hands back the same payload, from the file, not the memo
-    saved = dict(_TABLE_MEMO)
-    _TABLE_MEMO.clear()
-    try:
-        rc, out2, _ = run(capsys, ["enumerate", "--group", "A(1,4)u", "--json"])
-    finally:
-        _TABLE_MEMO.clear()
-        _TABLE_MEMO.update(saved)
-    assert out2 == out
-
-
-
 def test_enumerate_truncated_cache_header_exits_2(capsys, tmp_path):
     argv = ["enumerate", "--group", "A(1,4)u", "--json", "--cache", str(tmp_path)]
     tbl = tmp_path / "A_1_4_u.cap16777216.tbl"

@@ -334,7 +334,7 @@ def test_su4_2():
 def test_centers():
     # the center is the singleton classes
     for spec, order in (("A(1,3)u", 2), ("2A(2,2)u", 3), ("C(2,2)u", 1)):
-        _, _, sizes = _classes(enumerate_group(classical_generators(spec)).payload)
+        _, _, sizes, _ = _classes(enumerate_group(classical_generators(spec)).payload)
         assert (sizes == 1).sum() == order, spec
 
 

@@ -143,7 +143,7 @@ def test_element_table_and_group_record():
         ElementTable(3, {1: 1, 2: 1}, (1, 2))
     f, keys = build_field(2), np.arange(2, dtype=np.uint64)
     rec = GroupRecord(f, 1, keys, [], np.zeros((0, 1, 1)))
-    assert (rec.classes, rec.orders, rec.semidirect) == (None, None, None)
+    assert (rec.classes, rec.semidirect) == (None, None)
     # a record is equal only to itself
     assert rec == rec and rec != GroupRecord(f, 1, keys, [], rec.inverses)
     assert GroupRecord(field=f, dim=1, keys=keys, generators=[], inverses=None).keys is keys
