@@ -99,7 +99,9 @@ def _descriptor_for(args):
     if fam in ("E6", "2E6"):
         if fam == "2E6" and eps == "+":
             raise ValueError("2E6 already fixes the twisting sign, drop --eps")
-        sign = "-" if fam == "2E6" else eps or "+"
+        if eps == "-":
+            spec = GroupSpec("2E6", spec.rank, q, spec.version)
+        sign = "-" if spec.family == "2E6" else "+"
         _covers(spec, "simple", math.gcd(3, q + 1 if sign == "-" else q - 1))
         return spec, spectra.e6_semisimple_spectrum(q, sign), None
     if eps is not None:

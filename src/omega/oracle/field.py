@@ -1,6 +1,6 @@
 """Exact arithmetic in GF(p^k) for p^k <= 2^16, table-driven for small fields."""
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -41,43 +41,11 @@ def _pmod(a, f, p):
     return _ptrim(a)
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppowmod(a, e, f, p):
-    out = [1]
-    a = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            out = _pmod(_pmul(out, a, p), f, p)
-        a = _pmod(_pmul(a, a, p), f, p)
-        e >>= 1
-    return out
-
-
 def _irreducible(f, p):
+    """True when no monic g of degree 1..k//2 divides the monic f of degree k."""
     k = len(f) - 1
-    # x^(p^k) = x mod f, and x^(p^(k/t)) - x coprime to f for prime t | k.
-    g = [0, 1]
-    powers = {}
-    for i in range(1, k + 1):
-        g = _ppowmod(g, p, f, p)
-        powers[i] = g
-    if powers[k] != [0, 1]:
-        return False
-    for t in _factor(k):
-        h = list(powers[k // t])
-        while len(h) < 2:
-            h.append(0)
-        h[1] = (h[1] - 1) % p
-        d = _pgcd(f, _ptrim(h), p)
-        if len(d) != 1:
-            return False
-    return True
+    return all(_pmod(f, _code_to_poly(m, p), p)
+               for d in range(1, k // 2 + 1) for m in range(p**d, 2 * p**d))
 
 
 def _code_to_poly(m, p):
@@ -249,27 +217,21 @@ class Field:
         return hash((self.p, self.k, self.modulus))
 
 
-_FIELD_MEMO = {}
-
-
 def build_field(p, k=1):
-    """GF(p^k) with the deterministic modulus: the lexicographically smallest
-    monic irreducible of degree k (smallest integer code)."""
+    """GF(p^k) with the deterministic modulus: the least monic irreducible of
+    degree k (smallest integer code), found by trial division and proved again
+    by Field's exp table."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1 or p**k > 2**16:
         raise ValueError(f"field size cap is 2^16, got {p}^{k}")
-    if (p, k) in _FIELD_MEMO:
-        return _FIELD_MEMO[(p, k)]
-    if k == 1:
-        f = Field(p, 1, [0, 1])
-    else:
-        for m in range(p**k, 2 * p**k):
-            cand = _code_to_poly(m, p)
-            if _irreducible(cand, p):
-                f = Field(p, k, cand)
-                break
-        else:
-            raise RuntimeError("no irreducible polynomial found")
-    _FIELD_MEMO[(p, k)] = f
-    return f
+    return _least_field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _least_field(p, k):
+    # for k = 1 there is no divisor degree to try, so x, the first code, is taken
+    for m in range(p**k, 2 * p**k):
+        f = _code_to_poly(m, p)
+        if _irreducible(f, p):
+            return Field(p, k, f)

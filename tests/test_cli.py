@@ -64,19 +64,22 @@ def test_version_guard(capsys):
 
 def test_twisted_e6_guard_reads_the_twisted_center(capsys):
     # E6(q) --eps - is the twisted group 2E6(q), whose universal and simple
-    # versions differ by a center of order gcd(3, q + 1), not gcd(3, q - 1)
-    for q in (2, 4, 5):
-        twisted = run(capsys, ["spectrum", "--group", f"2E6({q})u", "--json"])
-        rc, out, err = run(capsys, ["spectrum", "--group", f"E6({q})u", "--eps", "-", "--json"])
-        assert rc == twisted[0] == (0 if q == 4 else 2)
-        if rc:
-            assert "center of order 3" in err
-        else:
-            want = [int(g) for g in e6_semisimple_spectrum(q, "-").generators]
-            assert json.loads(out)["generators"] == json.loads(twisted[1])["generators"] == want
-    rc, out, _ = run(capsys, ["prime-graph", "--group", "E6(5)u", "--eps", "-", "--json"])
-    assert rc == 2 and out == ""
-    assert run(capsys, ["spectrum", "--group", "E6(5)s", "--eps", "-"])[0] == 0
+    # versions differ by a center of order gcd(3, q + 1), not gcd(3, q - 1);
+    # an accepted run names the twisted group
+    for q in (2, 3, 4, 5):
+        for cmd, version in (("spectrum", "u"), ("prime-graph", "u"), ("spectrum", "s")):
+            twisted = run(capsys, [cmd, "--group", f"2E6({q}){version}", "--json"])
+            rc, out, err = run(capsys, [cmd, "--group", f"E6({q}){version}", "--eps", "-",
+                                        "--json"])
+            assert rc == twisted[0] == (0 if (q + 1) % 3 or version == "s" else 2)
+            if rc:
+                assert "center of order 3" in err and out == ""
+                continue
+            assert out == twisted[1]
+            assert json.loads(out)["group"] == f"2E6({q}){version}"
+            if cmd == "spectrum":
+                want = [int(g) for g in e6_semisimple_spectrum(q, "-").generators]
+                assert json.loads(out)["generators"] == want
 
 
 def test_help_exits_zero(capsys):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from omega.arith import _factor, divisors
+from omega.arith import _factor, divisors, is_prime
 from omega.groups import parse_group_spec
 from omega.oracle import (
     CapExceeded,
@@ -15,6 +15,7 @@ from omega.oracle import (
     build_field,
     classical_generators,
     enumerate_group,
+    field,
     semidirect_spectrum,
     spectrum_table,
 )
@@ -29,6 +30,60 @@ def test_field_modulus_is_smallest():
     assert build_field(3, 2).modulus == (1, 0, 1)      # x^2+1 = code 10
     assert build_field(5, 2).modulus == (2, 0, 1)      # x^2+2 = code 27
     assert build_field(7, 1).modulus == (0, 1)
+
+
+# Integer code of the modulus of GF(p^k) for k = 2, 3, ... while p^k <= 2^16:
+# the first monic irreducible among the codes p^k .. 2p^k - 1, recorded with
+# Rabin's irreducibility test.
+_MODULUS_CODES = {
+    2: (7, 11, 19, 37, 67, 131, 283, 515, 1033, 2053, 4105, 8219, 16417, 32771, 65579),
+    3: (10, 34, 86, 250, 734, 2198, 6572, 19747, 59068),
+    5: (27, 131, 627, 3146, 15632),
+    7: (50, 345, 2409, 16817),
+    11: (122, 1346, 14654), 13: (171, 2199, 28563),
+    17: (292, 4933), 19: (362, 6861), 23: (530, 12193), 29: (843, 24422),
+    31: (962, 29794), 37: (1371, 50655),
+    41: (1684,), 43: (1850,), 47: (2210,), 53: (2811,), 59: (3482,), 61: (3723,),
+    67: (4490,), 71: (5042,), 73: (5334,), 79: (6242,), 83: (6890,), 89: (7924,),
+    97: (9414,), 101: (10203,), 103: (10610,), 107: (11450,), 109: (11883,),
+    113: (12772,), 127: (16130,), 131: (17162,), 137: (18772,), 139: (19322,),
+    149: (22203,), 151: (22802,), 157: (24651,), 163: (26570,), 167: (27890,),
+    173: (29931,), 179: (32042,), 181: (32763,), 191: (36482,), 193: (37254,),
+    197: (38811,), 199: (39602,), 211: (44522,), 223: (49730,), 227: (51530,),
+    229: (52443,), 233: (54292,), 239: (57122,), 241: (58088,), 251: (63002,),
+}
+
+
+def test_every_field_modulus_is_pinned():
+    # build_field's candidate search, without the Field tables, for all 93
+    # fields GF(p^k) with k >= 2 and p^k <= 2^16
+    fields = [(p, k) for p in range(2, 257) if is_prime(p) for k in range(2, 17)
+              if p**k <= 1 << 16]
+    assert len(fields) == 93
+    assert fields == [(p, k) for p, codes in _MODULUS_CODES.items()
+                      for k in range(2, len(codes) + 2)]
+    for p, k in fields:
+        got = next(m for m in range(p**k, 2 * p**k)
+                   if field._irreducible(field._code_to_poly(m, p), p))
+        assert got == _MODULUS_CODES[p][k - 2], (p, k)
+
+
+def test_irreducible_agrees_with_the_field_check():
+    # every monic candidate of degree 2..k with p^k <= 64: trial division
+    # holds exactly when Field's exp table is a permutation
+    seen = 0
+    for p, top in ((2, 6), (3, 3), (5, 2), (7, 2)):
+        for k in range(2, top + 1):
+            for m in range(p**k, 2 * p**k):
+                f = field._code_to_poly(m, p)
+                try:
+                    Field(p, k, f)
+                    builds = True
+                except (ValueError, RuntimeError):
+                    builds = False
+                assert field._irreducible(f, p) == builds, (p, f)
+                seen += 1
+    assert seen == 234
 
 
 def test_field_axioms_sampled():
