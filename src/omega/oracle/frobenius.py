@@ -159,16 +159,16 @@ def _sp_torus_witness(n, q):
 
 
 _KINDS = {
-    "sl-hyperplane": lambda params: _sl_hyperplane_witness(*params),
-    "gl-affine": lambda params: _gl_affine_witness(*params),
-    "sp-torus": lambda params: _sp_torus_witness(*params),
+    "sl-hyperplane": _sl_hyperplane_witness,
+    "gl-affine": _gl_affine_witness,
+    "sp-torus": _sp_torus_witness,
 }
 
 
 def frobenius_witness(kind, params):
     if kind not in _KINDS:
         raise ValueError(f"unknown witness kind {kind!r}; have {sorted(_KINDS)}")
-    return _KINDS[kind](tuple(params))
+    return _KINDS[kind](*params)
 
 
 def verify_frobenius(kernel_gens, complement_gens):

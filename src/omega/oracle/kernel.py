@@ -353,8 +353,7 @@ def _eliminate(fld, a):
     if r != c:
         return (P < r).sum(axis=1), None, None
     det = reduce(fld.mul_many, values)
-    if fld.p != 2:
-        # det a = sign of the pivot-row permutation times the pivots
-        odd = np.triu(P[:, :, None] > P[:, None, :]).sum(axis=(1, 2)) % 2 == 1
-        det = np.where(odd, fld.neg_table[det], det)
+    # det a = sign of the pivot-row permutation (none when p = 2) times the pivots
+    odd = np.triu(P[:, :, None] > P[:, None, :]).sum(axis=(1, 2)) % 2 == 1
+    det = np.where(odd, fld.neg_table[det], det)
     return (P < r).sum(axis=1), det, m[idx[:, None], P, c:]

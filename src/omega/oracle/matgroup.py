@@ -190,11 +190,11 @@ def _closure(fld, d, gens, cap):
     and the indices of the generators adopted (those not in the group H of
     the ones before).  The first lists its powers by doubling.  Adopting a
     later g enumerates the left cosets of H in <H, g>, which left
-    multiplication permutes: a coset is named by its least key, so
-    membership is tested once per candidate coset.  Each part of a round is
-    multiplied by the whole adopted stack in one left call; in the first
-    round, whose frontier is H, the products by the earlier generators are
-    H again, which the lookup drops."""
+    multiplication permutes: a coset is named by its least key.  Each part
+    of a round is multiplied by the whole adopted stack in one left call, and
+    one np.unique of the known leads (unique, first) and the part's names its
+    new cosets: the first occurrences past the known ones.  In the first
+    round, whose frontier is H, the earlier generators give H's known lead."""
     kern, codec = _kernel(fld, d), _kernel(fld, d).codec
     keys, adopted = codec.one, []
     for i, gk in enumerate(codec.keys(gens)):
@@ -213,11 +213,9 @@ def _closure(fld, d, gens, cap):
                 room = max(cap - n * len(leads), _CAP_CHUNK)
                 part = frontier[lo:lo + max(1, room // (len(stack) * n))]
                 lo += len(part)
-                rows = kern.left(stack, part.ravel()).reshape(-1, n)
-                lead, first = np.unique(codec.least(rows), return_index=True)
-                new = ~_lookup(leads, lead)[1]
-                fresh.append(rows[first[new]])
-                leads = np.sort(np.concatenate([leads, lead[new]]))
+                rows, known = kern.left(stack, part.ravel()).reshape(-1, n), len(leads)
+                leads, first = np.unique(np.concatenate([leads, codec.least(rows)]), return_index=True)
+                fresh.append(rows[first[first >= known] - known])
                 if n * len(leads) > cap:
                     raise CapExceeded(min(n * len(leads), cap + _CAP_CHUNK), cap, len(leads), n)
             frontier = np.concatenate(fresh)
@@ -362,12 +360,6 @@ def enumerate_group(group, cap=DEFAULT_CAP):
     return _memoize(group, table, cap)
 
 
-def _quotient_table(rec, zk):
-    """The table of G/Z for the sorted keys zk of a central subgroup Z."""
-    reps, _, sizes, _ = _classes(rec)
-    return _table(_least_powers(rec, reps, zk), sizes, zn=len(zk))
-
-
 def _elementary(fld, dim, *entries):
     """The identity matrix with the given (row, column, value) entries."""
     m = np.eye(dim, dtype=np.uint16)
@@ -485,5 +477,7 @@ def _version_table(group, version, cap):
     table = enumerate_group(group, cap)
     if version == "universal":
         return table
-    reps, _, sizes, _ = _classes(table.payload)
-    return _quotient_table(table.payload, table.payload.keys[reps[sizes == 1]])
+    rec = table.payload
+    reps, _, sizes, _ = _classes(rec)
+    zk = rec.keys[reps[sizes == 1]]
+    return _table(_least_powers(rec, reps, zk), sizes, zn=len(zk))

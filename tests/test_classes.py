@@ -24,7 +24,7 @@ from omega.oracle import (
 )
 from omega.oracle import action, frobenius, matgroup
 from omega.oracle.kernel import _eliminate, _Packed, _Wide, _kernel, _make_codec
-from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers, _quotient_table
+from omega.oracle.matgroup import _TABLE_MEMO, GroupRecord, _classes, _least_powers, _table
 
 
 @pytest.fixture
@@ -455,9 +455,10 @@ def _oracle_run(make):
     table = enumerate_group(group)
     rec, (reps, label, sizes, _) = table.payload, _classes(table.payload)
     center = reps[sizes == 1]
-    quotient = _quotient_table(rec, rec.keys[center])
+    zk = rec.keys[center]
+    quotient = _table(_least_powers(rec, reps, zk), sizes, zn=len(zk))
     arrays = [rec.keys, _codes_of(table), rec.generators, reps, label, sizes,
-              table.orders(), _codes_of(table)[center], _least_powers(rec, reps, rec.keys[center])]
+              table.orders(), _codes_of(table)[center], _least_powers(rec, reps, zk)]
     return arrays, (table.order_histogram, quotient.order_histogram)
 
 

@@ -193,14 +193,14 @@ def test_cap_exceeded_names_the_cosets_and_the_subgroup():
                                          ("2A(3,2)u", 64)])
 def test_one_left_call_per_part(spec, chunk, monkeypatch):
     # the first generator's m powers take ceil(log2 m) left calls, by one
-    # matrix each and with no membership test; after that, each part of a
-    # round makes one membership test and one left call, by the whole stack
-    # adopted so far; a cap of exactly |G| splits the late rounds into more
-    # parts
+    # matrix each; after that, each part of a round makes one left call, by
+    # the whole stack adopted so far, and takes the least key of each row
+    # once; _lookup runs only to test each generator for adoption; a cap of
+    # exactly |G| splits the late rounds into more parts
     group = classical_generators(spec)
     kern, gens = matgroup._kernel(group.field, group.dim), group.generators
-    left, lookup = type(kern).left, matgroup._lookup
-    stacks, lookups = [], []
+    left, lookup, least = type(kern).left, matgroup._lookup, type(kern.codec).least
+    stacks, lookups, parts = [], [], []
 
     def counted_left(self, g, K):
         stacks.append(g)
@@ -210,19 +210,25 @@ def test_one_left_call_per_part(spec, chunk, monkeypatch):
         lookups.append(len(pk))
         return lookup(keys, pk)
 
+    def counted_least(self, rows):
+        parts.append(len(rows))
+        return least(self, rows)
+
     monkeypatch.setattr(type(kern), "left", counted_left)
     monkeypatch.setattr(matgroup, "_lookup", counted_lookup)
+    monkeypatch.setattr(type(kern.codec), "least", counted_least)
     calls = []
     for stepped in (False, True):
         if stepped:
             monkeypatch.setattr(matgroup, "_CAP_CHUNK", chunk)
         stacks.clear()
         lookups.clear()
+        parts.clear()
         keys, adopted = closure(group, len(keys) if stepped else matgroup.DEFAULT_CAP)
         first = (Matrix(group.field, gens[adopted[0]]).order() - 1).bit_length()
         assert all(g.ndim == 2 for g in stacks[:first])
         later = stacks[first:]
-        assert len(later) == len(lookups) - len(gens) > 0
+        assert len(lookups) == len(gens) and len(later) == len(parts) > 0
         assert all(g.ndim == 3 for g in later) and (later[-1] == gens[adopted]).all()
         calls.append(len(later))
     assert calls[1] > calls[0]
