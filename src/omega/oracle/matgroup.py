@@ -1,7 +1,7 @@
 """Matrix groups over small fields: exhaustive enumeration, exact spectra, centers."""
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -368,85 +368,58 @@ def _elementary(fld, dim, *entries):
     return m
 
 
+def _roots(fld, dim, roots, form=None, conj=None):
+    """For each (row, column, value) entry list, its root element and the
+    transpose, the opposite root; with a form F, each t is checked to keep
+    it: t^T F conj(t) = F, conj the identity when not given."""
+    ups = np.array([_elementary(fld, dim, *entries) for entries in roots])
+    gens = np.stack([ups, ups.transpose(0, 2, 1)], axis=1).reshape(-1, dim, dim)
+    if form is not None:
+        image = fld.matmul(fld.matmul(gens.transpose(0, 2, 1), form),
+                           gens if conj is None else conj[gens])
+        if not (image == form).all():
+            raise RuntimeError("generator breaks the form")
+    return gens
+
+
 def _sl_generators(fld, dim):
-    return np.array([_elementary(fld, dim, (r, c, b)) for i in range(dim - 1)
-                     for b in fld.basis() for r, c in ((i, i + 1), (i + 1, i))])
-
-
-def _sp_form(fld, n):
-    omega = np.zeros((2 * n, 2 * n), dtype=np.uint16)
-    for i in range(n):
-        omega[i, n + i] = 1
-        omega[n + i, i] = fld.neg(1)
-    return omega
+    return _roots(fld, dim, [[(i, i + 1, b)] for i in range(dim - 1) for b in fld.basis()])
 
 
 def _sp_generators(fld, n):
-    dim, gens = 2 * n, []
-    for i in range(n - 1):
-        for b in fld.basis():
-            nb = fld.neg(b)
-            gens.append(_elementary(fld, dim, (i, i + 1, b), (n + i + 1, n + i, nb)))
-            gens.append(_elementary(fld, dim, (i + 1, i, b), (n + i, n + i + 1, nb)))
-    for b in fld.basis():
-        gens.append(_elementary(fld, dim, (n - 1, dim - 1, b)))
-        gens.append(_elementary(fld, dim, (dim - 1, n - 1, b)))
-    omega, G = _sp_form(fld, n), np.array(gens)
-    if not (fld.matmul(fld.matmul(G.transpose(0, 2, 1), omega), G) == omega).all():
-        raise RuntimeError("generator breaks the symplectic form")
-    return G
+    """Root elements for the form [[0, I], [-I, 0]]: short roots, then the long root."""
+    dim, basis = 2 * n, fld.basis()
+    form = np.zeros((dim, dim), dtype=np.uint16)
+    form[range(n), range(n, dim)] = 1
+    form[range(n, dim), range(n)] = fld.neg(1)
+    roots = [[(i, i + 1, b), (n + i + 1, n + i, fld.neg(b))] for i in range(n - 1) for b in basis]
+    return _roots(fld, dim, roots + [[(n - 1, dim - 1, b)] for b in basis], form)
 
 
 def _su_generators(fld2, dim, k_base):
-    """Unitary transvections for the antidiagonal Hermitian form over GF(q^2)."""
-    import itertools
-
-    q2 = fld2.q
-    form = np.eye(dim, dtype=np.uint16)[::-1]
-    conj = np.array([fld2.frob(x, k_base) for x in range(q2)], dtype=fld2.code_dtype)
-
-    def unitary(ts):
-        """Which t of the stack satisfy t^T F conj(t) = F; F is the antidiagonal
-        permutation, so t^T F is t^T with its columns reversed."""
-        lhs = fld2.matmul(ts.transpose(0, 2, 1)[..., ::-1], conj[ts])
-        return (lhs == form).all(axis=(1, 2))
-
-    vs = np.array(list(itertools.product(range(q2), repeat=dim))[1:], dtype=fld2.code_dtype)
-    if dim == 3:
-        # transvections alone fall short here (SU3(2) is the classical
-        # exception), so take every unitary unipotent triangle instead:
-        # for each nonzero (a, b, c), the upper one, then the lower one
-        tri = np.tile(np.eye(3, dtype=np.uint16), (len(vs), 2, 1, 1))
-        tri[:, 0, [0, 0, 1], [1, 2, 2]] = vs
-        tri[:, 1, [1, 2, 2], [0, 0, 1]] = vs
-        tri = tri.reshape(-1, 3, 3)
-        gens = tri[unitary(tri)]
-        if not len(gens):
-            raise RuntimeError("no unitary triangles found")
-        return gens
-    # I + lam v w^T with w = conj(F v), for every isotropic v whose first
-    # nonzero entry is 1 and every trace-zero lam, v outermost
-    lams = [c for c in range(1, q2) if fld2.add(c, int(conj[c])) == 0]
-    if not lams:
-        raise RuntimeError("no trace-zero scalars")
-    ws = conj[vs[:, ::-1]]
-    norms = reduce(fld2.add_many, fld2.mul_many(vs, ws).T)
-    lead = vs[np.arange(len(vs)), (vs != 0).argmax(axis=1)]
-    keep = (lead == 1) & (norms == 0)
-    vs, ws = vs[keep], ws[keep]
-    if not len(vs):
-        raise RuntimeError("no isotropic points found")
-    lv = fld2.mul_many(np.array(lams)[None, :, None], vs[:, None, :])
-    outer = fld2.mul_many(lv[..., :, None], ws[:, None, None, :])
-    ts = fld2.add_many(np.eye(dim, dtype=np.int64), outer).reshape(-1, dim, dim)
-    if not unitary(ts).all():
-        raise RuntimeError("transvection breaks the hermitian form")
-    return ts
+    """Root elements of SU for the antidiagonal Hermitian form over GF(q^2),
+    with m = dim // 2 and a over a basis, a~ = a^q: short roots
+    (i, i+1, a), (dim-2-i, dim-1-i, -a~) for i < m - 1; for odd dim the
+    middle root (m-1, m, a), (m, m+1, -a~), (m-1, m+1, -N(a) t), t the first
+    code of trace 1; the long root (m-1, dim-m, lam) for each nonzero
+    trace-zero lam = theta - theta~, theta over the basis."""
+    conj = np.array([fld2.frob(x, k_base) for x in range(fld2.q)], dtype=np.uint16)
+    m, basis = dim // 2, fld2.basis()
+    bar = [fld2.neg(int(conj[a])) for a in basis]  # -a~
+    roots = [[(i, i + 1, a), (dim - 2 - i, dim - 1 - i, na)]
+             for i in range(m - 1) for a, na in zip(basis, bar)]
+    if dim % 2:
+        t = next(c for c in range(fld2.q) if fld2.add(c, int(conj[c])) == 1)
+        roots += [[(m - 1, m, a), (m, m + 1, na), (m - 1, m + 1, fld2.mul(fld2.mul(a, na), t))]
+                  for a, na in zip(basis, bar)]
+    lams = sorted({fld2.add(th, nth) for th, nth in zip(basis, bar)} - {0})
+    roots += [[(m - 1, dim - m, lam)] for lam in lams]
+    return _roots(fld2, dim, roots, np.eye(dim, dtype=np.uint16)[::-1], conj)
 
 
 def classical_generators(spec):
     """Matrix generators realizing the universal version: SL, SU, or Sp, one
-    group per (family, rank, q), searched for and eliminated once."""
+    group per (family, rank, q), built from root elements and eliminated once."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     return _universal(GroupSpec(spec.family, spec.rank, spec.q, "universal"))

@@ -102,7 +102,8 @@ def test_enumerate_cap_abort(capsys, monkeypatch):
     monkeypatch.setattr("omega.oracle.matgroup._TABLE_MEMO", {})
     for argv, order in ((["--group", "C(3,3)u"], "C(3,3)u has order 9170703360"),
                         (["--json", "--group", "A(2,4)u"], "A(2,4)u has order 60480"),
-                        (["--json", "--group", "A(2,4)s"], "A(2,4)u has order 60480")):
+                        (["--json", "--group", "A(2,4)s"], "A(2,4)u has order 60480"),
+                        (["--json", "--group", "2A(3,8)u"], "2A(3,8)u has order 34693789777920")):
         rc, out, err = run(capsys, ["enumerate", "--cap", "1000", *argv])
         assert rc == 1 and out == ""
         aborted, universal = err.splitlines()

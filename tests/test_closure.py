@@ -1,8 +1,9 @@
 """The coset closure against a naive all-generator BFS, its cap bound and
-its membership tests, the closed-form order check, and the batched unitary
-generator search."""
+its membership tests, the closed-form order check, and the unitary root
+elements against a scalar search."""
 
 import itertools
+import tracemalloc
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -22,7 +23,7 @@ from omega.oracle import (
 )
 from omega.oracle import matgroup
 from omega.oracle.kernel import _make_codec
-from omega.oracle.matgroup import _closure, _su_generators
+from omega.oracle.matgroup import _closure
 
 
 def closure(group, cap):
@@ -163,22 +164,6 @@ def test_stepped_levels_build_the_same_table(spec, chunk, monkeypatch):
     assert (k2 == keys).all()
 
 
-@pytest.mark.parametrize("spec", ["A(2,4)u", "C(2,3)u", "2A(3,2)u"])
-def test_membership_tests_are_per_coset(spec, monkeypatch):
-    # one lookup per product would be about (generators adopted) x |G|; one
-    # per candidate coset is 225, 264 and 457 lookups here
-    needles = []
-    lookup = matgroup._lookup
-
-    def counted(keys, pk):
-        needles.append(len(pk))
-        return lookup(keys, pk)
-
-    monkeypatch.setattr(matgroup, "_lookup", counted)
-    keys, _ = closure(classical_generators(spec), matgroup.DEFAULT_CAP)
-    assert 0 < sum(needles) < len(keys) / 50
-
-
 def test_cap_exceeded_names_the_cosets_and_the_subgroup():
     cap = 5000
     with pytest.raises(CapExceeded) as e:
@@ -190,13 +175,14 @@ def test_cap_exceeded_names_the_cosets_and_the_subgroup():
 
 
 @pytest.mark.parametrize("spec, chunk", [("A(2,2)u", 5), ("A(1,9)u", 5), ("A(2,4)u", 64),
-                                         ("2A(3,2)u", 64)])
+                                         ("C(2,3)u", 64), ("2A(3,2)u", 64)])
 def test_one_left_call_per_part(spec, chunk, monkeypatch):
     # the first generator's m powers take ceil(log2 m) left calls, by one
     # matrix each; after that, each part of a round makes one left call, by
     # the whole stack adopted so far, and takes the least key of each row
-    # once; _lookup runs only to test each generator for adoption; a cap of
-    # exactly |G| splits the late rounds into more parts
+    # once; _lookup runs only to test each generator for adoption, one needle
+    # each, and never per product or per coset; a cap of exactly |G| splits
+    # the late rounds into more parts
     group = classical_generators(spec)
     kern, gens = matgroup._kernel(group.field, group.dim), group.generators
     left, lookup, least = type(kern).left, matgroup._lookup, type(kern.codec).least
@@ -228,7 +214,7 @@ def test_one_left_call_per_part(spec, chunk, monkeypatch):
         first = (Matrix(group.field, gens[adopted[0]]).order() - 1).bit_length()
         assert all(g.ndim == 2 for g in stacks[:first])
         later = stacks[first:]
-        assert len(lookups) == len(gens) and len(later) == len(parts) > 0
+        assert lookups == [1] * len(gens) and len(later) == len(parts) > 0
         assert all(g.ndim == 3 for g in later) and (later[-1] == gens[adopted]).all()
         calls.append(len(later))
     assert calls[1] > calls[0]
@@ -285,19 +271,6 @@ def su3_reference(fld2, k_base):
     return out
 
 
-@pytest.mark.parametrize("q, count", [(2, 14), (3, 52)])
-def test_su3_generators_match_scalar_search(q, count):
-    fld2 = build_field(q, 2)
-    gens = _su_generators(fld2, 3, 1)
-    assert gens.shape == (count, 3, 3)
-    assert (gens == [t.a for t in su3_reference(fld2, 1)]).all()
-    form = Matrix(fld2, np.eye(3, dtype=np.uint16)[::-1])
-    for t in gens:
-        assert hermitian_image(Matrix(fld2, t), form, 1) == form
-    group = classical_generators(f"2A(2,{q})u")
-    assert group.generators.dtype == np.uint16 and (group.generators == gens).all()
-
-
 def transvection_reference(fld2, dim, k_base):
     """I + lam v w^T, w = conj(F v), v isotropic with first nonzero entry 1,
     lam of trace zero, built entry by entry."""
@@ -322,9 +295,36 @@ def transvection_reference(fld2, dim, k_base):
     return out
 
 
-@pytest.mark.parametrize("q, dim, count", [(2, 4, 45), (2, 5, 165), (3, 4, 560)])
-def test_su_transvections_match_scalar_search(q, dim, count):
-    fld2 = build_field(q, 2)
-    gens = _su_generators(fld2, dim, 1)
-    assert gens.shape == (count, dim, dim)
-    assert (gens == [t.a for t in transvection_reference(fld2, dim, 1)]).all()
+@pytest.mark.parametrize("d, q", [(2, 2), (2, 3), (2, 4), (2, 9), (3, 2), (3, 3), (4, 2)])
+def test_su_root_elements_generate_the_reference_group(d, q):
+    # the root elements keep the form and close to the same keys as the
+    # scalar search: every unipotent triangle for d = 3, else every transvection
+    group = classical_generators(f"2A({d - 1},{q})u")
+    fld2, k_base = group.field, group.name.k
+    form = Matrix(fld2, np.eye(d, dtype=np.uint16)[::-1])
+    for t in group.generators:
+        assert hermitian_image(Matrix(fld2, t), form, k_base) == form
+    ref = su3_reference(fld2, k_base) if d == 3 else transvection_reference(fld2, d, k_base)
+    want, _ = _closure(fld2, d, np.array([t.a for t in ref]), matgroup.DEFAULT_CAP)
+    keys, _ = closure(group, matgroup.DEFAULT_CAP)
+    assert len(keys) == len(want) and (keys == want).all()
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_su3_closure_has_the_closed_form_order(q):
+    # |SU_3(q)| = q^3 (q^2 - 1) (q^3 + 1)
+    keys, _ = closure(classical_generators(f"2A(2,{q})u"), matgroup.DEFAULT_CAP)
+    assert len(keys) == q**3 * (q**2 - 1) * (q**3 + 1)
+
+
+@pytest.mark.parametrize("spec", ["2A(2,8)u", "2A(4,4)u"])
+def test_su_generators_are_built_in_small_memory(spec):
+    # no list of GF(q^2)^d: a search over it peaks at 86 and 125 MB on these
+    matgroup._universal.cache_clear()
+    tracemalloc.start()
+    try:
+        gens = classical_generators(spec).generators
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gens) <= 20 and peak < 1 << 20
