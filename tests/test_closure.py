@@ -164,6 +164,24 @@ def test_stepped_levels_build_the_same_table(spec, chunk, monkeypatch):
     assert (k2 == keys).all()
 
 
+@pytest.mark.parametrize("spec", ["A(2,4)u", "C(2,3)u", "2A(3,2)u"])
+def test_membership_tests_are_per_coset(spec, monkeypatch):
+    # one lookup per product would be about (generators adopted) x |G|; the
+    # closure looks up only one needle per supplied generator, fewer than
+    # one per coset
+    needles = []
+    lookup = matgroup._lookup
+
+    def counted(keys, pk):
+        needles.append(len(pk))
+        return lookup(keys, pk)
+
+    monkeypatch.setattr(matgroup, "_lookup", counted)
+    group = classical_generators(spec)
+    keys, _ = closure(group, matgroup.DEFAULT_CAP)
+    assert 0 < sum(needles) <= len(group.generators) and sum(needles) < len(keys) / 50
+
+
 def test_cap_exceeded_names_the_cosets_and_the_subgroup():
     cap = 5000
     with pytest.raises(CapExceeded) as e:
