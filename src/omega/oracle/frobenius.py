@@ -210,7 +210,7 @@ def verify_frobenius(kernel_gens, complement_gens):
             counterexample=(Matrix(fld, codec.decode(a_keys)[0]), nontrivial(k_keys[k_mask])),
         )
 
-    _, both = _lookup(k_keys, c_keys)
+    both = _lookup(k_keys, c_keys)
     if int(both.sum()) != 1:
         shared = nontrivial(c_keys[both])
         return FrobeniusVerdict(

@@ -180,9 +180,8 @@ class ElementTable(Record):
 
 
 def _lookup(keys, pk):
-    """Insertion points of pk in the sorted keys, and which of pk are there."""
-    pos = np.searchsorted(keys, pk)
-    return pos, keys[np.minimum(pos, len(keys) - 1)] == pk
+    """Which of pk are among the sorted keys."""
+    return keys[np.minimum(np.searchsorted(keys, pk), len(keys) - 1)] == pk
 
 
 def _closure(fld, d, gens, cap):
@@ -198,7 +197,7 @@ def _closure(fld, d, gens, cap):
     kern, codec = _kernel(fld, d), _kernel(fld, d).codec
     keys, adopted = codec.one, []
     for i, gk in enumerate(codec.keys(gens)):
-        if _lookup(keys, gk[None])[1][0]:
+        if _lookup(keys, gk[None])[0]:
             continue
         adopted.append(i)
         if len(adopted) == 1:
@@ -247,10 +246,10 @@ def _powers(fld, kern, g, cap):
 def _classes(rec):
     """Class data of a group, kept in its record: (reps, label, sizes,
     orders), the least index of each class (ascending), each element's class,
-    the class sizes and the class orders.  Where key and index fit a uint64
-    word, sorting the words (key << ib) | index in place gives each
-    conjugation's inverse permutation (low bits) and the keys (high bits);
-    else _lookup gives the forward one, with the same orbits."""
+    the class sizes and the class orders.  Sorting a generator's conjugates
+    gives its inverse permutation, proved one when they sort to the keys: in
+    the low bits of the words (key << ib) | index sorted in place where key
+    and index fit a uint64 word, else by an argsort."""
     if rec.classes is not None:
         return rec.classes
     fld, keys, n = rec.field, rec.keys, len(rec.keys)
@@ -263,12 +262,12 @@ def _classes(rec):
             pk |= np.arange(n, dtype=np.uint64)
             pk.sort()
             perms.append((pk & (1 << ib) - 1).astype(np.int32))
-            inside = np.array_equal(np.right_shift(pk, ib, out=pk), keys)
-        else:  # conjugation is injective: finding every conjugate proves a permutation
-            pos, found = _lookup(keys, pk)
-            perms.append(pos.astype(np.int32))
-            inside = found.all()
-        if not inside:
+            pk >>= ib
+        else:
+            perm = np.argsort(pk)
+            pk = pk[perm]
+            perms.append(perm.astype(np.int32))
+        if not np.array_equal(pk, keys):
             raise RuntimeError("conjugate left the set")
     # each element takes the least label along its conjugates, pointer
     # jumping shortcuts the chains, and a running count numbers the classes
@@ -300,12 +299,12 @@ def _least_powers(rec, reps, target):
     known, one stacked Field.matmul by x^L gives x^(L+1) .. x^2L, so order m
     takes ceil(log2 m) products."""
     codec = _kernel(rec.field, rec.dim).codec
-    if not _lookup(target, codec.one)[1][0]:
+    if not _lookup(target, codec.one)[0]:
         raise RuntimeError("order runaway: a target without the identity may never be reached")
     known = codec.decode(rec.keys[reps])[:, None]
     idx, new, m = np.arange(len(known)), known, np.zeros(len(known), dtype=np.int64)
     while True:
-        hit = _lookup(target, codec.keys(new.reshape(-1, rec.dim, rec.dim)))[1].reshape(new.shape[:2])
+        hit = _lookup(target, codec.keys(new.reshape(-1, rec.dim, rec.dim))).reshape(new.shape[:2])
         done = hit.any(axis=1)
         m[idx[done]] = known.shape[1] - new.shape[1] + 1 + hit[done].argmax(axis=1)
         if done.all():

@@ -278,7 +278,7 @@ def _sym(n, deg, q):
 
 
 # How _classes builds each conjugation's permutation: by the packed sort, or
-# by _lookup on uint64 words too wide to carry an index (64-bit keys) or on
+# by an argsort of uint64 words too wide to carry an index (64-bit keys) or of
 # byte keys
 CLASS_CASES = {
     "A(1,4)u": ("sort", lambda: classical_generators("A(1,4)u")),
@@ -323,25 +323,44 @@ def test_classes_match_a_reference(name, fresh_memo):
     rec = GroupRecord(group.field, group.dim, table.payload.keys, table.payload.generators,
                       table.payload.inverses)
     assert rec.keys.dtype.kind == ("V" if path == "bytes" else "u")
-    with mock.patch.object(matgroup, "_lookup", wraps=matgroup._lookup) as lookup:
+    with mock.patch.object(matgroup.np, "argsort", wraps=np.argsort) as argsort:
         got = _classes(rec)
-    # _least_powers looks up the identity; a permutation looks up in the keys
-    assert any(call.args[0] is rec.keys for call in lookup.call_args_list) == (path != "sort")
+    # one argsort of the conjugates per generator, none on the packed sort
+    assert argsort.call_count == (0 if path == "sort" else len(rec.generators))
     for have, want in zip(got[:3], reference_classes(table, group)):
         assert have.dtype == want.dtype and have.shape == want.shape
         assert (have == want).all()
 
 
-def test_conjugate_outside_the_table_raises():
+@pytest.mark.parametrize("path", ["sort", "words", "bytes"])
+def test_conjugate_outside_the_table_raises(path):
     # a subgroup of one generator, not normal, under conjugation by all of
     # them: a transvection of SL2(3) takes the packed sort, a transposition
-    # of Sym3 takes _lookup on 64-bit words and on byte keys
-    for group in (classical_generators("A(1,3)u"), _sym(3, 8, 2), _sym(3, 6, 3)):
-        sub = enumerate_group(MatrixGroup(group.field, group.dim, group.generators[:1]))
-        rec = GroupRecord(group.field, group.dim, sub.payload.keys, group.generators,
-                          group.inverses)
+    # of Sym3 an argsort of 64-bit words or of byte keys
+    group = {"sort": lambda: classical_generators("A(1,3)u"), "words": lambda: _sym(3, 8, 2),
+             "bytes": lambda: _sym(3, 6, 3)}[path]()
+    sub = enumerate_group(MatrixGroup(group.field, group.dim, group.generators[:1]))
+    rec = GroupRecord(group.field, group.dim, sub.payload.keys, group.generators, group.inverses)
+    assert rec.keys.dtype.kind == ("V" if path == "bytes" else "u")
+    with mock.patch.object(matgroup.np, "argsort", wraps=np.argsort) as argsort:
         with pytest.raises(RuntimeError, match="conjugate left the set"):
             _classes(rec)
+    assert argsort.called == (path != "sort")
+
+
+def test_argsort_and_word_sort_agree_on_sl2_64(fresh_memo):
+    # SU2(64) and SL2(64) are isomorphic: the first has 48-bit keys, which
+    # with 18 index bits take the argsort, the second 24-bit keys, which
+    # take the word sort; the class sizes and orders must agree
+    pairs = []
+    for spec, wide in (("2A(1,64)u", True), ("A(1,64)u", False)):
+        rec = enumerate_group(classical_generators(spec)).payload
+        fresh = GroupRecord(rec.field, rec.dim, rec.keys, rec.generators, rec.inverses)
+        with mock.patch.object(matgroup.np, "argsort", wraps=np.argsort) as argsort:
+            _, _, sizes, orders = _classes(fresh)
+        assert len(rec.keys) == 262080 and argsort.call_count == wide * len(rec.generators)
+        pairs.append(Counter(zip(sizes.tolist(), orders.tolist())))
+    assert pairs[0] == pairs[1] and sum(pairs[0].values()) == 65
 
 
 def test_classes_memory_budget(fresh_memo):
